@@ -1,7 +1,13 @@
 #include "cache/dns_cache.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <mutex>
+#include <stdexcept>
+#include <type_traits>
 
+#include "dns/wire.hpp"
 #include "obs/metrics.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -15,7 +21,339 @@ namespace {
   return p;
 }
 
+[[nodiscard]] std::size_t ceil_pow2(std::size_t n) noexcept {
+  std::size_t p = 1;
+  while (p < n) p *= 2;
+  return p;
+}
+
+constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
+
+/// A key's index tag: the high half of the fnv1a hash whose low bits picked
+/// the shard, so the index needs no second hash and its probe positions do
+/// not depend on the shard choice.
+[[nodiscard]] std::uint32_t tag_of(std::uint64_t hash) noexcept {
+  return static_cast<std::uint32_t>(hash >> 32);
+}
+
+void encode_answer_to(const CachedAnswer& answer,
+                      std::vector<std::uint8_t>& out) {
+  dns::Header header;
+  header.qr = true;
+  header.rcode = answer.rcode;
+  dns::WireWriter writer(out);
+  dns::encode_answer_only_into(writer, header, answer.answers,
+                               /*compress=*/false);
+}
+
 }  // namespace
+
+std::vector<std::uint8_t> encode_answer(const CachedAnswer& answer) {
+  std::vector<std::uint8_t> wire;
+  encode_answer_to(answer, wire);
+  return wire;
+}
+
+bool decode_answer_into(std::span<const std::uint8_t> wire, dns::RCode& rcode,
+                        std::vector<dns::ResourceRecord>& answers) {
+  dns::Header header;
+  if (!dns::decode_answer_only_into(wire, header, answers)) return false;
+  rcode = header.rcode;
+  return true;
+}
+
+// --- the slab ----------------------------------------------------------------
+
+/// One shard's entries (DESIGN.md §10). Slots live in one array that doubles
+/// on demand up to the shard's capacity slice — never pre-sized, since most
+/// shards of most backends stay nearly empty — and grows past it only while
+/// a restore or merge overfills the shard. The LRU list links slots by index
+/// (head = most recent); slots freed by trimming chain through `next` on a
+/// free list. The index is open-addressed with linear probing over
+/// (tag, slot) pairs, kept at most 2/3 full, and deletes by backward shift,
+/// so it never holds tombstones. The owner holds `mutex` around every other
+/// member call.
+class DnsCache::Shard {
+ public:
+  /// Key and wire bytes live inside the slot when they fit. Sized so the
+  /// dominant entry — a §4 probe name's 40-byte key plus its 66-byte
+  /// one-record answer — is one 160-byte slot; larger entries spill to one
+  /// heap block the slot owns.
+  static constexpr std::size_t kInlineBytes = 120;
+
+  struct Slot {
+    std::int64_t expiry_s = 0;
+    /// Attribution token of the last store (obs::current_tally() of the
+    /// storing thread; null outside any phase). Never dereferenced — only
+    /// compared by export_entries(owner).
+    const void* owner = nullptr;
+    std::uint32_t prev = kNil;  // toward the most-recent end
+    std::uint32_t next = kNil;  // toward the least-recent end; free-list link
+    std::uint32_t tag = 0;
+    std::uint32_t key_len = 0;
+    std::uint32_t wire_len = 0;
+    std::uint32_t spill_cap = 0;  // 0: the bytes are inline
+    union {
+      std::uint8_t inline_bytes[kInlineBytes];
+      std::uint8_t* spill;
+    };
+
+    [[nodiscard]] const std::uint8_t* bytes() const noexcept {
+      return spill_cap != 0 ? spill : inline_bytes;
+    }
+    [[nodiscard]] std::string_view key() const noexcept {
+      return {reinterpret_cast<const char*>(bytes()), key_len};
+    }
+    [[nodiscard]] std::span<const std::uint8_t> wire() const noexcept {
+      return {bytes() + key_len, wire_len};
+    }
+  };
+  static_assert(std::is_trivially_copyable_v<Slot>,
+                "slots move by plain copy when the array grows");
+
+  Shard() = default;
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+  ~Shard() { release_spills(); }
+
+  mutable std::mutex mutex;
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] const Slot& slot(std::uint32_t s) const noexcept {
+    return slots_[s];
+  }
+
+  /// The slot holding `key`, or kNil.
+  [[nodiscard]] std::uint32_t find(std::string_view key,
+                                   std::uint32_t tag) const noexcept {
+    if (index_.empty()) return kNil;
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t pos = tag & mask;; pos = (pos + 1) & mask) {
+      const IndexEntry& entry = index_[pos];
+      if (entry.slot == kNil) return kNil;
+      if (entry.tag == tag && slots_[entry.slot].key() == key) return entry.slot;
+    }
+  }
+
+  /// Move `s` to the most-recent end.
+  void promote(std::uint32_t s) noexcept {
+    if (s == head_) return;
+    unlink(s);
+    link_front(s);
+  }
+
+  /// store() semantics: an existing key is refreshed and promoted; a new
+  /// one enters at the most-recent end. Into a full shard, first trim the
+  /// extras a restore or merge left past `capacity`, then recycle the LRU
+  /// victim's slot. Returns the number of entries evicted.
+  std::uint64_t put(std::string_view key, std::uint32_t tag,
+                    std::span<const std::uint8_t> wire, std::int64_t expiry_s,
+                    const void* owner, std::size_t capacity) {
+    if (const std::uint32_t s = find(key, tag); s != kNil) {
+      fill(s, tag, key, wire, expiry_s, owner);
+      promote(s);
+      return 0;
+    }
+    std::uint64_t evicted = 0;
+    std::uint32_t s = kNil;
+    if (size_ >= capacity) {
+      while (size_ > capacity) {
+        release(tail_);
+        ++evicted;
+      }
+      s = tail_;
+      detach(s);
+      ++evicted;
+    } else {
+      s = acquire(capacity);
+    }
+    fill(s, tag, key, wire, expiry_s, owner);
+    index_insert(s);
+    link_front(s);
+    ++size_;
+    return evicted;
+  }
+
+  /// restore/merge semantics: an existing key is refreshed in place (its
+  /// LRU position kept); a new one appends at the least-recent end, with no
+  /// capacity check.
+  void append(std::string_view key, std::uint32_t tag,
+              std::span<const std::uint8_t> wire, std::int64_t expiry_s,
+              const void* owner, std::size_t capacity) {
+    if (const std::uint32_t s = find(key, tag); s != kNil) {
+      fill(s, tag, key, wire, expiry_s, owner);
+      return;
+    }
+    const std::uint32_t s = acquire(capacity);
+    fill(s, tag, key, wire, expiry_s, owner);
+    index_insert(s);
+    link_back(s);
+    ++size_;
+  }
+
+  void clear() noexcept {
+    release_spills();
+    slots_ = std::vector<Slot>();  // frees the storage, unlike `= {}`
+    index_ = std::vector<IndexEntry>();
+    head_ = tail_ = free_ = kNil;
+    size_ = 0;
+  }
+
+  /// Visit every entry, most recently used first.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) fn(slots_[s]);
+  }
+
+ private:
+  static constexpr std::size_t kMinSlots = 8;
+
+  struct IndexEntry {
+    std::uint32_t tag = 0;
+    std::uint32_t slot = kNil;  // kNil: empty
+  };
+
+  void fill(std::uint32_t s, std::uint32_t tag, std::string_view key,
+            std::span<const std::uint8_t> wire, std::int64_t expiry_s,
+            const void* owner) {
+    const std::size_t need = key.size() + wire.size();
+    if (need > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("dns cache: entry exceeds 4 GiB");
+    Slot& slot = slots_[s];
+    std::uint8_t* dst = nullptr;
+    if (need <= kInlineBytes) {
+      free_spill(slot);
+      dst = slot.inline_bytes;
+    } else {
+      if (slot.spill_cap < need) {
+        auto* block = new std::uint8_t[need];
+        free_spill(slot);
+        slot.spill = block;
+        slot.spill_cap = static_cast<std::uint32_t>(need);
+        ++spilled_;
+      }
+      dst = slot.spill;
+    }
+    if (!key.empty()) std::memcpy(dst, key.data(), key.size());
+    if (!wire.empty()) std::memcpy(dst + key.size(), wire.data(), wire.size());
+    slot.tag = tag;
+    slot.key_len = static_cast<std::uint32_t>(key.size());
+    slot.wire_len = static_cast<std::uint32_t>(wire.size());
+    slot.expiry_s = expiry_s;
+    slot.owner = owner;
+  }
+
+  void free_spill(Slot& slot) noexcept {
+    if (slot.spill_cap == 0) return;
+    delete[] slot.spill;
+    slot.spill_cap = 0;
+    --spilled_;
+  }
+
+  void release_spills() noexcept {
+    if (spilled_ == 0) return;
+    for (Slot& slot : slots_) free_spill(slot);
+  }
+
+  /// A slot for a new entry: the free list first, else a fresh one.
+  std::uint32_t acquire(std::size_t capacity) {
+    if (free_ != kNil) {
+      const std::uint32_t s = free_;
+      free_ = slots_[s].next;
+      return s;
+    }
+    if (slots_.size() == slots_.capacity()) grow(capacity);
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+
+  /// Double the slot array, clamped to the capacity slice while below it,
+  /// and rebuild the index whenever it would pass 2/3 load.
+  void grow(std::size_t capacity) {
+    const std::size_t have = slots_.capacity();
+    std::size_t want = std::max(kMinSlots, 2 * have);
+    if (have < capacity) want = std::min(want, capacity);
+    if (want >= kNil) throw std::length_error("dns cache: shard slot overflow");
+    slots_.reserve(want);
+    const std::size_t index_size = ceil_pow2(want + want / 2 + 1);
+    if (index_size > index_.size()) {
+      index_.assign(index_size, IndexEntry{});
+      for (std::uint32_t s = head_; s != kNil; s = slots_[s].next)
+        index_insert(s);
+    }
+  }
+
+  void index_insert(std::uint32_t s) noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t pos = slots_[s].tag & mask;
+    while (index_[pos].slot != kNil) pos = (pos + 1) & mask;
+    index_[pos] = IndexEntry{slots_[s].tag, s};
+  }
+
+  /// Backward-shift deletion: later members of the probe run move back into
+  /// the hole unless that would carry them before their home position.
+  void index_erase(std::uint32_t s) noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = slots_[s].tag & mask;
+    while (index_[hole].slot != s) hole = (hole + 1) & mask;
+    for (std::size_t pos = (hole + 1) & mask; index_[pos].slot != kNil;
+         pos = (pos + 1) & mask) {
+      const std::size_t home = index_[pos].tag & mask;
+      if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+        index_[hole] = index_[pos];
+        hole = pos;
+      }
+    }
+    index_[hole] = IndexEntry{};
+  }
+
+  void unlink(std::uint32_t s) noexcept {
+    const Slot& slot = slots_[s];
+    (slot.prev != kNil ? slots_[slot.prev].next : head_) = slot.next;
+    (slot.next != kNil ? slots_[slot.next].prev : tail_) = slot.prev;
+  }
+
+  void link_front(std::uint32_t s) noexcept {
+    Slot& slot = slots_[s];
+    slot.prev = kNil;
+    slot.next = head_;
+    (head_ != kNil ? slots_[head_].prev : tail_) = s;
+    head_ = s;
+  }
+
+  void link_back(std::uint32_t s) noexcept {
+    Slot& slot = slots_[s];
+    slot.next = kNil;
+    slot.prev = tail_;
+    (tail_ != kNil ? slots_[tail_].next : head_) = s;
+    tail_ = s;
+  }
+
+  /// Take `s` out of the index and the LRU list; it keeps its bytes.
+  void detach(std::uint32_t s) noexcept {
+    index_erase(s);
+    unlink(s);
+    --size_;
+  }
+
+  /// Evict `s` for good: detach it, drop its heap block, free-list it.
+  void release(std::uint32_t s) noexcept {
+    detach(s);
+    free_spill(slots_[s]);
+    slots_[s].next = free_;
+    free_ = s;
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<IndexEntry> index_;
+  std::uint32_t head_ = kNil;  // most recently used
+  std::uint32_t tail_ = kNil;  // least recently used: the next victim
+  std::uint32_t free_ = kNil;
+  std::size_t size_ = 0;
+  std::size_t spilled_ = 0;  // slots owning a heap block
+};
+
+// --- DnsCache ------------------------------------------------------------------
 
 CacheConfig CacheConfig::from_env(CacheConfig fallback) {
   // Strict parsing (DESIGN.md §13): ENCDNS_CACHE_ENTRIES=10k used to be
@@ -51,13 +389,7 @@ DnsCache::DnsCache(CacheConfig config) : config_(config) {
   obs_reject_ = &registry.counter("cache.entry.reject");
 }
 
-DnsCache::Shard& DnsCache::shard_for(std::string_view key) noexcept {
-  return *shards_[util::fnv1a(key) & shard_mask_];
-}
-
-const DnsCache::Shard& DnsCache::shard_for(std::string_view key) const noexcept {
-  return *shards_[util::fnv1a(key) & shard_mask_];
-}
+DnsCache::~DnsCache() = default;
 
 std::uint32_t DnsCache::ttl_for(const CachedAnswer& answer) const noexcept {
   if (answer.negative()) return config_.negative_ttl_s;
@@ -66,40 +398,56 @@ std::uint32_t DnsCache::ttl_for(const CachedAnswer& answer) const noexcept {
   return std::max(ttl, config_.min_ttl_s);
 }
 
-std::optional<DnsCache::Hit> DnsCache::lookup(std::string_view key,
-                                              std::int64_t now_s) {
-  Shard& shard = shard_for(key);
+std::optional<DnsCache::Hit> DnsCache::lookup(
+    std::string_view key, std::int64_t now_s,
+    std::vector<dns::ResourceRecord>& answers) {
+  const std::uint64_t hash = util::fnv1a(key);
+  Shard& shard = *shards_[hash & shard_mask_];
+  std::optional<Hit> hit;
   {
+    // Decode under the lock: a concurrent store may recycle the slot the
+    // moment it is released.
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end() && now_s < it->second->expiry_s) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      Hit hit{it->second->answer, /*stale=*/false};
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      obs_hit_->add();
-      if (hit.answer.negative()) {
-        negative_hits_.fetch_add(1, std::memory_order_relaxed);
-        obs_negative_->add();
-      }
-      return hit;
+    const std::uint32_t s = shard.find(key, tag_of(hash));
+    Hit found;
+    if (s != kNil && now_s < shard.slot(s).expiry_s &&
+        decode_answer_into(shard.slot(s).wire(), found.rcode, answers)) {
+      shard.promote(s);
+      hit = found;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  obs_miss_->add();
-  return std::nullopt;
+  if (!hit) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    obs_miss_->add();
+    return std::nullopt;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  obs_hit_->add();
+  if (CachedAnswer::negative(hit->rcode, answers.size())) {
+    negative_hits_.fetch_add(1, std::memory_order_relaxed);
+    obs_negative_->add();
+  }
+  return hit;
 }
 
-std::optional<DnsCache::Hit> DnsCache::lookup_stale(std::string_view key,
-                                                    std::int64_t now_s) {
+std::optional<DnsCache::Hit> DnsCache::lookup_stale(
+    std::string_view key, std::int64_t now_s,
+    std::vector<dns::ResourceRecord>& answers) {
   if (!config_.serve_stale) return std::nullopt;
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
-  const std::int64_t expiry = it->second->expiry_s;
-  if (now_s >= expiry + static_cast<std::int64_t>(config_.max_stale_s))
-    return std::nullopt;  // too stale even for RFC 8767
-  Hit hit{it->second->answer, /*stale=*/now_s >= expiry};
+  const std::uint64_t hash = util::fnv1a(key);
+  Shard& shard = *shards_[hash & shard_mask_];
+  Hit hit;
+  {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    const std::uint32_t s = shard.find(key, tag_of(hash));
+    if (s == kNil) return std::nullopt;
+    const std::int64_t expiry = shard.slot(s).expiry_s;
+    if (now_s >= expiry + static_cast<std::int64_t>(config_.max_stale_s))
+      return std::nullopt;  // too stale even for RFC 8767
+    if (!decode_answer_into(shard.slot(s).wire(), hit.rcode, answers))
+      return std::nullopt;
+    hit.stale = now_s >= expiry;
+  }
   if (hit.stale) {
     stale_served_.fetch_add(1, std::memory_order_relaxed);
     obs_stale_->add();
@@ -108,11 +456,6 @@ std::optional<DnsCache::Hit> DnsCache::lookup_stale(std::string_view key,
 }
 
 bool DnsCache::store(std::string_view key, const CachedAnswer& answer,
-                     std::int64_t now_s) {
-  return store(key, CachedAnswer(answer), now_s);
-}
-
-bool DnsCache::store(std::string_view key, CachedAnswer&& answer,
                      std::int64_t now_s) {
   if (!cacheable(answer.rcode)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -124,46 +467,18 @@ bool DnsCache::store(std::string_view key, CachedAnswer&& answer,
   // Attribute the entry to the storing phase (task-graph checkpointing,
   // DESIGN.md §15): one thread-local read, free on the hot path.
   const void* owner = obs::current_tally();
-  Shard& shard = shard_for(key);
+  // Encode before taking the shard lock, into per-thread scratch that stays
+  // warm across stores; the lock then covers only a byte copy.
+  thread_local std::vector<std::uint8_t> wire;
+  wire.clear();
+  encode_answer_to(answer, wire);
+  const std::uint64_t hash = util::fnv1a(key);
+  Shard& shard = *shards_[hash & shard_mask_];
   std::uint64_t evicted = 0;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // Refresh in place and bump to most-recent.
-      it->second->answer = std::move(answer);
-      it->second->expiry_s = expiry;
-      it->second->owner = owner;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else if (shard.lru.size() >= per_shard_capacity_) {
-      // Incremental eviction, recycling the victim's storage (DESIGN.md §12):
-      // instead of erase+insert — three allocations per store once the shard
-      // is full, the steady state of unique-name workloads — the LRU victim's
-      // list node is spliced to the front, its key string and answer storage
-      // are rebuilt in place, and its index node is re-keyed via extract().
-      // The logical outcome (evict back, insert front) is identical.
-      while (shard.lru.size() > per_shard_capacity_) {
-        // Capacity shrank since the last store: trim the extras the old way.
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
-        ++evicted;
-      }
-      auto node = shard.index.extract(shard.lru.back().key);
-      shard.lru.splice(shard.lru.begin(), shard.lru, std::prev(shard.lru.end()));
-      ++evicted;
-      Entry& entry = shard.lru.front();
-      entry.key.assign(key);
-      entry.answer = std::move(answer);
-      entry.expiry_s = expiry;
-      entry.owner = owner;
-      node.key().assign(key);
-      node.mapped() = shard.lru.begin();
-      shard.index.insert(std::move(node));
-    } else {
-      shard.lru.push_front(
-          Entry{std::string(key), std::move(answer), expiry, owner});
-      shard.index.emplace(shard.lru.front().key, shard.lru.begin());
-    }
+    evicted = shard.put(key, tag_of(hash), wire, expiry, owner,
+                        per_shard_capacity_);
   }
   stores_.fetch_add(1, std::memory_order_relaxed);
   obs_store_->add();
@@ -178,7 +493,7 @@ std::size_t DnsCache::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->lru.size();
+    total += shard->size();
   }
   return total;
 }
@@ -188,7 +503,7 @@ std::vector<std::size_t> DnsCache::shard_sizes() const {
   sizes.reserve(shards_.size());
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    sizes.push_back(shard->lru.size());
+    sizes.push_back(shard->size());
   }
   return sizes;
 }
@@ -208,18 +523,27 @@ CacheStats DnsCache::stats() const noexcept {
 void DnsCache::clear() {
   for (auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
+    shard->clear();
   }
 }
+
+namespace {
+
+template <typename Slot>
+[[nodiscard]] ExportedEntry exported(const Slot& slot) {
+  const auto wire = slot.wire();
+  return ExportedEntry{std::string(slot.key()), {wire.begin(), wire.end()},
+                       slot.expiry_s};
+}
+
+}  // namespace
 
 std::vector<ExportedEntry> DnsCache::export_entries() const {
   std::vector<ExportedEntry> out;
   out.reserve(size());
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const Entry& entry : shard->lru)
-      out.push_back(ExportedEntry{entry.key, entry.answer, entry.expiry_s});
+    shard->for_each([&](const auto& slot) { out.push_back(exported(slot)); });
   }
   return out;
 }
@@ -228,40 +552,32 @@ std::vector<ExportedEntry> DnsCache::export_entries(const void* owner) const {
   std::vector<ExportedEntry> out;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const Entry& entry : shard->lru)
-      if (entry.owner == owner)
-        out.push_back(ExportedEntry{entry.key, entry.answer, entry.expiry_s});
+    shard->for_each([&](const auto& slot) {
+      if (slot.owner == owner) out.push_back(exported(slot));
+    });
   }
   return out;
 }
 
 void DnsCache::restore_entries(const std::vector<ExportedEntry>& entries) {
   clear();
-  // Entries arrive most-recent first per shard, so appending to the back of
-  // each shard's list reproduces the exported LRU order exactly.
-  for (const auto& entry : entries) {
-    Shard& shard = shard_for(entry.key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.push_back(Entry{entry.key, entry.answer, entry.expiry_s});
-    shard.index[entry.key] = std::prev(shard.lru.end());
-  }
+  // Entries arrive most-recent first per shard, so appending at each shard's
+  // least-recent end reproduces the exported LRU order exactly.
+  append_entries(entries, /*owner=*/nullptr);
 }
 
 void DnsCache::merge_entries(const std::vector<ExportedEntry>& entries) {
-  const void* owner = obs::current_tally();
+  append_entries(entries, obs::current_tally());
+}
+
+void DnsCache::append_entries(const std::vector<ExportedEntry>& entries,
+                              const void* owner) {
   for (const auto& entry : entries) {
-    Shard& shard = shard_for(entry.key);
+    const std::uint64_t hash = util::fnv1a(entry.key);
+    Shard& shard = *shards_[hash & shard_mask_];
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(entry.key);
-    if (it != shard.index.end()) {
-      it->second->answer = entry.answer;
-      it->second->expiry_s = entry.expiry_s;
-      it->second->owner = owner;
-    } else {
-      shard.lru.push_back(
-          Entry{entry.key, entry.answer, entry.expiry_s, owner});
-      shard.index[entry.key] = std::prev(shard.lru.end());
-    }
+    shard.append(entry.key, tag_of(hash), entry.wire, entry.expiry_s, owner,
+                 per_shard_capacity_);
   }
 }
 

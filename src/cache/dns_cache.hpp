@@ -9,12 +9,19 @@
 //
 // Design:
 //   * Sharding — keys hash (fnv1a) onto a power-of-two shard array; each
-//     shard holds its own mutex, hash index and LRU list, so concurrent
-//     sessions contend only when they collide on a shard.
+//     shard holds its own mutex and slab, so concurrent sessions contend
+//     only when they collide on a shard.
+//   * Slab — a shard keeps its entries in one flat slot array that grows on
+//     demand up to its capacity slice. LRU links are 32-bit slot indices,
+//     and an open-addressed index keyed by the high half of the same fnv1a
+//     hash finds a key's slot (the full key is compared on every probe). A
+//     slot holds the key and the answer's wire form (encode_answer()),
+//     spilling to the heap only when they do not fit, so an entry costs one
+//     fixed-size slot instead of a handful of heap blocks.
 //   * Eviction — when a shard reaches its capacity slice it evicts its
-//     least-recently-used entry, one at a time. A full cache degrades
-//     marginally (cold tail entries churn) instead of collapsing to a 0%
-//     hit rate the way flush-on-full did.
+//     least-recently-used entry, one at a time, reusing the victim's slot. A
+//     full cache degrades marginally (cold tail entries churn) instead of
+//     collapsing to a 0% hit rate the way flush-on-full did.
 //   * TTL — positive entries live for the minimum TTL across the answer's
 //     records, clamped to [min_ttl_s, max_ttl_s]. Negative entries
 //     (NXDOMAIN, or NOERROR with no records = NODATA) live for the bounded
@@ -35,13 +42,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/message.hpp"
@@ -86,16 +91,32 @@ struct CachedAnswer {
   std::vector<dns::ResourceRecord> answers;
 
   /// Negatively cacheable content per RFC 2308: name error or no data.
-  [[nodiscard]] bool negative() const noexcept {
+  [[nodiscard]] static bool negative(dns::RCode rcode,
+                                     std::size_t records) noexcept {
     return rcode == dns::RCode::kNxDomain ||
-           (rcode == dns::RCode::kNoError && answers.empty());
+           (rcode == dns::RCode::kNoError && records == 0);
+  }
+  [[nodiscard]] bool negative() const noexcept {
+    return negative(rcode, answers.size());
   }
 };
+
+/// The wire form of a cached answer — `Message{qr=1, rcode,
+/// answers}.encode(false)` — which is what a slot stores, what
+/// export_entries() hands out and what the checkpoint journal carries.
+[[nodiscard]] std::vector<std::uint8_t> encode_answer(const CachedAnswer& answer);
+
+/// Decode a wire-form answer into caller storage, reusing `answers`'
+/// elements the way Message::decode_into does. Returns false (fail closed)
+/// on malformed bytes and on any record outside the answer section.
+[[nodiscard]] bool decode_answer_into(std::span<const std::uint8_t> wire,
+                                      dns::RCode& rcode,
+                                      std::vector<dns::ResourceRecord>& answers);
 
 /// One cache entry in checkpoint-export form (DESIGN.md §13).
 struct ExportedEntry {
   std::string key;
-  CachedAnswer answer;
+  std::vector<std::uint8_t> wire;  // encode_answer() bytes, as the slot held them
   std::int64_t expiry_s = 0;
 };
 
@@ -114,36 +135,43 @@ struct CacheStats {
 class DnsCache {
  public:
   explicit DnsCache(CacheConfig config = {});
+  ~DnsCache();
   DnsCache(const DnsCache&) = delete;
   DnsCache& operator=(const DnsCache&) = delete;
 
+  /// What a hit reports besides the records it decoded.
   struct Hit {
-    CachedAnswer answer;
+    dns::RCode rcode = dns::RCode::kNoError;
     bool stale = false;  // true only from lookup_stale()
   };
 
-  /// Fresh lookup: returns the entry iff it exists and now_s is strictly
-  /// before its expiry. A hit refreshes the entry's LRU position; a lookup
-  /// of an expired entry does not (expired entries age out of the shard).
-  [[nodiscard]] std::optional<Hit> lookup(std::string_view key,
-                                          std::int64_t now_s);
+  /// Fresh lookup: answers iff the entry exists and now_s is strictly
+  /// before its expiry. A hit decodes the entry's records under the shard
+  /// lock straight into `answers`, reusing its elements' storage (a warmed
+  /// vector decodes without allocating), and refreshes the entry's LRU
+  /// position; a miss leaves `answers` untouched. A lookup of an expired
+  /// entry does not refresh it (expired entries age out of the shard).
+  [[nodiscard]] std::optional<Hit> lookup(
+      std::string_view key, std::int64_t now_s,
+      std::vector<dns::ResourceRecord>& answers);
 
-  /// RFC 8767 stale lookup: returns an *expired* entry that lapsed no more
-  /// than max_stale_s ago. Also answers fresh entries (a caller that lost
-  /// its upstream should still get the best local answer). Returns nullopt
-  /// whenever serve_stale is disabled.
-  [[nodiscard]] std::optional<Hit> lookup_stale(std::string_view key,
-                                                std::int64_t now_s);
+  /// RFC 8767 stale lookup, decoding into `answers` like lookup(): returns
+  /// an *expired* entry that lapsed no more than max_stale_s ago. Also
+  /// answers fresh entries (a caller that lost its upstream should still
+  /// get the best local answer). Never refreshes the LRU position. Returns
+  /// nullopt whenever serve_stale is disabled.
+  [[nodiscard]] std::optional<Hit> lookup_stale(
+      std::string_view key, std::int64_t now_s,
+      std::vector<dns::ResourceRecord>& answers);
 
-  /// Store (insert or refresh) if the answer is cacheable; SERVFAIL and
-  /// other error rcodes are rejected per RFC 2308. Returns whether stored.
+  /// Store (insert or refresh, both moving the entry to most-recent) if the
+  /// answer is cacheable; SERVFAIL and other error rcodes are rejected per
+  /// RFC 2308. The answer is encoded before the shard lock is taken, and a
+  /// store into a full shard reuses the LRU victim's slot, so steady-state
+  /// stores allocate nothing unless an entry outgrows a slot. Returns
+  /// whether stored.
   bool store(std::string_view key, const CachedAnswer& answer,
              std::int64_t now_s);
-
-  /// Move-in overload for hot paths (DESIGN.md §12): the answer's record
-  /// storage is stolen into the cache entry instead of copied. Identical
-  /// semantics and tallies otherwise.
-  bool store(std::string_view key, CachedAnswer&& answer, std::int64_t now_s);
 
   /// Whether an rcode may be cached at all.
   [[nodiscard]] static bool cacheable(dns::RCode rcode) noexcept {
@@ -168,9 +196,10 @@ class DnsCache {
   void clear();
 
   /// Checkpoint export (DESIGN.md §13): every entry, shard-by-shard in index
-  /// order and most-recently-used first within each shard. Deterministic for
-  /// a fixed operation history; tallies are not included (the study restores
-  /// those separately).
+  /// order and most-recently-used first within each shard, its answer in
+  /// the wire form the slot holds. Deterministic for a fixed operation
+  /// history; tallies are not included (the study restores those
+  /// separately).
   [[nodiscard]] std::vector<ExportedEntry> export_entries() const;
 
   /// Owner-filtered export (task-graph checkpointing, DESIGN.md §15): only
@@ -183,43 +212,25 @@ class DnsCache {
 
   /// Checkpoint restore: replace the contents with `entries`, reproducing
   /// the per-shard LRU order export_entries() emitted. Requires the same
-  /// shard configuration as the exporting cache; tallies are untouched.
+  /// shard configuration as the exporting cache, and wire bytes that came
+  /// from export_entries() or passed decode_answer_into() (the journal
+  /// decoder checks every one); tallies are untouched.
   void restore_entries(const std::vector<ExportedEntry>& entries);
 
   /// Additive restore for owner-filtered captures: existing keys refresh in
   /// place (keeping their LRU position), new keys append least-recent in
-  /// the given order. Merged entries are attributed to the calling thread's
-  /// obs::current_tally(), exactly as if it had stored them.
+  /// the given order, even past a shard's capacity slice (the next insert
+  /// into that shard trims it back, counting each trimmed entry as an
+  /// eviction). Merged entries are attributed to the calling thread's
+  /// obs::current_tally(), exactly as if it had stored them. Same wire
+  /// precondition as restore_entries().
   void merge_entries(const std::vector<ExportedEntry>& entries);
 
  private:
-  struct Entry {
-    std::string key;
-    CachedAnswer answer;
-    std::int64_t expiry_s = 0;
-    /// Attribution token of the last store (obs::current_tally() of the
-    /// storing thread; null outside any phase). Never dereferenced — only
-    /// compared by export_entries(owner).
-    const void* owner = nullptr;
-  };
-  /// Transparent hashing so lookups/stores probe the index with the caller's
-  /// string_view key directly — no temporary std::string per operation.
-  struct KeyHash {
-    using is_transparent = void;
-    [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash,
-                       std::equal_to<>>
-        index;
-  };
+  class Shard;  // one shard's slab, defined in dns_cache.cpp
 
-  [[nodiscard]] Shard& shard_for(std::string_view key) noexcept;
-  [[nodiscard]] const Shard& shard_for(std::string_view key) const noexcept;
+  void append_entries(const std::vector<ExportedEntry>& entries,
+                      const void* owner);
 
   CacheConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

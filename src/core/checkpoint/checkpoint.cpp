@@ -37,27 +37,6 @@ void encode_proxy_cursor(util::ByteWriter& w, const proxy::ProxyCursor& c) {
   return c;
 }
 
-// Cached answers travel as RFC 1035 wire messages (rcode in the header,
-// records in the answer section) — the existing codec already round-trips
-// every rdata shape the resolvers produce.
-void encode_cached_answer(util::ByteWriter& w, const cache::CachedAnswer& a) {
-  dns::Message m;
-  m.header.qr = true;
-  m.header.rcode = a.rcode;
-  m.answers = a.answers;
-  w.blob(m.encode(/*compress=*/false));
-}
-
-[[nodiscard]] cache::CachedAnswer decode_cached_answer(util::ByteReader& r) {
-  const std::vector<std::uint8_t> wire = r.blob();
-  auto m = dns::Message::decode(wire);
-  if (!m) throw util::CodecError("cache entry: malformed wire message");
-  cache::CachedAnswer a;
-  a.rcode = m->header.rcode;
-  a.answers = std::move(m->answers);
-  return a;
-}
-
 [[nodiscard]] std::string phase_key(const std::string& phase) {
   return "phase:" + phase;
 }
@@ -85,13 +64,16 @@ void encode_cursor(util::ByteWriter& w, const WorldCursor& cursor) {
   w.u64(cursor.cache_tally.upstream_faults);
   w.u64(cursor.cache_tally.evictions);
   w.u64(cursor.cache_tally.entries);
+  // Cached answers travel as the wire bytes their cache slots hold
+  // (cache::encode_answer(): an RFC 1035 message with the rcode in the
+  // header and the records in the answer section), copied through as is.
   w.u32(static_cast<std::uint32_t>(cursor.caches.size()));
   for (const auto& backend_cache : cursor.caches) {
     w.u32(static_cast<std::uint32_t>(backend_cache.size()));
     for (const auto& entry : backend_cache) {
       w.str(entry.key);
       w.i64(entry.expiry_s);
-      encode_cached_answer(w, entry.answer);
+      w.blob(entry.wire);
     }
   }
 }
@@ -108,6 +90,10 @@ WorldCursor decode_cursor(util::ByteReader& r) {
   cursor.cache_tally.entries = r.u64();
   const std::uint32_t n_backends = r.count(4);
   cursor.caches.reserve(n_backends);
+  // Restore copies these bytes straight into cache slots, so every blob
+  // must pass the DNS decoder here, where a malformed one still fails the
+  // journal closed.
+  std::vector<dns::ResourceRecord> scratch;
   for (std::uint32_t b = 0; b < n_backends; ++b) {
     std::vector<cache::ExportedEntry> backend_cache;
     const std::uint32_t n_entries = r.count(16);
@@ -116,7 +102,10 @@ WorldCursor decode_cursor(util::ByteReader& r) {
       cache::ExportedEntry entry;
       entry.key = r.str();
       entry.expiry_s = r.i64();
-      entry.answer = decode_cached_answer(r);
+      entry.wire = r.blob();
+      dns::RCode rcode = dns::RCode::kNoError;
+      if (!cache::decode_answer_into(entry.wire, rcode, scratch))
+        throw util::CodecError("cache entry: malformed wire message");
       backend_cache.push_back(std::move(entry));
     }
     cursor.caches.push_back(std::move(backend_cache));

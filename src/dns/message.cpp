@@ -109,6 +109,31 @@ void encode_rr(WireWriter& w, NameCompressor& compressor, const ResourceRecord& 
   encode_rdata(w, compressor, rr);
 }
 
+void encode_header(WireWriter& w, const Header& header, std::size_t qd,
+                   std::size_t an, std::size_t ns, std::size_t ar) {
+  w.u16(header.id);
+  w.u16(flags_word(header));
+  w.u16(static_cast<std::uint16_t>(qd));
+  w.u16(static_cast<std::uint16_t>(an));
+  w.u16(static_cast<std::uint16_t>(ns));
+  w.u16(static_cast<std::uint16_t>(ar));
+}
+
+void encode_section(WireWriter& w, NameCompressor& shared, std::size_t base,
+                    bool compress, std::span<const ResourceRecord> section) {
+  for (const auto& rr : section) {
+    if (compress) {
+      encode_rr(w, shared, rr);
+    } else {
+      // "Uncompressed" still shares a dictionary *within* the record, so a
+      // SOA rname may point into the record's owner name — legacy encoder
+      // behaviour that the golden corpus locks in.
+      NameCompressor no_dict(base);
+      encode_rr(w, no_dict, rr);
+    }
+  }
+}
+
 /// Re-point `out` at alternative `T`, reusing the existing value (and its
 /// heap storage) when `out` already holds one.
 template <typename T>
@@ -184,6 +209,19 @@ bool decode_rr_into(WireReader& r, ResourceRecord& rr) {
   const std::uint16_t rdlength = r.u16();
   if (!r.ok() || r.remaining() < rdlength) return false;
   return decode_rdata_into(r, rr.type, rdlength, rr.rdata);
+}
+
+bool decode_section_into(WireReader& r, std::vector<ResourceRecord>& section,
+                         std::uint16_t count) {
+  std::size_t used = 0;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    ResourceRecord& rr =
+        used < section.size() ? section[used] : section.emplace_back();
+    ++used;
+    if (!decode_rr_into(r, rr)) return false;
+  }
+  section.resize(used);
+  return true;
 }
 
 }  // namespace
@@ -322,12 +360,8 @@ std::vector<std::uint8_t> Message::encode(bool compress) const {
 
 void Message::encode_into(WireWriter& w, bool compress) const {
   const std::size_t base = w.size();  // compression offsets are message-relative
-  w.u16(header.id);
-  w.u16(flags_word(header));
-  w.u16(static_cast<std::uint16_t>(questions.size()));
-  w.u16(static_cast<std::uint16_t>(answers.size()));
-  w.u16(static_cast<std::uint16_t>(authorities.size()));
-  w.u16(static_cast<std::uint16_t>(additionals.size()));
+  encode_header(w, header, questions.size(), answers.size(), authorities.size(),
+                additionals.size());
 
   NameCompressor shared(base);
   for (const auto& q : questions) {
@@ -340,22 +374,18 @@ void Message::encode_into(WireWriter& w, bool compress) const {
     w.u16(static_cast<std::uint16_t>(q.type));
     w.u16(static_cast<std::uint16_t>(q.klass));
   }
-  const auto encode_section = [&](const std::vector<ResourceRecord>& section) {
-    for (const auto& rr : section) {
-      if (compress) {
-        encode_rr(w, shared, rr);
-      } else {
-        // "Uncompressed" still shares a dictionary *within* the record, so a
-        // SOA rname may point into the record's owner name — legacy encoder
-        // behaviour that the golden corpus locks in.
-        NameCompressor no_dict(base);
-        encode_rr(w, no_dict, rr);
-      }
-    }
-  };
-  encode_section(answers);
-  encode_section(authorities);
-  encode_section(additionals);
+  encode_section(w, shared, base, compress, answers);
+  encode_section(w, shared, base, compress, authorities);
+  encode_section(w, shared, base, compress, additionals);
+}
+
+void encode_answer_only_into(WireWriter& w, const Header& header,
+                             std::span<const ResourceRecord> answers,
+                             bool compress) {
+  const std::size_t base = w.size();
+  encode_header(w, header, 0, answers.size(), 0, 0);
+  NameCompressor shared(base);
+  encode_section(w, shared, base, compress, answers);
 }
 
 std::optional<Message> Message::decode(std::span<const std::uint8_t> wire) {
@@ -387,22 +417,24 @@ bool Message::decode_into(std::span<const std::uint8_t> wire, Message& out) {
     if (!r.ok()) return false;
   }
   out.questions.resize(used_q);
-  const auto decode_section = [&](std::vector<ResourceRecord>& section,
-                                  std::uint16_t count) {
-    std::size_t used = 0;
-    for (std::uint16_t i = 0; i < count; ++i) {
-      ResourceRecord& rr =
-          used < section.size() ? section[used] : section.emplace_back();
-      ++used;
-      if (!decode_rr_into(r, rr)) return false;
-    }
-    section.resize(used);
-    return true;
-  };
-  if (!decode_section(out.answers, an)) return false;
-  if (!decode_section(out.authorities, ns)) return false;
-  if (!decode_section(out.additionals, ar)) return false;
+  if (!decode_section_into(r, out.answers, an)) return false;
+  if (!decode_section_into(r, out.authorities, ns)) return false;
+  if (!decode_section_into(r, out.additionals, ar)) return false;
   return r.remaining() == 0;  // reject trailing junk
+}
+
+bool decode_answer_only_into(std::span<const std::uint8_t> wire, Header& header,
+                             std::vector<ResourceRecord>& answers) {
+  WireReader r(wire);
+  const std::uint16_t id = r.u16();
+  const std::uint16_t flags = r.u16();
+  const std::uint16_t qd = r.u16();
+  const std::uint16_t an = r.u16();
+  const std::uint16_t ns = r.u16();
+  const std::uint16_t ar = r.u16();
+  if (!r.ok() || qd != 0 || ns != 0 || ar != 0) return false;
+  header = header_from(id, flags);
+  return decode_section_into(r, answers, an) && r.remaining() == 0;
 }
 
 std::optional<util::Ipv4> Message::first_a() const {

@@ -129,6 +129,23 @@ struct Message {
 class WireWriter;
 class WireReader;
 
+/// Answer-only messages: a header and an answer section, with no question,
+/// authority or additional records — the form the resolver record cache
+/// stores (DESIGN.md §10). Appends exactly the bytes
+/// `Message{header, {}, answers}.encode_into(writer, compress)` would,
+/// without building a Message (and copying the records into it).
+void encode_answer_only_into(WireWriter& writer, const Header& header,
+                             std::span<const ResourceRecord> answers,
+                             bool compress);
+
+/// Decoding twin of `encode_answer_only_into`, slot-reusing like
+/// `Message::decode_into`: overwrites `header` and rebuilds `answers` in
+/// place. Returns false on malformed input and on any question, authority
+/// or additional record, leaving `answers` unspecified-but-valid.
+[[nodiscard]] bool decode_answer_only_into(std::span<const std::uint8_t> wire,
+                                           Header& header,
+                                           std::vector<ResourceRecord>& answers);
+
 /// RFC 1035 name compression dictionary shared across one message encode.
 /// Maps name suffixes to the message-relative wire offset of their first
 /// occurrence; offsets beyond 0x3FFF are not recorded (pointers are 14-bit).

@@ -30,8 +30,9 @@ namespace {
 
 /// In-place equivalent of `dns::make_response(query, rcode)` for a scratch
 /// Result: header/questions echo reuses the response's existing storage.
-/// Answer records are left untouched — every caller either copy-assigns a
-/// fresh answer set (element-wise reuse) or clears them on its cold path.
+/// Answer records are left untouched — every caller either refills them with
+/// element-wise reuse (a copy-assign or a cache decode) or clears them on its
+/// cold path.
 void response_skeleton_into(DnsBackend::Result& out, const dns::Message& query,
                             dns::RCode rcode) {
   out.response.header = query.header;
@@ -101,10 +102,10 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
   const std::int64_t now_s = to_seconds(date);
 
   if (config_.enable_cache) {
-    if (const auto hit = cache_.lookup(key, now_s)) {
+    // A hit decodes the entry straight into the response's answer slots.
+    if (const auto hit = cache_.lookup(key, now_s, out.response.answers)) {
       ++hits_;
-      response_skeleton_into(out, query, hit->answer.rcode);
-      out.response.answers = hit->answer.answers;
+      response_skeleton_into(out, query, hit->rcode);
       out.processing =
           sim::Millis{rng.uniform(config_.hit_min_ms, config_.hit_max_ms)};
       return;
@@ -131,13 +132,13 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
           registry.counter("resolver.upstream.fault");
       fault_counter.add();
       if (config_.enable_cache && config_.cache.serve_stale) {
-        if (const auto stale = cache_.lookup_stale(key, now_s)) {
+        if (const auto stale =
+                cache_.lookup_stale(key, now_s, out.response.answers)) {
           ++stale_;
           static obs::Counter& stale_counter =
               registry.counter("resolver.upstream.stale_served");
           stale_counter.add();
-          response_skeleton_into(out, query, stale->answer.rcode);
-          out.response.answers = stale->answer.answers;
+          response_skeleton_into(out, query, stale->rcode);
           out.processing =
               sim::Millis{rng.uniform(config_.hit_min_ms, config_.hit_max_ms)};
           return;
@@ -162,8 +163,7 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
 
   if (config_.enable_cache) {
     // store() rejects SERVFAIL and other uncacheable rcodes itself; the old
-    // map cached them for a day, so one upstream hiccup kept answering. The
-    // upstream answer's record storage is donated to the cache entry.
+    // map cached them for a day, so one upstream hiccup kept answering.
     (void)cache_.store(key,
                        cache::CachedAnswer{upstream.answer.rcode,
                                            std::move(upstream.answer.answers)},

@@ -63,8 +63,8 @@ class RecursiveBackend final : public DnsBackend {
                                const util::Date& date, util::Rng& rng) override;
 
   /// The real implementation; `resolve` wraps it. Reuses `out`'s response
-  /// storage (questions echo, answer records, cache-key scratch) so a warmed
-  /// Result costs only the inherent cache-store allocations per miss.
+  /// storage (questions echo, answer records, cache-key scratch): a cache
+  /// hit decodes into the warmed answer records without allocating.
   void resolve_into(const dns::Message& query, const net::Location& pop,
                     const util::Date& date, util::Rng& rng, Result& out) override;
 

@@ -164,18 +164,4 @@ void BackboneModel::generate_day_into(const util::Date& day,
   }
 }
 
-void BackboneModel::generate_day(
-    const util::Date& day, const std::function<void(const RawFlow&)>& sink) const {
-  // Record-at-a-time compatibility shim over the columnar generator: one
-  // batch, replayed row by row, so the two entry points cannot drift.
-  FlowBatch batch;
-  generate_day_into(day, batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) sink(batch.row(i));
-}
-
-void BackboneModel::generate(const std::function<void(const RawFlow&)>& sink) {
-  for (util::Date day = config_.start; day < config_.end; day = day.plus_days(1))
-    generate_day(day, sink);
-}
-
 }  // namespace encdns::traffic

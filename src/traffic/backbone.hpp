@@ -4,7 +4,6 @@
 // long tail of short-lived client netblocks, and port-853 scanner noise.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,22 +58,14 @@ class BackboneModel {
  public:
   explicit BackboneModel(BackboneConfig config);
 
-  /// Stream every raw flow of the period into `sink`, day by day.
-  void generate(const std::function<void(const RawFlow&)>& sink);
-
-  /// Stream one day's raw flows into `sink`. Each day draws from its own rng
+  /// Append one day's raw flows to `batch`. Each day draws from its own rng
   /// stream derived from the seed and the day, so days are independent —
   /// parallel consumers can shard the date range and still see exactly the
-  /// flows generate() would produce, day by day. `const`: safe to call
-  /// concurrently from several threads on disjoint days.
-  void generate_day(const util::Date& day,
-                    const std::function<void(const RawFlow&)>& sink) const;
-
-  /// Columnar entry point: append one day's raw flows to `batch` — the same
-  /// rows, drawn from the same per-day rng stream, as generate_day delivers
-  /// to its sink. The streaming engines call this with a shard-local batch
-  /// they clear() and refill day after day, so steady-state generation
-  /// allocates nothing (the ScratchArena warm-reuse discipline, columnar).
+  /// flows a serial pass would. `const`: safe to call concurrently from
+  /// several threads on disjoint days. The streaming engines call this with
+  /// a shard-local batch they clear() and refill day after day, so
+  /// steady-state generation allocates nothing (the ScratchArena warm-reuse
+  /// discipline, columnar).
   void generate_day_into(const util::Date& day, FlowBatch& batch) const;
 
   [[nodiscard]] const std::vector<NetblockInfo>& netblocks() const noexcept {

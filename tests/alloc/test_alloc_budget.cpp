@@ -47,6 +47,7 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
+#include "cache/dns_cache.hpp"
 #include "client/do53.hpp"
 #include "client/doh.hpp"
 #include "client/dot.hpp"
@@ -310,6 +311,50 @@ TEST_F(AllocBudgetTest, DohDiscoveryPerCheckBudget) {
                  static_cast<int>(per_check * 10));
   EXPECT_LE(per_check, kBudgetDohDiscoveryPerCheck);
   EXPECT_LE(per_check * 4.0, kPreChangeDohDiscoveryAllocs);
+}
+
+// --- record cache (DESIGN.md §10) -------------------------------------------
+//
+// A slab slot holds the key and the answer's wire bytes, so once warm a hit
+// decodes into the caller's record vector and a store into a full shard
+// copies bytes into the LRU victim's slot: neither touches the allocator.
+
+TEST_F(AllocBudgetTest, CacheHitAndFullShardStoreAllocateNothing) {
+  constexpr std::size_t kCapacity = 64;
+  cache::CacheConfig config;
+  config.shards = 1;
+  config.max_entries = kCapacity;
+  cache::DnsCache cache(config);
+
+  // Probe-shaped entries, as the §4 phases store them.
+  const auto names = probe_names(kWarmup + kMeasured, 15);
+  std::vector<std::string> keys;
+  std::vector<cache::CachedAnswer> answers;
+  for (const auto& name : names) {
+    keys.push_back(name.canonical() + "/1");
+    answers.push_back(cache::CachedAnswer{
+        dns::RCode::kNoError,
+        {dns::ResourceRecord::a(name, shared_world().probe_answer(), 60)}});
+  }
+
+  // Warm-up fills the shard past capacity: every measured store evicts.
+  std::size_t failures = 0;
+  const double store = allocs_per_query([&](int i) {
+    const auto k = static_cast<std::size_t>(i);
+    if (!cache.store(keys[k], answers[k], 0)) ++failures;
+  });
+  ASSERT_EQ(cache.size(), kCapacity);
+
+  // The last kCapacity keys are resident; hits cycle through them.
+  std::vector<dns::ResourceRecord> records;
+  const double hit = allocs_per_query([&](int i) {
+    const std::size_t k =
+        keys.size() - 1 - static_cast<std::size_t>(i) % kCapacity;
+    if (!cache.lookup(keys[k], 1, records)) ++failures;
+  });
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(store, 0.0);
+  EXPECT_EQ(hit, 0.0);
 }
 
 TEST_F(AllocBudgetTest, ArenaLeasesReuseBuffersAfterWarmup) {

@@ -1,19 +1,24 @@
 // Unit tests for the sharded TTL-aware DNS record cache (DESIGN.md §10):
 // exact-second TTL boundaries, RFC 2308 negative caching (and SERVFAIL
 // rejection), shard distribution, deterministic LRU eviction, the
-// no-flush-on-full guarantee, RFC 8767 serve-stale, and the ENCDNS_CACHE_*
-// environment overrides.
+// no-flush-on-full guarantee, RFC 8767 serve-stale, the ENCDNS_CACHE_*
+// environment overrides, and consistency under contention.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/dns_cache.hpp"
 #include "dns/message.hpp"
-#include "util/env.hpp"
 #include "dns/name.hpp"
+#include "obs/metrics.hpp"
+#include "util/env.hpp"
+#include "util/rng.hpp"
 
 namespace encdns::cache {
 namespace {
@@ -35,6 +40,19 @@ namespace {
   return answer;
 }
 
+/// lookup()/lookup_stale() for tests that only need the verdict: the
+/// records decode into throwaway storage.
+std::optional<DnsCache::Hit> lookup(DnsCache& cache, std::string_view key,
+                                    std::int64_t now_s) {
+  std::vector<dns::ResourceRecord> answers;
+  return cache.lookup(key, now_s, answers);
+}
+std::optional<DnsCache::Hit> lookup_stale(DnsCache& cache, std::string_view key,
+                                          std::int64_t now_s) {
+  std::vector<dns::ResourceRecord> answers;
+  return cache.lookup_stale(key, now_s, answers);
+}
+
 TEST(CachedAnswer, NegativeClassification) {
   EXPECT_FALSE(a_answer("a.test").negative());
   EXPECT_TRUE(nxdomain_answer().negative());  // RFC 2308 name error
@@ -46,10 +64,10 @@ TEST(DnsCache, HitWithinTtlMissAtExactExpiry) {
   DnsCache cache;
   ASSERT_TRUE(cache.store("a.test/1", a_answer("a.test", 300), 1000));
   // Fresh until the last second of the TTL...
-  EXPECT_TRUE(cache.lookup("a.test/1", 1000).has_value());
-  EXPECT_TRUE(cache.lookup("a.test/1", 1299).has_value());
+  EXPECT_TRUE(lookup(cache, "a.test/1", 1000).has_value());
+  EXPECT_TRUE(lookup(cache, "a.test/1", 1299).has_value());
   // ...and expired at exactly store-time + TTL, not one second later.
-  EXPECT_FALSE(cache.lookup("a.test/1", 1300).has_value());
+  EXPECT_FALSE(lookup(cache, "a.test/1", 1300).has_value());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 1u);
@@ -76,15 +94,15 @@ TEST(DnsCache, NegativeEntriesUseBoundedNegativeTtl) {
   DnsCache cache(config);
 
   ASSERT_TRUE(cache.store("gone.test/1", nxdomain_answer(), 0));
-  const auto hit = cache.lookup("gone.test/1", 899);
+  const auto hit = lookup(cache, "gone.test/1", 899);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->answer.rcode, dns::RCode::kNxDomain);
-  EXPECT_FALSE(cache.lookup("gone.test/1", 900).has_value());
+  EXPECT_EQ(hit->rcode, dns::RCode::kNxDomain);
+  EXPECT_FALSE(lookup(cache, "gone.test/1", 900).has_value());
 
   // NODATA (NOERROR, empty answers) is the other RFC 2308 negative form.
   ASSERT_TRUE(cache.store("empty.test/28", CachedAnswer{}, 0));
-  EXPECT_TRUE(cache.lookup("empty.test/28", 899).has_value());
-  EXPECT_FALSE(cache.lookup("empty.test/28", 900).has_value());
+  EXPECT_TRUE(lookup(cache, "empty.test/28", 899).has_value());
+  EXPECT_FALSE(lookup(cache, "empty.test/28", 900).has_value());
 
   EXPECT_EQ(cache.stats().negative_hits, 2u);
 }
@@ -95,7 +113,7 @@ TEST(DnsCache, ServfailIsNeverStored) {
   servfail.rcode = dns::RCode::kServFail;
   EXPECT_FALSE(DnsCache::cacheable(dns::RCode::kServFail));
   EXPECT_FALSE(cache.store("down.test/1", servfail, 0));
-  EXPECT_FALSE(cache.lookup("down.test/1", 0).has_value());
+  EXPECT_FALSE(lookup(cache, "down.test/1", 0).has_value());
   EXPECT_EQ(cache.size(), 0u);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.rejected, 1u);
@@ -132,6 +150,10 @@ TEST(DnsCache, KeysSpreadAcrossAllShards) {
     EXPECT_LT(static_cast<double>(size), 2.0 * mean);
     EXPECT_GT(static_cast<double>(size), 0.5 * mean);
   }
+  // Every key is still found after the slabs and their indexes grew.
+  for (int i = 0; i < kKeys; ++i)
+    ASSERT_TRUE(lookup(cache, "host" + std::to_string(i) + ".example/1", 1))
+        << i;
 }
 
 TEST(DnsCache, EvictionIsLruAndDeterministic) {
@@ -144,13 +166,13 @@ TEST(DnsCache, EvictionIsLruAndDeterministic) {
   ASSERT_TRUE(cache.store("b/1", a_answer("b"), 0));
   ASSERT_TRUE(cache.store("c/1", a_answer("c"), 0));
   // Touch `a`: it becomes most-recent, `b` is now the LRU victim.
-  ASSERT_TRUE(cache.lookup("a/1", 1).has_value());
+  ASSERT_TRUE(lookup(cache, "a/1", 1).has_value());
   ASSERT_TRUE(cache.store("d/1", a_answer("d"), 1));
 
-  EXPECT_FALSE(cache.lookup("b/1", 2).has_value());  // evicted
-  EXPECT_TRUE(cache.lookup("a/1", 2).has_value());
-  EXPECT_TRUE(cache.lookup("c/1", 2).has_value());
-  EXPECT_TRUE(cache.lookup("d/1", 2).has_value());
+  EXPECT_FALSE(lookup(cache, "b/1", 2).has_value());  // evicted
+  EXPECT_TRUE(lookup(cache, "a/1", 2).has_value());
+  EXPECT_TRUE(lookup(cache, "c/1", 2).has_value());
+  EXPECT_TRUE(lookup(cache, "d/1", 2).has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 3u);
 
@@ -160,10 +182,10 @@ TEST(DnsCache, EvictionIsLruAndDeterministic) {
   ASSERT_TRUE(replay.store("a/1", a_answer("a"), 0));
   ASSERT_TRUE(replay.store("b/1", a_answer("b"), 0));
   ASSERT_TRUE(replay.store("c/1", a_answer("c"), 0));
-  ASSERT_TRUE(replay.lookup("a/1", 1).has_value());
+  ASSERT_TRUE(lookup(replay, "a/1", 1).has_value());
   ASSERT_TRUE(replay.store("d/1", a_answer("d"), 1));
   EXPECT_EQ(replay.shard_sizes(), cache.shard_sizes());
-  EXPECT_FALSE(replay.lookup("b/1", 2).has_value());
+  EXPECT_FALSE(lookup(replay, "b/1", 2).has_value());
   EXPECT_EQ(replay.stats().evictions, cache.stats().evictions);
 }
 
@@ -183,7 +205,7 @@ TEST(DnsCache, HotKeySurvivesCapacityBoundary) {
   for (int i = 0; i < 1000; ++i) {
     const std::string cold = "cold" + std::to_string(i) + ".test/1";
     ASSERT_TRUE(cache.store(cold, a_answer(cold, 86400), i));
-    if (cache.lookup("hot.test/1", i).has_value()) ++hot_hits;
+    if (lookup(cache, "hot.test/1", i).has_value()) ++hot_hits;
   }
   // Far past the capacity boundary (1000 inserts into 64 slots), every
   // hot-key lookup still hit: each hit re-marks it most-recently-used.
@@ -195,7 +217,7 @@ TEST(DnsCache, HotKeySurvivesCapacityBoundary) {
 TEST(DnsCache, ServeStaleDisabledNeverAnswers) {
   DnsCache cache;  // serve_stale defaults off
   ASSERT_TRUE(cache.store("s.test/1", a_answer("s.test", 300), 0));
-  EXPECT_FALSE(cache.lookup_stale("s.test/1", 100).has_value());
+  EXPECT_FALSE(lookup_stale(cache, "s.test/1", 100).has_value());
 }
 
 TEST(DnsCache, ServeStaleAnswersWithinWindowOnly) {
@@ -206,22 +228,22 @@ TEST(DnsCache, ServeStaleAnswersWithinWindowOnly) {
   ASSERT_TRUE(cache.store("s.test/1", a_answer("s.test", 300), 0));
 
   // Still fresh: answered, but not counted (or flagged) as stale.
-  const auto fresh = cache.lookup_stale("s.test/1", 299);
+  const auto fresh = lookup_stale(cache, "s.test/1", 299);
   ASSERT_TRUE(fresh.has_value());
   EXPECT_FALSE(fresh->stale);
   EXPECT_EQ(cache.stats().stale_served, 0u);
 
   // Expired but within the RFC 8767 window: served and flagged stale.
-  const auto stale = cache.lookup_stale("s.test/1", 300);
+  const auto stale = lookup_stale(cache, "s.test/1", 300);
   ASSERT_TRUE(stale.has_value());
   EXPECT_TRUE(stale->stale);
-  const auto late = cache.lookup_stale("s.test/1", 300 + 3599);
+  const auto late = lookup_stale(cache, "s.test/1", 300 + 3599);
   ASSERT_TRUE(late.has_value());
   EXPECT_TRUE(late->stale);
   EXPECT_EQ(cache.stats().stale_served, 2u);
 
   // Lapsed past expiry + max_stale_s: too stale even for serve-stale.
-  EXPECT_FALSE(cache.lookup_stale("s.test/1", 300 + 3600).has_value());
+  EXPECT_FALSE(lookup_stale(cache, "s.test/1", 300 + 3600).has_value());
 }
 
 TEST(DnsCache, StoreRefreshesExistingEntry) {
@@ -235,8 +257,8 @@ TEST(DnsCache, StoreRefreshesExistingEntry) {
   ASSERT_TRUE(cache.store("a/1", a_answer("a", 100), 50));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_TRUE(cache.lookup("a/1", 149).has_value());
-  EXPECT_FALSE(cache.lookup("b/1", 100).has_value());
+  EXPECT_TRUE(lookup(cache, "a/1", 149).has_value());
+  EXPECT_FALSE(lookup(cache, "b/1", 100).has_value());
 }
 
 TEST(DnsCache, ClearEmptiesEveryShard) {
@@ -249,6 +271,87 @@ TEST(DnsCache, ClearEmptiesEveryShard) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   for (const std::size_t size : cache.shard_sizes()) EXPECT_EQ(size, 0u);
+  EXPECT_FALSE(lookup(cache, "c7.test/1", 1).has_value());
+}
+
+// Eight threads drive one 4-shard cache at 16 entries per shard with
+// stores (including rejected SERVFAILs and 60-record answers that spill out
+// of their slots), lookups, stale lookups and owner exports. Under the
+// thread sanitizer (tools/check.sh) this is the input that exposes a hit
+// path decoding slot bytes after releasing the shard lock: a concurrent
+// store recycles that slot.
+TEST(DnsCache, ContendedOperationsKeepTalliesConsistent) {
+  CacheConfig config;
+  config.shards = 4;
+  config.max_entries = 64;
+  config.serve_stale = true;
+  DnsCache cache(config);
+
+  constexpr std::size_t kKeys = 512;
+  std::vector<std::string> keys;
+  std::vector<CachedAnswer> answers;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const std::string name = "c" + std::to_string(i) + ".test";
+    keys.push_back(name + "/1");
+    CachedAnswer answer = a_answer(name);
+    if (i % 7 == 0) {
+      for (std::uint32_t r = 1; r < 60; ++r)
+        answer.answers.push_back(dns::ResourceRecord::a(
+            answer.answers.front().name, util::Ipv4{0x0A000000u + r}, 300));
+    }
+    if (i % 11 == 0) answer.rcode = dns::RCode::kServFail;
+    answers.push_back(std::move(answer));
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 4000;
+  std::vector<std::unique_ptr<obs::PhaseTally>> owners;
+  for (int t = 0; t < kThreads; ++t)
+    owners.push_back(std::make_unique<obs::PhaseTally>());
+  std::atomic<std::uint64_t> stored{0};
+  std::atomic<std::uint64_t> mismatched{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const obs::ScopedTally scope(owners[static_cast<std::size_t>(t)].get());
+      util::Rng rng(static_cast<std::uint64_t>(t) + 1);
+      std::vector<dns::ResourceRecord> records;
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const std::size_t k = rng.below(kKeys);
+        const std::int64_t now = op / 8;  // entries expire, then go stale
+        std::optional<DnsCache::Hit> hit;
+        switch (rng.below(4)) {
+          case 0:
+            if (cache.store(keys[k], answers[k], now)) stored.fetch_add(1);
+            continue;
+          case 1:
+            hit = cache.lookup(keys[k], now, records);
+            break;
+          case 2:
+            hit = cache.lookup_stale(keys[k], now, records);
+            break;
+          default:
+            (void)cache.export_entries(owners[static_cast<std::size_t>(t)].get());
+            continue;
+        }
+        // A hit decodes exactly the answer stored under its key.
+        const auto& want = answers[k].answers;
+        if (hit && (records.size() != want.size() ||
+                    !(records.front().name == want.front().name)))
+          mismatched.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.stores, stored.load());
+  EXPECT_LE(stats.evictions, stats.stores);
+  EXPECT_LE(cache.size(), config.max_entries);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.rejected, 0u);
+  EXPECT_EQ(mismatched.load(), 0u);
 }
 
 TEST(CacheConfig, EnvironmentOverrides) {

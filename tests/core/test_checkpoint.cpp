@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "dns/query.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -229,7 +230,9 @@ WorldCursor sample_cursor() {
   cache::ExportedEntry entry;
   entry.key = "example.com|A|853";
   entry.expiry_s = 1234567;
-  entry.answer.rcode = dns::RCode::kNxDomain;
+  cache::CachedAnswer nxdomain;
+  nxdomain.rcode = dns::RCode::kNxDomain;
+  entry.wire = cache::encode_answer(nxdomain);
   cursor.caches.push_back({entry});
   cursor.caches.push_back({});  // second backend, empty cache
   return cursor;
@@ -246,7 +249,10 @@ TEST_F(CheckpointTest, CursorCodecRoundTripsByteIdentically) {
   ASSERT_EQ(decoded.caches.size(), 2u);
   ASSERT_EQ(decoded.caches[0].size(), 1u);
   EXPECT_EQ(decoded.caches[0][0].key, "example.com|A|853");
-  EXPECT_EQ(decoded.caches[0][0].answer.rcode, dns::RCode::kNxDomain);
+  dns::RCode rcode = dns::RCode::kNoError;
+  std::vector<dns::ResourceRecord> records;
+  ASSERT_TRUE(cache::decode_answer_into(decoded.caches[0][0].wire, rcode, records));
+  EXPECT_EQ(rcode, dns::RCode::kNxDomain);
   util::ByteWriter again;
   encode_cursor(again, decoded);
   EXPECT_EQ(again.data(), w.data());
@@ -257,6 +263,90 @@ TEST_F(CheckpointTest, TruncatedCursorFailsClosed) {
   encode_cursor(w, sample_cursor());
   util::ByteReader r(w.data().data(), w.size() - 3);
   EXPECT_THROW((void)decode_cursor(r), util::CodecError);
+}
+
+// The journal layout predates the slab cache: an entry's blob must still be
+// exactly `Message{qr=1, rcode, answers}.encode(false)`, for every rdata
+// shape, now that export copies the slot's bytes instead of re-encoding.
+TEST_F(CheckpointTest, ExportedCacheBlobIsTheUncompressedAnswerMessage) {
+  const dns::Name owner = *dns::Name::parse("shape.example");
+  const dns::Name target = *dns::Name::parse("target.shape.example");
+  dns::Ipv6Bytes v6{};
+  v6[0] = 0x20;
+  v6[1] = 0x01;
+  v6[15] = 0x07;
+  dns::SoaData soa;  // rname shares the owner's suffix: in-record pointers
+  soa.mname = *dns::Name::parse("ns1.shape.example");
+  soa.rname = *dns::Name::parse("hostmaster.shape.example");
+  soa.serial = 2019030101;
+  dns::ResourceRecord unknown;
+  unknown.name = owner;
+  unknown.type = static_cast<dns::RrType>(300);
+  unknown.rdata = dns::RawData{1, 2, 3};
+
+  std::vector<cache::CachedAnswer> answers(10);
+  answers[0].answers = {dns::ResourceRecord::a(owner, util::Ipv4(192, 0, 2, 1), 60)};
+  answers[1].answers = {dns::ResourceRecord::aaaa(owner, v6, 300)};
+  answers[2].answers = {dns::ResourceRecord::cname(owner, target, 300),
+                        dns::ResourceRecord::a(target, util::Ipv4(192, 0, 2, 2), 300)};
+  answers[3].answers = {dns::ResourceRecord::ns(owner, target)};
+  answers[4].answers = {dns::ResourceRecord::ptr(owner, target)};
+  answers[5].answers = {dns::ResourceRecord::soa(owner, soa)};
+  answers[6].answers = {dns::ResourceRecord::txt(owner, {"v=spf1 -all", ""}, 300)};
+  answers[7].answers = {unknown};
+  answers[8].rcode = dns::RCode::kNxDomain;  // negative: no records
+  // answers[9]: NODATA
+
+  cache::DnsCache cache;
+  for (std::size_t i = 0; i < answers.size(); ++i)
+    ASSERT_TRUE(cache.store("shape" + std::to_string(i) + "/1", answers[i], 0));
+
+  WorldCursor cursor;
+  cursor.caches.push_back(cache.export_entries());
+  ASSERT_EQ(cursor.caches[0].size(), answers.size());
+  util::ByteWriter w;
+  encode_cursor(w, cursor);
+  util::ByteReader r(w.data());
+  const WorldCursor decoded = decode_cursor(r);
+  for (const auto& entry : decoded.caches[0]) {
+    const std::size_t i = std::stoul(entry.key.substr(5));
+    dns::Message message;
+    message.header.qr = true;
+    message.header.rcode = answers[i].rcode;
+    message.answers = answers[i].answers;
+    EXPECT_EQ(entry.wire, message.encode(/*compress=*/false)) << entry.key;
+  }
+}
+
+// Restore copies blobs into cache slots unexamined, so the journal decoder
+// runs each one through the DNS decoder: garbage, a truncated message, or a
+// full query (question section) all fail closed.
+TEST_F(CheckpointTest, MalformedCacheBlobFailsClosed) {
+  const dns::Message query =
+      dns::make_query(*dns::Name::parse("example.com"), dns::RrType::kA, 7);
+  auto truncated = cache::encode_answer(cache::CachedAnswer{
+      dns::RCode::kNoError,
+      {dns::ResourceRecord::a(*dns::Name::parse("example.com"),
+                              util::Ipv4(192, 0, 2, 1))}});
+  truncated.pop_back();
+  for (const auto& bad : {std::vector<std::uint8_t>{0x00, 0x01, 0x02},
+                          truncated, query.encode(false)}) {
+    WorldCursor cursor = sample_cursor();
+    cursor.caches[0][0].wire = bad;
+    util::ByteWriter w;
+    encode_cursor(w, cursor);
+    util::ByteReader r(w.data());
+    EXPECT_THROW((void)decode_cursor(r), util::CodecError);
+  }
+
+  WorldCursor cursor = sample_cursor();
+  cursor.caches[0][0].wire = query.encode(false);
+  {
+    StudyCheckpoint checkpoint(dir_, kFingerprint, false);
+    checkpoint.commit_phase("scan_campaign", {1}, cursor);
+  }
+  StudyCheckpoint checkpoint(dir_, kFingerprint, true);
+  EXPECT_THROW((void)checkpoint.load_phase("scan_campaign"), JournalError);
 }
 
 // --- StudyCheckpoint over the journal ---------------------------------------

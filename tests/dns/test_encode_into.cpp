@@ -96,6 +96,38 @@ TEST(EncodeInto, ScratchBufferReuseStaysByteIdentical) {
   }
 }
 
+// Answer-only messages (the record cache's entry form): the encoder must
+// match Message::encode of the same header and answers byte for byte in both
+// compress modes, the decoder must round-trip them into reused storage, and
+// any question, authority or additional record must be rejected.
+TEST(EncodeInto, AnswerOnlyMessagesMatchMessageEncode) {
+  std::vector<ResourceRecord> decoded_answers;
+  for (std::uint64_t seed = 600; seed <= 700; ++seed) {
+    util::Rng rng(seed);
+    const Message full = fuzz::random_message(rng);
+    Message answer_only;
+    answer_only.header = full.header;
+    answer_only.answers = full.answers;
+    for (const bool compress : {true, false}) {
+      WireWriter w;
+      encode_answer_only_into(w, full.header, full.answers, compress);
+      const auto wire = std::move(w).take();
+      EXPECT_EQ(wire, answer_only.encode(compress)) << "seed " << seed;
+      Header header;
+      ASSERT_TRUE(decode_answer_only_into(wire, header, decoded_answers))
+          << "seed " << seed;
+      Message decoded;
+      decoded.header = header;
+      decoded.answers = decoded_answers;
+      fuzz::expect_equal(answer_only, decoded, seed);
+    }
+    // random_message always carries a question section.
+    Header header;
+    EXPECT_FALSE(decode_answer_only_into(full.encode(), header, decoded_answers))
+        << "seed " << seed;
+  }
+}
+
 TEST(EncodeInto, MutatedDecodableBuffersStayDifferential) {
   // Bit-flipped wires that still decode give messages outside the generator's
   // distribution; encode and encode_into must agree on those too.

@@ -42,8 +42,10 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,11 +58,13 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include "client/do53.hpp"
 #include "client/doh.hpp"
 #include "client/dot.hpp"
+#include "core/checkpoint/journal.hpp"
 #include "core/study.hpp"
 #include "exec/executor.hpp"
 #include "http/url.hpp"
 #include "scan/scanner.hpp"
 #include "traffic/trend_study.hpp"
+#include "util/bytes.hpp"
 #include "world/world.hpp"
 
 namespace {
@@ -327,6 +331,19 @@ bool check_alloc_ceilings(const std::vector<Row>& rows) {
   return ok;
 }
 
+/// Best of five timed calls, in seconds.
+double best_of_five(const std::function<void()>& fn) {
+  double best = 0.0;
+  for (int i = 0; i < 5; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    if (i == 0 || elapsed.count() < best) best = elapsed.count();
+  }
+  return best;
+}
+
 /// --checkpoint-guard DIR: quantify what `--checkpoint-dir` costs. Runs the
 /// quick-scale reachability phase three times in-process — once as warmup,
 /// once with checkpointing off, once journaling into DIR — and requires (a)
@@ -336,11 +353,18 @@ bool check_alloc_ceilings(const std::vector<Row>& rows) {
 /// the resolver caches whole, a fixed cost the tiny phase barely amortises
 /// (full scale has ~12x more clients per save). The checkpoint-OFF
 /// regression bound vs the committed baseline stays with --guard: that path
-/// must not pay for the feature at all.
+/// must not pay for the feature at all. The resume leg then requires (c)
+/// reopening the journal DIR holds to cost at most twice a raw read of the
+/// file plus one FNV-1a pass over it, the floor the v1 prefix checksum sets
+/// (best of five each, so cache and clock warm-up do not decide the ratio).
 std::vector<Row> run_checkpoint_guard(const std::string& dir, bool& ok) {
+  std::uint64_t fingerprint = 0;
   const auto run = [&](const char* name, bool checkpointed) {
     core::Study study(core::StudyConfig::quick());
-    if (checkpointed) study.enable_checkpoint(dir, /*resume=*/false);
+    if (checkpointed) {
+      study.enable_checkpoint(dir, /*resume=*/false);
+      fingerprint = study.config_fingerprint();
+    }
     return run_row(name, "client", [&] {
       return static_cast<unsigned long long>(study.reachability_global().clients);
     });
@@ -361,6 +385,45 @@ std::vector<Row> run_checkpoint_guard(const std::string& dir, bool& ok) {
                  "checkpoint-guard: journaling overhead too high (%.1f qps vs "
                  "%.1f checkpoint-off; floor is 1/3)\n",
                  on.qps, off.qps);
+    ok = false;
+  }
+
+  const std::string journal_bin = dir + "/journal.bin";
+  const std::size_t journal_bytes = std::filesystem::file_size(journal_bin);
+  std::size_t records = 0;
+  const double open_s = best_of_five([&] {
+    const core::Journal journal(dir, fingerprint, /*resume=*/true);
+    records = journal.records().size();
+  });
+  std::size_t read_bytes = 0;
+  std::uint64_t checksum = 0;
+  const double reference_s = best_of_five([&] {
+    // Uninitialised, like the loader's buffer: a zero fill is another pass.
+    const std::unique_ptr<std::uint8_t, decltype(&std::free)> bytes(
+        static_cast<std::uint8_t*>(std::malloc(journal_bytes)), &std::free);
+    std::FILE* file = std::fopen(journal_bin.c_str(), "rb");
+    read_bytes = file == nullptr || bytes == nullptr
+                     ? 0
+                     : std::fread(bytes.get(), 1, journal_bytes, file);
+    if (file != nullptr) std::fclose(file);
+    checksum = util::fnv1a_bytes(bytes.get(), read_bytes);
+  });
+  if (read_bytes != journal_bytes) {
+    std::fprintf(stderr, "checkpoint-guard: cannot read %s\n",
+                 journal_bin.c_str());
+    ok = false;
+  }
+  std::printf(
+      "checkpoint-guard: resume opens %zu records (%.1f MB) in %.4f s; raw "
+      "read + one FNV-1a pass (%016llx) takes %.4f s: %.2fx, ceiling 2x\n",
+      records, static_cast<double>(journal_bytes) / 1e6, open_s,
+      static_cast<unsigned long long>(checksum), reference_s,
+      open_s / reference_s);
+  if (open_s > 2.0 * reference_s) {
+    std::fprintf(stderr,
+                 "checkpoint-guard: journal resume too slow (%.4f s vs %.4f s "
+                 "for a raw read + one FNV-1a pass; ceiling is 2x)\n",
+                 open_s, reference_s);
     ok = false;
   }
   return {off, on};

@@ -323,8 +323,8 @@ StudyCheckpoint::StudyCheckpoint(std::string dir, std::uint64_t fingerprint,
                                  bool resume)
     : journal_(std::move(dir), fingerprint, resume) {
   for (const auto& record : journal_.records())
-    if (record.key.rfind("phase:", 0) == 0)
-      committed_.insert(record.key.substr(6));
+    if (record.key.starts_with("phase:"))
+      committed_.emplace(record.key.substr(6));
 }
 
 std::optional<StudyCheckpoint::LoadedPhase> StudyCheckpoint::load_phase(
@@ -427,6 +427,11 @@ std::optional<StudyCheckpoint::LoadedDelta> StudyCheckpoint::load_phase_delta(
   const Journal::Record* record = journal_.find_last(phase_key(phase));
   if (record == nullptr) return std::nullopt;
   return decode_delta_record(*record, kKindPhaseDelta, "phase-delta");
+}
+
+bool StudyCheckpoint::has_partial(const std::string& phase) const {
+  std::lock_guard<std::mutex> guard(mutex_);
+  return journal_.find_last(partial_key(phase)) != nullptr;
 }
 
 std::optional<StudyCheckpoint::LoadedDelta> StudyCheckpoint::load_partial_delta(

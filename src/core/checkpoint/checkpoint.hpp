@@ -121,6 +121,10 @@ class StudyCheckpoint {
   [[nodiscard]] std::optional<LoadedDelta> load_phase_delta(
       const std::string& phase);
 
+  /// Whether the journal holds a partial record for `phase`. Presence only:
+  /// the record is decoded (and fails closed) when the phase loads it.
+  [[nodiscard]] bool has_partial(const std::string& phase) const;
+
   /// Newest mid-flight delta partial for `phase`, if any. Its cursor is the
   /// hybrid described at phase_hook(): pre-phase platform position, cache
   /// contents as of the save.

@@ -1,13 +1,17 @@
 #include "core/checkpoint/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cinttypes>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <new>
 
 #include "util/bytes.hpp"
 #include "util/env.hpp"
@@ -17,6 +21,7 @@ namespace {
 
 constexpr char kMagic[8] = {'E', 'N', 'C', 'D', 'N', 'S', 'W', 'J'};
 constexpr std::size_t kHeaderSize = 24;
+constexpr std::size_t kRecordHeaderSize = 16;  // key_len, body_len, checksum
 
 [[nodiscard]] std::string journal_path(const std::string& dir) {
   return dir + "/journal.bin";
@@ -39,22 +44,95 @@ void fsync_dir(const std::string& dir) {
   ::close(fd);
 }
 
-[[nodiscard]] std::vector<std::uint8_t> read_whole_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr)
-    throw JournalError("checkpoint: cannot open " + path + " for resume");
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, file)) > 0)
-    bytes.insert(bytes.end(), buf, buf + n);
-  const bool error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (error) throw JournalError("checkpoint: read of " + path + " failed");
-  return bytes;
+/// A file opened for resume, closed on scope exit.
+class InputFile {
+ public:
+  explicit InputFile(std::string path)
+      : path_(std::move(path)), fd_(::open(path_.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0)
+      throw JournalError("checkpoint: cannot open " + path_ + " for resume");
+  }
+  ~InputFile() { ::close(fd_); }
+  InputFile(const InputFile&) = delete;
+  InputFile& operator=(const InputFile&) = delete;
+
+  [[nodiscard]] std::uint64_t size() const {
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) fail();
+    return static_cast<std::uint64_t>(st.st_size);
+  }
+
+  /// Reads the file's first `n` bytes into `out`; returns how many it held
+  /// (fewer than `n` only if the file ends first).
+  std::size_t read_prefix(std::uint8_t* out, std::size_t n) const {
+    std::size_t got = 0;
+    while (got < n) {
+      const ssize_t r = ::pread(fd_, out + got, n - got, static_cast<off_t>(got));
+      if (r == 0) break;
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        fail();
+      }
+      got += static_cast<std::size_t>(r);
+    }
+    return got;
+  }
+
+ private:
+  [[noreturn]] void fail() const {
+    throw JournalError("checkpoint: read of " + path_ + " failed");
+  }
+
+  std::string path_;
+  int fd_;
+};
+
+[[nodiscard]] JournalError outside_file(std::uint64_t committed,
+                                        std::uint64_t file_bytes) {
+  return JournalError("checkpoint: commit pointer (" +
+                      std::to_string(committed) +
+                      " bytes) is outside the journal file (" +
+                      std::to_string(file_bytes) + " bytes)");
+}
+
+/// An uninitialised buffer for `n` journal bytes, released with std::free.
+/// Large ones ask for transparent huge pages: read into 4 KiB pages, a
+/// 166 MB journal spends about 40% of its read in page faults, and freeing
+/// it again takes ~13 ms; in 2 MiB pages both nearly vanish.
+[[nodiscard]] std::uint8_t* allocate_prefix(std::size_t n) {
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  void* bytes = nullptr;
+  if (n < kHugePage) {
+    bytes = std::malloc(n);
+  } else {
+    const std::size_t rounded = (n + kHugePage - 1) / kHugePage * kHugePage;
+    bytes = std::aligned_alloc(kHugePage, rounded);
+    if (bytes != nullptr) (void)::madvise(bytes, rounded, MADV_HUGEPAGE);
+  }
+  if (bytes == nullptr) throw std::bad_alloc();
+  return static_cast<std::uint8_t*>(bytes);
+}
+
+/// Advances two FNV-1a states over the same bytes: the sidecar's prefix
+/// checksum and a record's own. The two multiply chains are independent, so
+/// the CPU overlaps them and the pair costs about what one chain costs.
+void fnv1a_both(const std::uint8_t* data, std::size_t size,
+                std::uint64_t& prefix, std::uint64_t& record) noexcept {
+  std::uint64_t a = prefix;
+  std::uint64_t b = record;
+  for (std::size_t i = 0; i < size; ++i) {
+    a = (a ^ data[i]) * util::kFnv1aPrime;
+    b = (b ^ data[i]) * util::kFnv1aPrime;
+  }
+  prefix = a;
+  record = b;
 }
 
 }  // namespace
+
+void Journal::FreeBytes::operator()(std::uint8_t* bytes) const noexcept {
+  std::free(bytes);
+}
 
 Journal::Journal(std::string dir, std::uint64_t fingerprint, bool resume)
     : dir_(std::move(dir)), fingerprint_(fingerprint) {
@@ -99,8 +177,13 @@ void Journal::write_header(std::uint64_t fingerprint) {
 
 void Journal::load_existing(std::uint64_t fingerprint) {
   // --- sidecar -------------------------------------------------------------
-  const auto sidecar_bytes = read_whole_file(commit_path(dir_));
-  const std::string sidecar(sidecar_bytes.begin(), sidecar_bytes.end());
+  std::string sidecar;
+  {
+    const InputFile side(commit_path(dir_));
+    sidecar.resize(static_cast<std::size_t>(side.size()));
+    sidecar.resize(side.read_prefix(
+        reinterpret_cast<std::uint8_t*>(sidecar.data()), sidecar.size()));
+  }
   char tag[32] = {0};
   char ver[16] = {0};
   unsigned long long committed = 0;
@@ -116,17 +199,22 @@ void Journal::load_existing(std::uint64_t fingerprint) {
         "checkpoint: configuration fingerprint mismatch — the journal in " +
         dir_ + " was written by a different study configuration");
 
-  // --- journal bytes -------------------------------------------------------
-  const auto bytes = read_whole_file(journal_path(dir_));
-  if (committed < kHeaderSize || committed > bytes.size())
-    throw JournalError(
-        "checkpoint: commit pointer (" + std::to_string(committed) +
-        " bytes) is outside the journal file (" +
-        std::to_string(bytes.size()) + " bytes)");
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
+  // --- journal bytes: the committed prefix, read once ----------------------
+  // Bytes past the commit pointer are a torn append and are never examined.
+  // No mmap: a mapped file could change after it was validated.
+  {
+    const InputFile file(journal_path(dir_));
+    const std::uint64_t file_bytes = file.size();
+    if (committed < kHeaderSize || committed > file_bytes)
+      throw outside_file(committed, file_bytes);
+    loaded_.reset(allocate_prefix(committed));
+    const std::size_t got = file.read_prefix(loaded_.get(), committed);
+    if (got < committed) throw outside_file(committed, got);
+  }
+  const std::uint8_t* bytes = loaded_.get();
+  if (std::memcmp(bytes, kMagic, sizeof kMagic) != 0)
     throw JournalError("checkpoint: bad journal magic in " + dir_);
-  util::ByteReader header(bytes.data() + sizeof kMagic,
-                          kHeaderSize - sizeof kMagic);
+  util::ByteReader header(bytes + sizeof kMagic, kHeaderSize - sizeof kMagic);
   const std::uint32_t version = header.u32();
   (void)header.u32();  // flags
   const std::uint64_t file_fp = header.u64();
@@ -139,42 +227,47 @@ void Journal::load_existing(std::uint64_t fingerprint) {
         "checkpoint: configuration fingerprint mismatch — the journal in " +
         dir_ + " was written by a different study configuration");
 
-  const std::uint64_t hash = util::fnv1a_bytes(bytes.data(), committed);
-  if (hash != side_hash)
-    throw JournalError(
-        "checkpoint: committed journal prefix fails its checksum — refusing "
-        "to resume from " + dir_);
-
-  // --- records -------------------------------------------------------------
+  // --- one pass: prefix checksum and record checksums together -------------
+  // `hash` covers bytes [0, hashed). A record that fails to parse or to
+  // check stops the walk, but the prefix checksum still decides which error
+  // wins: a prefix that fails it is reported as such, as if it had been
+  // checked first.
+  std::vector<Record> records;
+  std::uint64_t hash = util::fnv1a_bytes(bytes, kHeaderSize);
+  std::size_t hashed = kHeaderSize;
+  std::string corrupt;
   try {
-    util::ByteReader reader(bytes.data() + kHeaderSize,
-                            committed - kHeaderSize);
+    util::ByteReader reader(bytes + kHeaderSize, committed - kHeaderSize);
     while (!reader.done()) {
+      const std::size_t at = committed - reader.remaining();
       const std::uint32_t key_len = reader.u32();
       const std::uint32_t body_len = reader.u32();
       const std::uint64_t record_hash = reader.u64();
       if (static_cast<std::uint64_t>(key_len) + body_len > reader.remaining())
         throw util::CodecError("record length exceeds committed prefix");
-      Record record;
-      record.key.resize(key_len);
-      for (std::uint32_t i = 0; i < key_len; ++i)
-        record.key[i] = static_cast<char>(reader.u8());
-      record.body.resize(body_len);
-      for (std::uint32_t i = 0; i < body_len; ++i) record.body[i] = reader.u8();
-      const std::uint64_t check = util::fnv1a_bytes(
-          reinterpret_cast<const std::uint8_t*>(record.body.data()),
-          record.body.size(),
-          util::fnv1a_bytes(
-              reinterpret_cast<const std::uint8_t*>(record.key.data()),
-              record.key.size()));
+      const auto key = reader.view(key_len);
+      const auto body = reader.view(body_len);
+      hash = util::fnv1a_bytes(bytes + at, kRecordHeaderSize, hash);
+      std::uint64_t check = util::kFnv1aBasis;  // over key || body, adjacent
+      fnv1a_both(key.data(), key.size() + body.size(), hash, check);
+      hashed = committed - reader.remaining();
       if (check != record_hash)
         throw util::CodecError("record checksum mismatch");
-      records_.push_back(std::move(record));
+      records.push_back(
+          Record{{reinterpret_cast<const char*>(key.data()), key.size()}, body});
     }
   } catch (const util::CodecError& e) {
-    throw JournalError(std::string("checkpoint: corrupt journal record (") +
-                       e.what() + ") — refusing to resume from " + dir_);
+    corrupt = e.what();
   }
+  hash = util::fnv1a_bytes(bytes + hashed, committed - hashed, hash);
+  if (hash != side_hash)
+    throw JournalError(
+        "checkpoint: committed journal prefix fails its checksum — refusing "
+        "to resume from " + dir_);
+  if (!corrupt.empty())
+    throw JournalError("checkpoint: corrupt journal record (" + corrupt +
+                       ") — refusing to resume from " + dir_);
+  records_ = std::move(records);
 
   // --- reopen for append, discarding any torn tail ------------------------
   std::error_code ec;
@@ -189,7 +282,11 @@ void Journal::load_existing(std::uint64_t fingerprint) {
   running_hash_ = hash;
 }
 
-const Journal::Record* Journal::find_last(std::string_view key) const noexcept {
+const Journal::Record* Journal::find_last(std::string_view key) const {
+  if (appended_.find(key) != appended_.end())
+    throw std::logic_error("checkpoint: find_last(\"" + std::string(key) +
+                           "\") after this process appended that key — "
+                           "appends are write-only");
   for (auto it = records_.rbegin(); it != records_.rend(); ++it)
     if (it->key == key) return &*it;
   return nullptr;
@@ -205,13 +302,15 @@ void Journal::append(std::string_view key, const std::vector<std::uint8_t>& body
                         key.size())));
   for (const char c : key) record.u8(static_cast<std::uint8_t>(c));
   const auto& head = record.data();
+  // An empty body's data() may be null, which fwrite must not be given.
   if (std::fwrite(head.data(), 1, head.size(), file_) != head.size() ||
-      std::fwrite(body.data(), 1, body.size(), file_) != body.size())
+      (!body.empty() &&
+       std::fwrite(body.data(), 1, body.size(), file_) != body.size()))
     throw JournalError("checkpoint: journal append failed");
   running_hash_ = util::fnv1a_bytes(head.data(), head.size(), running_hash_);
   running_hash_ = util::fnv1a_bytes(body.data(), body.size(), running_hash_);
   pending_bytes_ += head.size() + body.size();
-  records_.push_back(Record{std::string(key), body});
+  if (appended_.find(key) == appended_.end()) appended_.emplace(key);
 }
 
 void Journal::publish_commit_pointer() {

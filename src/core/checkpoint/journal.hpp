@@ -20,6 +20,15 @@
 // a checksum mismatch anywhere in the committed prefix, or a record that
 // does not parse exactly all throw JournalError; a journal never half-loads.
 //
+// Resume reads the committed prefix once, into one owned buffer, and
+// validates it in a single pass that advances the sidecar checksum and each
+// record's checksum together; the loaded records are views into that buffer,
+// so the bytes that were validated are exactly the bytes later decoded.
+// Appends are write-only: a process never reads back what it appended (every
+// phase loads its records before it first writes that key), so their bodies
+// go to the file and nowhere else, and writer memory does not grow with the
+// journal.
+//
 // ENCDNS_CHECKPOINT_KILL_AFTER=<n> is the chaos hook: the process SIGKILLs
 // itself immediately after the n-th successful commit, which is how
 // tools/check.sh proves kill-at-any-boundary + --resume is byte-identical.
@@ -27,6 +36,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -54,17 +67,23 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
+  /// A loaded record: views into the validated buffer read at open, valid
+  /// for the Journal's lifetime.
   struct Record {
-    std::string key;
-    std::vector<std::uint8_t> body;
+    std::string_view key;
+    std::span<const std::uint8_t> body;
   };
 
-  /// Committed records, in append order (later records with the same key
-  /// supersede earlier ones; find_last implements that rule).
+  /// The records committed when the journal was opened, in append order
+  /// (later records with the same key supersede earlier ones; find_last
+  /// implements that rule). This process's own appends are not listed.
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
   }
-  [[nodiscard]] const Record* find_last(std::string_view key) const noexcept;
+  /// Newest loaded record for `key`, or null. Throws std::logic_error if
+  /// this process has appended `key`: its newest body is in the file only,
+  /// and returning the loaded one would hand back a stale record.
+  [[nodiscard]] const Record* find_last(std::string_view key) const;
 
   /// Append a record to the write buffer. Not durable until commit().
   void append(std::string_view key, const std::vector<std::uint8_t>& body);
@@ -86,7 +105,12 @@ class Journal {
   std::string dir_;
   std::uint64_t fingerprint_ = 0;
   std::FILE* file_ = nullptr;
-  std::vector<Record> records_;
+  struct FreeBytes {
+    void operator()(std::uint8_t* bytes) const noexcept;
+  };
+  std::unique_ptr<std::uint8_t[], FreeBytes> loaded_;  // prefix read at open
+  std::vector<Record> records_;                        // views into loaded_
+  std::set<std::string, std::less<>> appended_;  // keys this process wrote
   std::uint64_t committed_bytes_ = 0;  // durable prefix length
   std::uint64_t pending_bytes_ = 0;    // appended since last commit
   std::uint64_t running_hash_ = 0;     // fnv1a64 of all bytes written so far

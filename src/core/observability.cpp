@@ -173,11 +173,12 @@ void Study::dag_resume_prologue() {
       obs::MetricsRegistry::global().apply_delta(loaded->delta);
       std::lock_guard<std::mutex> lock(dag_mutex_);
       phase_deltas_[phase] = std::move(loaded->delta);
-    } else if (checkpoint_->load_partial_delta(phase)) {
+    } else if (checkpoint_->has_partial(phase)) {
       // Mid-flight at the kill: finish it here, serially, before the graph
       // starts — its cache restore must not interleave with live phases.
-      // The accessor picks up the partial via the delta hook; the graph's
-      // merge slot journals the full record like any other phase.
+      // The accessor decodes the partial (a corrupt one fails closed there)
+      // and the delta hook resumes from it; the graph's merge slot journals
+      // the full record like any other phase.
       run_phase_node(phase);
     }
   }

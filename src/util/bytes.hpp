@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -26,6 +27,7 @@ class CodecError : public std::runtime_error {
 /// FNV-1a over raw bytes, resumable: pass the previous return value as
 /// `basis` to hash a stream incrementally. Same constants as fnv1a(string).
 inline constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ULL;
+inline constexpr std::uint64_t kFnv1aPrime = 0x100000001B3ULL;
 [[nodiscard]] std::uint64_t fnv1a_bytes(const std::uint8_t* data,
                                         std::size_t size,
                                         std::uint64_t basis = kFnv1aBasis) noexcept;
@@ -72,7 +74,7 @@ class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size) noexcept
       : data_(data), size_(size) {}
-  explicit ByteReader(const std::vector<std::uint8_t>& bytes) noexcept
+  explicit ByteReader(std::span<const std::uint8_t> bytes) noexcept
       : ByteReader(bytes.data(), bytes.size()) {}
 
   [[nodiscard]] std::uint8_t u8() { return take_bytes(1)[0]; }
@@ -98,6 +100,11 @@ class ByteReader {
     const std::uint32_t len = u32();
     const std::uint8_t* p = take_bytes(len);
     return std::vector<std::uint8_t>(p, p + len);
+  }
+
+  /// The next `n` bytes in place, without copying them.
+  [[nodiscard]] std::span<const std::uint8_t> view(std::size_t n) {
+    return {take_bytes(n), n};
   }
 
   /// Checked element count for a container about to be decoded: each element

@@ -8,16 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dns/query.hpp"
+#include "support/fail_closed.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -27,6 +32,11 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint64_t kFingerprint = 0x1122334455667788ull;
+
+[[nodiscard]] std::vector<std::uint8_t> copy_of(
+    std::span<const std::uint8_t> body) {
+  return {body.begin(), body.end()};
+}
 
 class CheckpointTest : public ::testing::Test {
  protected:
@@ -76,7 +86,7 @@ TEST_F(CheckpointTest, CommittedRecordsSurviveReopen) {
   EXPECT_EQ(journal.records()[1].key, "beta");
   const Journal::Record* last = journal.find_last("alpha");
   ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->body, (std::vector<std::uint8_t>{9, 9, 9}));
+  EXPECT_EQ(copy_of(last->body), (std::vector<std::uint8_t>{9, 9, 9}));
   EXPECT_EQ(journal.find_last("gamma"), nullptr);
 }
 
@@ -188,7 +198,7 @@ TEST_F(CheckpointTest, RandomSingleBitCorruptionNeverHalfLoads) {
       // A flip the validator tolerated must not have changed what loads:
       // the only acceptable outcomes are "throws" and "exact records".
       ASSERT_EQ(journal.records().size(), 3u) << "trial " << trial;
-      EXPECT_EQ(journal.find_last("alpha")->body,
+      EXPECT_EQ(copy_of(journal.find_last("alpha")->body),
                 (std::vector<std::uint8_t>{9, 9, 9}))
           << "trial " << trial;
     } catch (const JournalError&) {
@@ -200,6 +210,218 @@ TEST_F(CheckpointTest, RandomSingleBitCorruptionNeverHalfLoads) {
   // The pristine pair must still load (the loop restored it).
   Journal journal(dir_, kFingerprint, true);
   EXPECT_EQ(journal.records().size(), 3u);
+}
+
+// One pass validates both checksums, but the errors keep the order of the
+// two-pass loader: a prefix failing the sidecar checksum is reported as such
+// even when a record inside it is broken too, and a record error surfaces
+// only under a prefix that checks. The sidecar is re-published over edited
+// bytes to reach each record error.
+TEST_F(CheckpointTest, LoaderReportsThePrefixChecksumBeforeRecordErrors) {
+  seed_journal();
+  const auto pristine = read_file(journal_file());
+  const auto republish = [&](const std::vector<std::uint8_t>& bytes,
+                             std::size_t committed) {
+    write_file(journal_file(), bytes);
+    char line[128];
+    std::snprintf(line, sizeof line,
+                  "encdns-journal-commit v1 %zu %016llx %016llx\n", committed,
+                  static_cast<unsigned long long>(
+                      util::fnv1a_bytes(bytes.data(), committed)),
+                  static_cast<unsigned long long>(kFingerprint));
+    write_file(commit_file(), std::vector<std::uint8_t>(
+                                  line, line + std::strlen(line)));
+  };
+  const auto error = [&] {
+    try {
+      Journal journal(dir_, kFingerprint, true);
+    } catch (const JournalError& e) {
+      return std::string(e.what());
+    }
+    return std::string("loaded");
+  };
+  constexpr std::size_t kFirstRecord = 24;  // after the file header
+
+  auto bytes = pristine;
+  bytes[kFirstRecord + 8] ^= 0x01;  // the first record's own checksum
+  write_file(journal_file(), bytes);
+  EXPECT_NE(error().find("fails its checksum"), std::string::npos) << error();
+  republish(bytes, bytes.size());
+  EXPECT_NE(error().find("corrupt journal record (record checksum mismatch)"),
+            std::string::npos)
+      << error();
+
+  bytes = pristine;
+  bytes[kFirstRecord + 4] = 0xFF;  // body_len overruns the prefix
+  republish(bytes, bytes.size());
+  EXPECT_NE(error().find("(record length exceeds committed prefix)"),
+            std::string::npos)
+      << error();
+
+  republish(pristine, kFirstRecord + 5);  // the prefix ends inside a header
+  EXPECT_NE(error().find("(bytes: truncated input (need 4, have 1))"),
+            std::string::npos)
+      << error();
+}
+
+// Appends are write-only: find_last serves the records loaded at open and
+// refuses a key this process appended, whose newest body it no longer holds.
+TEST_F(CheckpointTest, FindLastSeesLoadedRecordsAndRefusesOwnAppends) {
+  seed_journal();
+  {
+    Journal journal(dir_, kFingerprint, true);
+    ASSERT_NE(journal.find_last("alpha"), nullptr);
+    journal.append("gamma", {7});
+    journal.append("alpha", {8});
+    EXPECT_THROW((void)journal.find_last("gamma"), std::logic_error);
+    EXPECT_THROW((void)journal.find_last("alpha"), std::logic_error);
+    ASSERT_NE(journal.find_last("beta"), nullptr);  // not appended: still served
+    EXPECT_EQ(copy_of(journal.find_last("beta")->body),
+              (std::vector<std::uint8_t>{4, 5}));
+    EXPECT_EQ(journal.records().size(), 3u);  // appends are not listed
+    journal.commit();
+  }
+  Journal journal(dir_, kFingerprint, true);
+  ASSERT_EQ(journal.records().size(), 5u);
+  EXPECT_EQ(copy_of(journal.find_last("alpha")->body),
+            (std::vector<std::uint8_t>{8}));
+  EXPECT_EQ(copy_of(journal.find_last("gamma")->body),
+            (std::vector<std::uint8_t>{7}));
+}
+
+// --- the v1 on-disk format, pinned -------------------------------------------
+
+[[nodiscard]] std::vector<std::uint8_t> fixture_skeleton() {
+  std::vector<std::uint8_t> skeleton(40);
+  for (std::size_t i = 0; i < skeleton.size(); ++i)
+    skeleton[i] = static_cast<std::uint8_t>(i * 7);
+  return skeleton;
+}
+
+/// The appends the committed fixture in tests/core/data/journal_v1 was
+/// written with, by the journal code that held every body in memory.
+void append_fixture_records(Journal& journal) {
+  journal.append("phase:alpha", {1, 2, 3});
+  journal.append("partial:beta", {});
+  journal.commit();
+  journal.append("phase:alpha", {9, 9, 9});
+  journal.append("obs:skeleton", fixture_skeleton());
+  journal.commit();
+  journal.append("partial:beta", {0xFF});
+  journal.commit();
+}
+
+[[nodiscard]] std::string fixture_file(const char* name) {
+  return std::string(ENCDNS_JOURNAL_FIXTURE_DIR) + "/" + name;
+}
+
+TEST_F(CheckpointTest, V1FixtureLoadsItsExactRecords) {
+  for (const char* name : {"journal.bin", "journal.commit"})
+    fs::copy_file(fixture_file(name), dir_ + "/" + name);
+  Journal journal(dir_, kFingerprint, true);
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> expected =
+      {{"phase:alpha", {1, 2, 3}},
+       {"partial:beta", {}},
+       {"phase:alpha", {9, 9, 9}},
+       {"obs:skeleton", fixture_skeleton()},
+       {"partial:beta", {0xFF}}};
+  ASSERT_EQ(journal.records().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(journal.records()[i].key, expected[i].first) << "record " << i;
+    EXPECT_EQ(copy_of(journal.records()[i].body), expected[i].second)
+        << "record " << i;
+  }
+  EXPECT_EQ(journal.find_last("phase:alpha"), &journal.records()[2]);
+  EXPECT_EQ(journal.find_last("partial:beta"), &journal.records()[4]);
+}
+
+TEST_F(CheckpointTest, V1WriterReproducesTheFixtureByteForByte) {
+  {
+    Journal journal(dir_, kFingerprint, false);
+    append_fixture_records(journal);
+  }
+  EXPECT_EQ(read_file(journal_file()), read_file(fixture_file("journal.bin")));
+  EXPECT_EQ(read_file(commit_file()), read_file(fixture_file("journal.commit")));
+}
+
+// --- fail-closed fuzzing of the loader ----------------------------------------
+
+// Every strict prefix and every single-byte flip of journal.bin and of its
+// sidecar either throws JournalError or loads exactly the committed records.
+// The journal covers a superseded key, an empty body and a body over 64 KiB;
+// the large body is sampled at a fixed stride, every other byte is visited.
+TEST_F(CheckpointTest, LoaderFailsClosedOnEveryPrefixAndByteFlip) {
+  std::vector<std::uint8_t> large(70000);
+  for (std::size_t i = 0; i < large.size(); ++i)
+    large[i] = static_cast<std::uint8_t>(util::mix64(i));
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> expected =
+      {{"phase:alpha", {1, 2, 3}},   {"partial:beta", {}},
+       {"partial:gamma", large},     {"phase:alpha", {9, 9, 9}},
+       {"obs:skeleton", {4, 5}},     {"partial:beta", {6}}};
+  {
+    Journal journal(dir_, kFingerprint, false);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      journal.append(expected[i].first, expected[i].second);
+      if (i % 2 == 1) journal.commit();
+    }
+  }
+  const auto pristine_journal = read_file(journal_file());
+  const auto pristine_commit = read_file(commit_file());
+  const auto large_at = static_cast<std::size_t>(
+      std::search(pristine_journal.begin(), pristine_journal.end(),
+                  large.begin(), large.end()) -
+      pristine_journal.begin());
+  ASSERT_LT(large_at, pristine_journal.size());
+  constexpr std::size_t kStride = 1021;
+  const auto sampled = [&](std::size_t i) {
+    return i < large_at || i >= large_at + large.size() ||
+           (i - large_at) % kStride == 0;
+  };
+
+  // Returns whether the load threw; a load that did not throw must be exact.
+  const auto load = [&](const std::string& what) {
+    try {
+      Journal journal(dir_, kFingerprint, true);
+      EXPECT_EQ(journal.records().size(), expected.size()) << what;
+      for (std::size_t i = 0;
+           i < std::min(expected.size(), journal.records().size()); ++i) {
+        EXPECT_EQ(journal.records()[i].key, expected[i].first) << what;
+        EXPECT_EQ(copy_of(journal.records()[i].body), expected[i].second)
+            << what;
+      }
+      return false;
+    } catch (const JournalError&) {
+      return true;
+    }
+  };
+
+  // The committed prefix has no slack: every prefix falls short of the
+  // commit pointer and every flip breaks the prefix checksum.
+  std::size_t journal_cases = 0;
+  fuzz::for_each_prefix_and_flip(
+      pristine_journal,
+      [&](const std::vector<std::uint8_t>& mutated, const std::string& what) {
+        write_file(journal_file(), mutated);
+        write_file(commit_file(), pristine_commit);
+        EXPECT_TRUE(load("journal.bin " + what)) << what;
+        ++journal_cases;
+      },
+      sampled);
+  EXPECT_GT(journal_cases, 2 * (large.size() / kStride));
+
+  std::size_t sidecar_throws = 0;
+  fuzz::for_each_prefix_and_flip(
+      pristine_commit,
+      [&](const std::vector<std::uint8_t>& mutated, const std::string& what) {
+        write_file(journal_file(), pristine_journal);
+        write_file(commit_file(), mutated);
+        if (load("journal.commit " + what)) ++sidecar_throws;
+      });
+  EXPECT_GT(sidecar_throws, 0u);
+
+  write_file(journal_file(), pristine_journal);
+  write_file(commit_file(), pristine_commit);
+  EXPECT_FALSE(load("pristine"));
 }
 
 TEST_F(CheckpointTest, KillAfterEnvSigkillsAtTheConfiguredCommit) {
@@ -368,19 +590,22 @@ TEST_F(CheckpointTest, PhaseCommitRoundTripsStateAndCursor) {
 }
 
 TEST_F(CheckpointTest, PartialsSupersedeAndPhaseWinsOverPartial) {
+  const auto capture = [] {
+    return sample_cursor();  // capture: cache/tally at save time
+  };
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
-    WorldCursor pre = sample_cursor();
-    auto hook = checkpoint.phase_hook("performance", pre, [&] {
-      return sample_cursor();  // capture: cache/tally at save time
-    });
+    auto hook = checkpoint.phase_hook("performance", sample_cursor(), capture);
     EXPECT_FALSE(hook->load().has_value());
     hook->save({1});
     hook->save({2, 2});
-    EXPECT_EQ(hook->load().value(), (std::vector<std::uint8_t>{2, 2}));
+    // Appends are write-only: the saves are read back after a reopen.
+    EXPECT_THROW((void)hook->load(), std::logic_error);
   }
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, true);
+    auto hook = checkpoint.phase_hook("performance", sample_cursor(), capture);
+    EXPECT_EQ(hook->load().value(), (std::vector<std::uint8_t>{2, 2}));
     EXPECT_TRUE(checkpoint.partial_pre_cursor("performance").has_value());
     checkpoint.commit_phase("performance", {3, 3, 3}, sample_cursor());
   }
@@ -394,16 +619,19 @@ TEST_F(CheckpointTest, PartialPreCursorKeepsThePrePhasePlatformPosition) {
   // The hybrid-cursor contract: platform cursors in a partial are the
   // pre-phase ones (the prologue re-runs on resume), even though cache
   // contents are captured at save time.
-  StudyCheckpoint checkpoint(dir_, kFingerprint, false);
-  WorldCursor pre = sample_cursor();
-  pre.global_platform.next_id = 100;
-  auto hook = checkpoint.phase_hook("netflow", pre, [&] {
-    WorldCursor advanced = sample_cursor();
-    advanced.global_platform.next_id = 999;  // platform moved mid-phase
-    advanced.cache_tally.hits = 77;          // cache state moved too
-    return advanced;
-  });
-  hook->save({1});
+  {
+    StudyCheckpoint checkpoint(dir_, kFingerprint, false);
+    WorldCursor pre = sample_cursor();
+    pre.global_platform.next_id = 100;
+    auto hook = checkpoint.phase_hook("netflow", pre, [&] {
+      WorldCursor advanced = sample_cursor();
+      advanced.global_platform.next_id = 999;  // platform moved mid-phase
+      advanced.cache_tally.hits = 77;          // cache state moved too
+      return advanced;
+    });
+    hook->save({1});
+  }
+  StudyCheckpoint checkpoint(dir_, kFingerprint, true);
   const auto rewound = checkpoint.partial_pre_cursor("netflow");
   ASSERT_TRUE(rewound.has_value());
   EXPECT_EQ(rewound->global_platform.next_id, 100u);  // pre-phase, not 999

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <string>
 
+#include "core/checkpoint/journal.hpp"
 #include "core/study.hpp"
 
 namespace encdns::core {
@@ -80,6 +81,27 @@ TEST_F(StudyDagTest, ResumeAfterMidRunKillMatchesUninterruptedReport) {
   Study resumed(StudyConfig::quick());
   resumed.enable_checkpoint(dir_, /*resume=*/true);
   EXPECT_EQ(resumed.observability_report().to_json(), expected);
+}
+
+// The resume prologue only checks that a partial exists; the phase's own
+// accessor decodes it, so a partial with a valid record checksum but a
+// corrupt body still fails the resume closed, with the decoder's error.
+TEST_F(StudyDagTest, CorruptPartialFailsResumeClosed) {
+  Study study(StudyConfig::quick());
+  {
+    Journal journal(dir_, study.config_fingerprint(), /*resume=*/false);
+    journal.append("partial:scan_campaign", {4, 0xEE});  // delta kind, no cursor
+    journal.commit();
+  }
+  study.enable_checkpoint(dir_, /*resume=*/true);
+  try {
+    (void)study.observability_report();
+    FAIL() << "a corrupt partial must not resume";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("corrupt partial-delta record"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

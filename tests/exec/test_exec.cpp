@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -299,11 +300,19 @@ TEST(ScratchArena, WorkerTasksRunAllocationFreeAfterWarmup) {
   // repeated leases inside pool tasks create no further buffers.
   exec::WorkerPool pool(4);
   constexpr std::size_t kShards = 32;
-  const auto lease_once = [](std::size_t) {
-    exec::BufferLease lease;
-    lease->resize(512);
-  };
-  pool.parallel_for_shards(kShards, lease_once);  // warmup
+  // Warmup: one shard per thread that can run one (the pool's workers and
+  // the submitting thread), each held at a rendezvous until all have leased.
+  // A thread waiting inside its shard cannot claim another, so every one of
+  // them warms its own arena, however the scheduler orders them.
+  const std::size_t runners = pool.thread_count();
+  std::latch all_leased(static_cast<std::ptrdiff_t>(runners));
+  pool.parallel_for_shards(runners, [&](std::size_t) {
+    {
+      exec::BufferLease lease;
+      lease->resize(512);
+    }
+    all_leased.arrive_and_wait();
+  });
   std::vector<std::size_t> created(kShards, 0);
   pool.parallel_for_shards(kShards, [&](std::size_t s) {
     const std::size_t before = exec::thread_arena().created();

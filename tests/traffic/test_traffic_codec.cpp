@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "support/fail_closed.hpp"
 #include "traffic/codec.hpp"
 #include "traffic/flow_batch.hpp"
 #include "traffic/hll.hpp"
@@ -73,17 +75,12 @@ std::vector<std::uint8_t> encode_bytes(void (*encode)(ByteWriter&, const T&),
 template <typename Decode>
 void expect_fail_closed(const std::vector<std::uint8_t>& bytes,
                         Decode decode) {
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    std::vector<std::uint8_t> truncated(bytes.begin(), bytes.begin() + len);
-    ByteReader r(truncated);
-    EXPECT_THROW((void)decode(r), CodecError) << "prefix length " << len;
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::vector<std::uint8_t> flipped = bytes;
-    flipped[i] ^= 0xFF;
-    ByteReader r(flipped);
-    EXPECT_THROW((void)decode(r), CodecError) << "byte " << i << " corrupted";
-  }
+  fuzz::for_each_prefix_and_flip(
+      bytes, [&](const std::vector<std::uint8_t>& mutated,
+                 const std::string& what) {
+        ByteReader r(mutated);
+        EXPECT_THROW((void)decode(r), CodecError) << what;
+      });
   for (const std::uint8_t version : {0, 2, 3, 255}) {
     std::vector<std::uint8_t> skewed = bytes;
     skewed[0] = version;

@@ -58,6 +58,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include "client/do53.hpp"
 #include "client/doh.hpp"
 #include "client/dot.hpp"
+#include "core/checkpoint/checkpoint.hpp"
 #include "core/checkpoint/journal.hpp"
 #include "core/study.hpp"
 #include "exec/executor.hpp"
@@ -349,14 +350,18 @@ double best_of_five(const std::function<void()>& fn) {
 /// once with checkpointing off, once journaling into DIR — and requires (a)
 /// identical client counts (the journal must not perturb the phase) and (b)
 /// the journaling run to keep >= a third of the checkpoint-off throughput.
-/// Quick scale is the worst case for (b): each block-boundary save snapshots
-/// the resolver caches whole, a fixed cost the tiny phase barely amortises
-/// (full scale has ~12x more clients per save). The checkpoint-OFF
-/// regression bound vs the committed baseline stays with --guard: that path
-/// must not pay for the feature at all. The resume leg then requires (c)
-/// reopening the journal DIR holds to cost at most twice a raw read of the
-/// file plus one FNV-1a pass over it, the floor the v1 prefix checksum sets
-/// (best of five each, so cache and clock warm-up do not decide the ratio).
+/// Quick scale is the worst case for (b): each block-boundary save exports
+/// the resolver caches and matches them against the previous save's, a
+/// fixed cost the tiny phase barely amortises (full scale has ~12x more
+/// clients per save). The checkpoint-OFF regression bound vs the committed
+/// baseline stays with --guard: that path must not pay for the feature at
+/// all. The resume leg then requires (c) reopening the journal DIR holds to
+/// cost at most twice a raw read of the file plus one FNV-1a pass over it,
+/// the floor the v1 prefix checksum sets (best of five each, so cache and
+/// clock warm-up do not decide the ratio), and (d) the journal to stay
+/// within 1.5x its final reachability cursor re-encoded whole, against an
+/// empty base: the journal grows with what the phase caches, not with the
+/// number of saves times that.
 std::vector<Row> run_checkpoint_guard(const std::string& dir, bool& ok) {
   std::uint64_t fingerprint = 0;
   const auto run = [&](const char* name, bool checkpointed) {
@@ -424,6 +429,24 @@ std::vector<Row> run_checkpoint_guard(const std::string& dir, bool& ok) {
                  "checkpoint-guard: journal resume too slow (%.4f s vs %.4f s "
                  "for a raw read + one FNV-1a pass; ceiling is 2x)\n",
                  open_s, reference_s);
+    ok = false;
+  }
+
+  core::StudyCheckpoint checkpoint(dir, fingerprint, /*resume=*/true);
+  const auto final_record = checkpoint.load_phase("reachability_global");
+  util::ByteWriter whole;
+  if (final_record) core::encode_cursor(whole, final_record->cursor);
+  std::printf(
+      "checkpoint-guard: journal.bin is %zu bytes; the final reachability "
+      "cursor re-encoded whole is %zu bytes: %.2fx, ceiling 1.5x\n",
+      journal_bytes, whole.size(),
+      static_cast<double>(journal_bytes) / static_cast<double>(whole.size()));
+  if (!final_record ||
+      static_cast<double>(journal_bytes) > 1.5 * static_cast<double>(whole.size())) {
+    std::fprintf(stderr,
+                 "checkpoint-guard: journal too large (%zu bytes vs %zu for its "
+                 "final reachability cursor whole; ceiling is 1.5x)\n",
+                 journal_bytes, whole.size());
     ok = false;
   }
   return {off, on};

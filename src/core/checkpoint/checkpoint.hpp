@@ -1,41 +1,60 @@
 // Study-level checkpointing over the write-ahead journal (DESIGN.md §13).
 //
-// Four record kinds, keyed by phase name:
-//   phase:<name>    — the phase finished: post-phase WorldCursor, an
+// Five record kinds. Two families of two kinds each carry a WorldCursor and
+// are keyed by phase name; a journal only ever holds one family (the config
+// fingerprint covers ENCDNS_DAG), and the kind tags fail closed across
+// families:
+//   serial family (ENCDNS_DAG=0)
+//     phase:<name>    (6) — the phase finished: post-phase WorldCursor, an
 //                     `ordered` flag, a metrics-registry snapshot taken at
 //                     commit time, and the serialized phase results.
-//   partial:<name>  — the phase is mid-flight: pre-phase WorldCursor, a
+//     partial:<name>  (7) — the phase is mid-flight: pre-phase platform
+//                     cursors with cache contents as of the save, a
 //                     metrics snapshot, and the phase's own block state.
 //                     Later partials supersede earlier ones.
-// Under the task-graph executor (DESIGN.md §15) phases overlap, so a
-// commit-time snapshot of the global registry is a mixture of every phase in
-// flight and useless as an absolute restore point. The same two keys then
-// carry *delta* variants instead: the phase's own metrics delta (attributed
-// by its obs::PhaseTally) and a cursor holding only the proxy platform the
-// phase itself advances — reading the other platform mid-overlap would race
-// with the node that owns it. Delta records are position-independent:
-// resume replays them additively in canonical order, so no `ordered` flag
-// is needed. A journal only ever holds one family (the config fingerprint
-// covers ENCDNS_DAG), and the kind tags fail closed across families.
+//   delta family (task graph, DESIGN.md §15)
+//     phase:<name>    (8) and partial:<name> (9) — the same roles, but the
+//                     metrics half is the phase's own delta (attributed by
+//                     its obs::PhaseTally) and the cursor holds only the
+//                     proxy platform the phase itself advances: under
+//                     overlap a commit-time snapshot of the global registry
+//                     is a mixture of every phase in flight, and reading the
+//                     other platform would race with the node that owns it.
+//                     Delta records are position-independent: resume replays
+//                     them additively in canonical order.
+//   obs:skeleton      (5) — the registry's metric names (delta family only).
+// Kinds 1–4 are the retired whole-section layouts; a journal holding them
+// fails closed at its first cursor record.
+//
+// A cursor's cache section is relative (DESIGN.md §13): it is encoded
+// against the resolved cache section of the previous record of the same
+// phase in the same journal (empty for the phase's first record), as runs
+// that copy entries from that base and runs of literal entries. A journal
+// therefore grows with what the study caches, not with the square of a
+// phase's block count, and loading a record resolves its phase's chain of
+// records — superseded ones included — in journal order.
 //
 // Determinism-on-resume contract: phase execution consumes the proxy
 // platforms' rng streams only in the serial acquire_batch prologue, and
 // every other random draw is derived from (seed, global index). Restoring
 // the pre-phase cursor therefore makes the rerun's recruitment identical to
-// the killed run's; the partial's metrics snapshot then restores the
-// registry absolutely (wiping the rerun's duplicate recruitment counters),
-// and the phase continues from the first uncommitted block. The `ordered`
-// flag records whether every canonical predecessor phase had committed when
-// a phase record was written — only then is its metrics snapshot a valid
-// absolute restore point (the CLI always drives phases in canonical order
-// when checkpointing, so in practice it always is).
+// the killed run's; the partial's metrics then restore the registry (serial:
+// absolutely, wiping the rerun's duplicate recruitment counters; delta:
+// additively, after retracting them), and the phase continues from the
+// first uncommitted block. The `ordered` flag records whether every
+// canonical predecessor phase had committed when a serial phase record was
+// written — only then is its metrics snapshot a valid absolute restore point
+// (the CLI always drives phases in canonical order when checkpointing, so in
+// practice it always is).
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,10 +82,76 @@ struct WorldCursor {
   std::vector<std::vector<cache::ExportedEntry>> caches;  // per backend
 };
 
+/// One entry of a resolved cache section: a view of its bytes in the
+/// journal's entry layout — u32 key length | key | i64 expiry | u32 wire
+/// length | wire — and, in an encoder's base, a hash of its key for the
+/// match index.
+struct EntryRef {
+  const std::uint8_t* bytes = nullptr;
+  std::uint32_t size = 0;
+  std::uint32_t key_hash = 0;
+};
+
+/// The resolved cache section of one cursor: every backend's entries in
+/// export order, backend after backend. The refs point into bytes the
+/// section does not own: a journal's records, or an encoder's literal blocks.
+struct CacheSection {
+  std::vector<EntryRef> entries;
+  std::vector<std::uint32_t> ends;  // one past each backend's last entry
+
+  /// Backend `b`'s entries (none past the last backend).
+  [[nodiscard]] std::span<const EntryRef> backend(std::size_t b) const noexcept {
+    if (b >= ends.size()) return {};
+    const std::uint32_t begin = b == 0 ? 0 : ends[b - 1];
+    return {entries.data() + begin, ends[b] - begin};
+  }
+};
+
+/// Writer side of one phase's chain of cache sections. Each encode() writes
+/// a section against the previous one: per backend, the entry count, then
+/// runs of copy(start, len) from the base backend's entries and runs of
+/// literal entries. A base entry matches only when its key, expiry and wire
+/// bytes all equal the new entry's. The encoder keeps the literal bytes its
+/// sections wrote in one buffer, which its base points into: no more than
+/// the chain has written to the journal.
+class CacheSectionEncoder {
+ public:
+  /// Appends `caches` as a section against the base (empty until the first
+  /// encode() or rebase()), then makes `caches` the base.
+  void encode(util::ByteWriter& w,
+              const std::vector<std::vector<cache::ExportedEntry>>& caches);
+  /// Continue a chain from a section resolved out of the journal, whose
+  /// bytes must outlive the encoder.
+  void rebase(CacheSection resolved);
+
+ private:
+  CacheSection base_;
+  CacheSection next_;  // built by encode(), then swapped in
+  util::ByteWriter literals_;  // what base_ points into
+  std::vector<std::uint32_t> matches_;  // per entry: its base match
+  std::vector<std::uint32_t> index_;    // open-addressed: base entry + 1
+};
+
+/// Reads one cache section written against `base` into `out` (whose refs
+/// point into `r`'s bytes or copy `base`'s). Throws util::CodecError when a
+/// copy run reaches outside its base, an entry count exceeds the base size
+/// plus remaining/16, an op tag is unknown, a literal's wire fails the DNS
+/// decoder, a run is empty or overruns its backend's count, or copy runs
+/// take more entries than the base holds (so a chain cannot multiply its
+/// size without paying for it in bytes).
+void decode_cache_section(util::ByteReader& r, const CacheSection& base,
+                          CacheSection& out);
+
+/// The exported entries a resolved section stands for, in its order.
+[[nodiscard]] std::vector<std::vector<cache::ExportedEntry>> export_section(
+    const CacheSection& section);
+
 /// The canonical phase order (matches Study::observability_report).
 [[nodiscard]] const std::vector<std::string>& canonical_phases();
 
-// Byte codecs shared by checkpoint.cpp and the tests.
+// Byte codecs shared by checkpoint.cpp, the tests and the checkpoint guard.
+/// A whole cursor, its cache section against an empty base (journal records
+/// encode theirs against the phase's previous record instead).
 void encode_cursor(util::ByteWriter& w, const WorldCursor& cursor);
 [[nodiscard]] WorldCursor decode_cursor(util::ByteReader& r);
 void encode_metrics(util::ByteWriter& w, const obs::Snapshot& snap);
@@ -76,49 +161,55 @@ class StudyCheckpoint {
  public:
   StudyCheckpoint(std::string dir, std::uint64_t fingerprint, bool resume);
 
-  struct LoadedPhase {
-    std::vector<std::uint8_t> state;  // serialized phase results
-    WorldCursor cursor;               // post-phase world position
+  /// A decoded cursor record: phase results (or block state for a partial),
+  /// its world cursor, and its metrics — the registry snapshot in the serial
+  /// family, the phase's own delta in the delta family.
+  struct LoadedRecord {
+    std::vector<std::uint8_t> state;
+    WorldCursor cursor;
+    /// The cursor's resolved cache section: views into the journal, valid
+    /// while this checkpoint lives. Serial-family loads also copy it out
+    /// into `cursor.caches` for their absolute restore; delta-family loads
+    /// leave that empty, so a caller copies entries out (export_section())
+    /// only if and when it merges them.
+    CacheSection caches;
+    obs::Snapshot metrics;
   };
+
+  // --- serial family -------------------------------------------------------
 
   /// Committed full-phase record, if the journal holds one. When the record
   /// was written in canonical order, the metrics registry is restored to its
   /// commit-time snapshot as a side effect.
-  [[nodiscard]] std::optional<LoadedPhase> load_phase(const std::string& phase);
+  [[nodiscard]] std::optional<LoadedRecord> load_phase(const std::string& phase);
 
-  /// Pre-phase cursor of the newest partial record for `phase`, if any. The
-  /// caller must rewind the platforms to it before re-running the phase.
-  [[nodiscard]] std::optional<WorldCursor> partial_pre_cursor(
-      const std::string& phase) const;
+  /// Newest partial record for `phase`, if any. The caller rewinds the world
+  /// to its cursor before re-running the phase and hands the record to
+  /// phase_hook(), whose load() then returns its state.
+  [[nodiscard]] std::optional<LoadedRecord> load_partial(const std::string& phase);
 
   /// Journal a completed phase (results + post-phase cursor + metrics).
   void commit_phase(const std::string& phase, const std::vector<std::uint8_t>& state,
                     const WorldCursor& cursor);
 
   /// Block-boundary hook handed to the phase via its config. load() returns
-  /// the newest partial state (restoring the commit-time metrics snapshot);
-  /// save() journals and durably commits a new partial. A partial's cursor
-  /// is a hybrid: platform cursors from `pre_cursor` (the phase prologue
-  /// re-runs recruitment on resume) but cache contents and tally from
+  /// the state of `resumed` (the record load_partial() decoded), restoring
+  /// its metrics snapshot; save() journals and durably commits a new
+  /// partial. A partial's cursor is a hybrid: platform cursors from
+  /// `pre_cursor` (the phase prologue re-runs recruitment on resume; only
+  /// its platform cursors are read) but cache contents and tally from
   /// `capture` at save time (completed blocks never re-run, so their cache
   /// stores must ride along).
   [[nodiscard]] std::unique_ptr<exec::CheckpointHook> phase_hook(
       const std::string& phase, const WorldCursor& pre_cursor,
-      std::function<WorldCursor()> capture);
+      std::function<WorldCursor()> capture,
+      std::optional<LoadedRecord> resumed = std::nullopt);
 
-  // --- task-graph (delta) protocol, DESIGN.md §15 -------------------------
-
-  /// A decoded delta-family record: phase results (or block state for a
-  /// partial), the phase's owned-platform cursor, and its own metrics delta.
-  struct LoadedDelta {
-    std::vector<std::uint8_t> state;
-    WorldCursor cursor;
-    obs::Snapshot delta;
-  };
+  // --- task-graph (delta) family, DESIGN.md §15 ----------------------------
 
   /// Committed full-phase delta record, if any. Pure decode — the caller
   /// applies the delta (MetricsRegistry::apply_delta) and the cursor itself.
-  [[nodiscard]] std::optional<LoadedDelta> load_phase_delta(
+  [[nodiscard]] std::optional<LoadedRecord> load_phase_delta(
       const std::string& phase);
 
   /// Whether the journal holds a partial record for `phase`. Presence only:
@@ -128,7 +219,7 @@ class StudyCheckpoint {
   /// Newest mid-flight delta partial for `phase`, if any. Its cursor is the
   /// hybrid described at phase_hook(): pre-phase platform position, cache
   /// contents as of the save.
-  [[nodiscard]] std::optional<LoadedDelta> load_partial_delta(
+  [[nodiscard]] std::optional<LoadedRecord> load_partial_delta(
       const std::string& phase);
 
   /// Journal a completed phase in the delta family. `delta` is the phase's
@@ -146,14 +237,16 @@ class StudyCheckpoint {
   /// MetricsRegistry::register_skeleton(), never restore().
   [[nodiscard]] std::optional<obs::Snapshot> load_skeleton();
 
-  /// Delta-family block-boundary hook. load() decodes the newest delta
-  /// partial and *applies* its metrics delta (additively, attributed to the
-  /// calling thread's current PhaseTally, so the resumed phase's tally folds
-  /// the killed run's progress in); save() journals a new partial whose
-  /// delta is the calling thread's tally snapshot at that moment.
+  /// Delta-family block-boundary hook. load() *applies* the metrics delta of
+  /// `resumed` (the record load_partial_delta() decoded) additively,
+  /// attributed to the calling thread's current PhaseTally, so the resumed
+  /// phase's tally folds the killed run's progress in, and returns its
+  /// state; save() journals a new partial whose delta is the calling
+  /// thread's tally snapshot at that moment.
   [[nodiscard]] std::unique_ptr<exec::CheckpointHook> phase_delta_hook(
       const std::string& phase, const WorldCursor& pre_cursor,
-      std::function<WorldCursor()> capture);
+      std::function<WorldCursor()> capture,
+      std::optional<LoadedRecord> resumed = std::nullopt);
 
   [[nodiscard]] const Journal& journal() const noexcept { return journal_; }
 
@@ -161,11 +254,35 @@ class StudyCheckpoint {
   friend class PhaseHookImpl;
   friend class PhaseDeltaHookImpl;
 
+  /// Decodes `phase`'s newest phase (`is_phase`) or partial record of the
+  /// serial or `delta` family, resolving its cache section through the
+  /// phase's chain; `ordered` receives a serial phase record's flag. A
+  /// partial that ends the chain becomes the base of the phase's next record.
+  [[nodiscard]] std::optional<LoadedRecord> load(const std::string& phase,
+                                                 bool is_phase, bool delta,
+                                                 bool* ordered = nullptr);
+  /// Appends one cursor record of `phase` (uncommitted), its cache section
+  /// continuing the phase's chain; a phase record ends the chain. Caller
+  /// holds mutex_.
+  void append_cursor_record(const std::string& phase, bool is_phase,
+                            bool delta, const WorldCursor& cursor,
+                            const obs::Snapshot& metrics,
+                            const std::vector<std::uint8_t>& state,
+                            bool ordered = false);
+
   Journal journal_;
   std::set<std::string> committed_;  // phases with a full record
+  /// Writer state of one in-flight phase, freed when its phase record
+  /// commits: its chain of cache sections and the buffer its records are
+  /// built in, reused across saves.
+  struct PhaseChain {
+    CacheSectionEncoder sections;
+    util::ByteWriter record;
+  };
+  std::map<std::string, PhaseChain> chains_;
   /// Node threads save partials while the driver thread commits merges; the
-  /// journal (and committed_) must only ever see one writer. Serial-mode
-  /// callers take it too — uncontended, so effectively free.
+  /// journal, committed_ and chains_ must only ever see one writer.
+  /// Serial-mode callers take it too — uncontended, so effectively free.
   mutable std::mutex mutex_;
 };
 

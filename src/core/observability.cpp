@@ -164,24 +164,38 @@ void Study::dag_resume_prologue() {
   // missing from the resumed snapshot.
   if (auto skeleton = checkpoint_->load_skeleton())
     obs::MetricsRegistry::global().register_skeleton(*skeleton);
+  bool every_phase_loaded = true;
   for (const auto& phase : canonical_phases()) {
     if (auto loaded = checkpoint_->load_phase_delta(phase)) {
       decode_phase_state(phase, loaded->state);
-      restore_owned_cursor(phase, loaded->cursor);
+      restore_owned_platform(phase, loaded->cursor);
+      pending_caches_.push_back(std::move(loaded->caches));
       // Additive replay — records are position-independent, so phases that
       // committed out of canonical order at the kill still land exactly.
-      obs::MetricsRegistry::global().apply_delta(loaded->delta);
+      obs::MetricsRegistry::global().apply_delta(loaded->metrics);
       std::lock_guard<std::mutex> lock(dag_mutex_);
-      phase_deltas_[phase] = std::move(loaded->delta);
-    } else if (checkpoint_->has_partial(phase)) {
-      // Mid-flight at the kill: finish it here, serially, before the graph
-      // starts — its cache restore must not interleave with live phases.
-      // The accessor decodes the partial (a corrupt one fails closed there)
-      // and the delta hook resumes from it; the graph's merge slot journals
-      // the full record like any other phase.
-      run_phase_node(phase);
+      phase_deltas_[phase] = std::move(loaded->metrics);
+    } else {
+      every_phase_loaded = false;
+      if (checkpoint_->has_partial(phase)) {
+        // Mid-flight at the kill: finish it here, serially, before the
+        // graph starts — its cache restore must not interleave with live
+        // phases. It reads the caches its predecessors stored, so theirs
+        // are merged first. The accessor decodes the partial (a corrupt one
+        // fails closed there) and the delta hook resumes from it; the
+        // graph's merge slot journals the full record like any other phase.
+        restore_pending_caches();
+        run_phase_node(phase);
+      }
     }
   }
+  // Only phase bodies read resolver caches (the certs node reads the scan
+  // snapshots), so when every phase loaded the loaded sections never need
+  // merging.
+  if (every_phase_loaded)
+    pending_caches_.clear();
+  else
+    restore_pending_caches();
 }
 
 const ObservabilityReport& Study::observability_report_dag() {

@@ -302,8 +302,8 @@ WorldCursor Study::capture_owned_cursor(const std::string& phase) const {
   return cursor;
 }
 
-void Study::restore_owned_cursor(const std::string& phase,
-                                 const WorldCursor& cursor) {
+void Study::restore_owned_platform(const std::string& phase,
+                                   const WorldCursor& cursor) {
   switch (owned_platform(phase)) {
     case OwnedPlatform::kGlobal:
       global_platform_->restore_cursor(cursor.global_platform);
@@ -314,12 +314,18 @@ void Study::restore_owned_cursor(const std::string& phase,
     case OwnedPlatform::kNone:
       break;
   }
+}
+
+void Study::restore_pending_caches() {
   // No tally rebase here: graph-mode robustness reads the resolver.upstream
   // counters, which travel in the delta records instead of the cursor.
-  // Merge, don't replace: the record carries only this phase's own stores,
+  // Merge, don't replace: a record carries only its phase's own stores,
   // and everything already in cache (bootstrap seeds, other loaded phases'
-  // entries) must survive.
-  world_->merge_resolver_caches(cursor.caches);
+  // entries) must survive. Merging adds no metrics, so deferring it is
+  // invisible to every phase that does not run.
+  for (const CacheSection& caches : pending_caches_)
+    world_->merge_resolver_caches(export_section(caches));
+  pending_caches_.clear();
 }
 
 void Study::stash_commit(const std::string& phase,
@@ -329,6 +335,41 @@ void Study::stash_commit(const std::string& phase,
   pending.cursor = capture_owned_cursor(phase);
   std::lock_guard<std::mutex> lock(dag_mutex_);
   pending_commits_[phase] = std::move(pending);
+}
+
+std::unique_ptr<exec::CheckpointHook> Study::checkpoint_hook(
+    const std::string& phase) {
+  // The newest partial is decoded once, here: its cursor rewinds the world
+  // before the phase's prologue runs, and the hook's load() hands the phase
+  // its state and metrics. Only the platform cursors of `pre` are kept.
+  WorldCursor pre;
+  if (graph_mode_) {
+    auto resumed = checkpoint_->load_partial_delta(phase);
+    if (resumed) {
+      restore_owned_platform(phase, resumed->cursor);
+      world_->merge_resolver_caches(export_section(resumed->caches));
+      pre.global_platform = resumed->cursor.global_platform;
+      pre.cn_platform = resumed->cursor.cn_platform;
+      resumed->caches = {};
+    } else {
+      pre = capture_owned_cursor(phase);
+    }
+    return checkpoint_->phase_delta_hook(
+        phase, pre, [this, phase] { return capture_owned_cursor(phase); },
+        std::move(resumed));
+  }
+  auto resumed = checkpoint_->load_partial(phase);
+  if (resumed) {
+    restore_cursor(resumed->cursor);
+    pre.global_platform = resumed->cursor.global_platform;
+    pre.cn_platform = resumed->cursor.cn_platform;
+    resumed->cursor = {};
+  } else {
+    pre.global_platform = global_platform_->cursor();
+    pre.cn_platform = cn_platform_->cursor();
+  }
+  return checkpoint_->phase_hook(
+      phase, pre, [this] { return capture_cursor(); }, std::move(resumed));
 }
 
 void Study::decode_phase_state(const std::string& phase,
@@ -378,24 +419,7 @@ const std::vector<scan::ScanSnapshot>& Study::scans() {
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_SCAN", scan_cancel_);
   std::unique_ptr<exec::CheckpointHook> hook;
   if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("scan_campaign");
-      if (auto partial = checkpoint_->load_partial_delta("scan_campaign")) {
-        restore_owned_cursor("scan_campaign", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "scan_campaign", pre,
-          [this] { return capture_owned_cursor("scan_campaign"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("scan_campaign")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("scan_campaign", pre,
-                                     [this] { return capture_cursor(); });
-    }
+    hook = checkpoint_hook("scan_campaign");
     cfg.checkpoint = hook.get();
   }
   scan::Scanner scanner(*world_, cfg);
@@ -514,24 +538,7 @@ const measure::ReachabilityResults& Study::reachability_global() {
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_REACH", reach_cancel_);
   std::unique_ptr<exec::CheckpointHook> hook;
   if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("reachability_global");
-      if (auto partial = checkpoint_->load_partial_delta("reachability_global")) {
-        restore_owned_cursor("reachability_global", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "reachability_global", pre,
-          [this] { return capture_owned_cursor("reachability_global"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("reachability_global")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("reachability_global", pre,
-                                     [this] { return capture_cursor(); });
-    }
+    hook = checkpoint_hook("reachability_global");
     cfg.checkpoint = hook.get();
   }
   measure::ReachabilityTest test(*world_, *global_platform_, cfg);
@@ -568,24 +575,7 @@ const measure::ReachabilityResults& Study::reachability_cn() {
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_REACH", reach_cancel_);
   std::unique_ptr<exec::CheckpointHook> hook;
   if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("reachability_cn");
-      if (auto partial = checkpoint_->load_partial_delta("reachability_cn")) {
-        restore_owned_cursor("reachability_cn", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "reachability_cn", pre,
-          [this] { return capture_owned_cursor("reachability_cn"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("reachability_cn")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("reachability_cn", pre,
-                                     [this] { return capture_cursor(); });
-    }
+    hook = checkpoint_hook("reachability_cn");
     cfg.checkpoint = hook.get();
   }
   measure::ReachabilityTest test(*world_, *cn_platform_, cfg);
@@ -617,24 +607,7 @@ const measure::PerformanceResults& Study::performance() {
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_PERF", perf_cancel_);
   std::unique_ptr<exec::CheckpointHook> hook;
   if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("performance");
-      if (auto partial = checkpoint_->load_partial_delta("performance")) {
-        restore_owned_cursor("performance", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "performance", pre,
-          [this] { return capture_owned_cursor("performance"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("performance")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("performance", pre,
-                                     [this] { return capture_cursor(); });
-    }
+    hook = checkpoint_hook("performance");
     cfg.checkpoint = hook.get();
   }
   measure::PerformanceTest test(*world_, *global_platform_, cfg);
@@ -689,23 +662,7 @@ const traffic::NetflowStudyResults& Study::netflow() {
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_NETFLOW", netflow_cancel_);
   std::unique_ptr<exec::CheckpointHook> hook;
   if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("netflow");
-      if (auto partial = checkpoint_->load_partial_delta("netflow")) {
-        restore_owned_cursor("netflow", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "netflow", pre, [this] { return capture_owned_cursor("netflow"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("netflow")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("netflow", pre,
-                                     [this] { return capture_cursor(); });
-    }
+    hook = checkpoint_hook("netflow");
     cfg.checkpoint = hook.get();
   }
   traffic::NetflowStudy study(cfg, traffic::big_resolver_address_list());
@@ -764,24 +721,7 @@ const traffic::TrendStudyResults& Study::netflow_trend() {
   cfg.cancel = phase_cancel(budget_env, netflow_trend_cancel_);
   std::unique_ptr<exec::CheckpointHook> hook;
   if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("netflow_trend");
-      if (auto partial = checkpoint_->load_partial_delta("netflow_trend")) {
-        restore_owned_cursor("netflow_trend", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook("netflow_trend", pre, [this] {
-        return capture_owned_cursor("netflow_trend");
-      });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("netflow_trend")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("netflow_trend", pre,
-                                     [this] { return capture_cursor(); });
-    }
+    hook = checkpoint_hook("netflow_trend");
     cfg.checkpoint = hook.get();
   }
   traffic::TrendStudy study(cfg);

@@ -178,9 +178,10 @@ class Study {
   // --- task-graph mode (DESIGN.md §15) ------------------------------------
   [[nodiscard]] const ObservabilityReport& observability_report_dag();
   /// Serial resume pass before the graph starts: committed delta records
-  /// load (results + owned cursor + additive metrics), phases that were
-  /// mid-flight at the kill re-run to completion here — serially, so their
-  /// cache restores cannot interleave with live phases.
+  /// load (results + owned platform + additive metrics; their cache
+  /// sections wait in pending_caches_), phases that were mid-flight at the
+  /// kill re-run to completion here — serially, so their cache restores
+  /// cannot interleave with live phases.
   void dag_resume_prologue();
   /// Node-body wrapper: force `phase` under a fresh PhaseTally and record
   /// its metrics delta and wall time. No-op if the phase already has a
@@ -197,11 +198,21 @@ class Study {
   /// Decode a committed phase's state blob into its cached optional.
   void decode_phase_state(const std::string& phase,
                           const std::vector<std::uint8_t>& state);
-  /// Cursor capture/restore limited to the platform `phase` itself advances
-  /// (plus caches and tally): under overlap the other platform belongs to a
-  /// concurrently running node and must not be touched.
+  /// Cursor capture limited to the platform `phase` itself advances (plus
+  /// its own cache entries and the tally), and the matching platform
+  /// restore: under overlap the other platform belongs to a concurrently
+  /// running node and must not be touched.
   [[nodiscard]] WorldCursor capture_owned_cursor(const std::string& phase) const;
-  void restore_owned_cursor(const std::string& phase, const WorldCursor& cursor);
+  void restore_owned_platform(const std::string& phase, const WorldCursor& cursor);
+  /// Merge the cache sections of the phases the resume prologue loaded, in
+  /// canonical order. Deferred until a phase that can read them is about to
+  /// run: when every phase loads, nothing reads them and they stay unmerged.
+  void restore_pending_caches();
+  /// The checkpoint hook for `phase`'s accessor (either family). A partial
+  /// left by a killed run is decoded once, here: the world rewinds to its
+  /// cursor before the phase starts, and the hook hands the phase its state.
+  [[nodiscard]] std::unique_ptr<exec::CheckpointHook> checkpoint_hook(
+      const std::string& phase);
   /// Stash a phase's serialized results + post-phase owned cursor for the
   /// merge slot to journal (graph mode defers commits to merge order).
   void stash_commit(const std::string& phase, std::vector<std::uint8_t> state);
@@ -249,6 +260,7 @@ class Study {
     WorldCursor cursor;
   };
   std::map<std::string, PendingCommit> pending_commits_;
+  std::vector<CacheSection> pending_caches_;  // see restore_pending_caches()
 
   std::optional<std::vector<scan::ScanSnapshot>> scans_;
   std::optional<scan::DohDiscovery> doh_discovery_;

@@ -49,8 +49,17 @@ class ByteWriter {
   }
   void blob(const std::vector<std::uint8_t>& bytes) {
     u32(static_cast<std::uint32_t>(bytes.size()));
+    raw(bytes);
+  }
+  /// Raw bytes, no length prefix.
+  void raw(std::span<const std::uint8_t> bytes) {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
+
+  /// Empties the buffer, keeping its capacity; reserve() grows it, so that
+  /// appends up to that size never move the bytes already written.
+  void clear() noexcept { buf_.clear(); }
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept {
     return buf_;
@@ -61,10 +70,14 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
  private:
+  /// One append per field: the shifts spell out little-endian on any host,
+  /// and compilers fold them into a single store on little-endian ones.
   template <typename T>
   void append_le(T v) {
+    std::uint8_t bytes[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
   }
 
   std::vector<std::uint8_t> buf_;
@@ -105,6 +118,10 @@ class ByteReader {
   /// The next `n` bytes in place, without copying them.
   [[nodiscard]] std::span<const std::uint8_t> view(std::size_t n) {
     return {take_bytes(n), n};
+  }
+  /// Where the next read starts.
+  [[nodiscard]] const std::uint8_t* position() const noexcept {
+    return data_ + pos_;
   }
 
   /// Checked element count for a container about to be decoded: each element

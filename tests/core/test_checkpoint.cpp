@@ -595,18 +595,23 @@ TEST_F(CheckpointTest, PartialsSupersedeAndPhaseWinsOverPartial) {
   };
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
+    EXPECT_FALSE(checkpoint.load_partial("performance").has_value());
     auto hook = checkpoint.phase_hook("performance", sample_cursor(), capture);
     EXPECT_FALSE(hook->load().has_value());
     hook->save({1});
     hook->save({2, 2});
     // Appends are write-only: the saves are read back after a reopen.
-    EXPECT_THROW((void)hook->load(), std::logic_error);
+    EXPECT_THROW((void)checkpoint.load_partial("performance"), std::logic_error);
   }
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-    auto hook = checkpoint.phase_hook("performance", sample_cursor(), capture);
+    auto resumed = checkpoint.load_partial("performance");
+    ASSERT_TRUE(resumed.has_value());
+    // The hook hands over the record the caller decoded; it does not decode
+    // the partial a second time.
+    auto hook = checkpoint.phase_hook("performance", resumed->cursor, capture,
+                                      std::move(resumed));
     EXPECT_EQ(hook->load().value(), (std::vector<std::uint8_t>{2, 2}));
-    EXPECT_TRUE(checkpoint.partial_pre_cursor("performance").has_value());
     checkpoint.commit_phase("performance", {3, 3, 3}, sample_cursor());
   }
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
@@ -632,10 +637,10 @@ TEST_F(CheckpointTest, PartialPreCursorKeepsThePrePhasePlatformPosition) {
     hook->save({1});
   }
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-  const auto rewound = checkpoint.partial_pre_cursor("netflow");
+  const auto rewound = checkpoint.load_partial("netflow");
   ASSERT_TRUE(rewound.has_value());
-  EXPECT_EQ(rewound->global_platform.next_id, 100u);  // pre-phase, not 999
-  EXPECT_EQ(rewound->cache_tally.hits, 77u);          // at-save, not pre
+  EXPECT_EQ(rewound->cursor.global_platform.next_id, 100u);  // pre-phase, not 999
+  EXPECT_EQ(rewound->cursor.cache_tally.hits, 77u);          // at-save, not pre
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "core/checkpoint/journal.hpp"
@@ -81,6 +82,61 @@ TEST_F(StudyDagTest, ResumeAfterMidRunKillMatchesUninterruptedReport) {
   Study resumed(StudyConfig::quick());
   resumed.enable_checkpoint(dir_, /*resume=*/true);
   EXPECT_EQ(resumed.observability_report().to_json(), expected);
+}
+
+// Each cursor record's cache section is encoded against the previous record
+// of its phase, and a resumed phase continues that chain. Kill the run, kill
+// the first resume right after its first commit — a partial of a phase that
+// was mid-flight at the first kill, encoded against the partial the resume
+// loaded — and resume again: that phase's chain now spans three processes,
+// and the report must still match an uninterrupted run byte for byte.
+TEST_F(StudyDagTest, ChainAcrossThreeProcessesMatchesUninterruptedReport) {
+  const auto run_until_killed = [this](const char* kill_after, bool resume) {
+    EXPECT_EXIT(
+        {
+          ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", kill_after, 1);
+          Study victim(StudyConfig::quick());
+          victim.enable_checkpoint(dir_, resume);
+          (void)victim.observability_report();
+          std::_Exit(0);  // unreachable: the fuse fires first
+        },
+        ::testing::KilledBySignal(SIGKILL), "");
+  };
+  Study reference(StudyConfig::quick());
+  const std::uint64_t fingerprint = reference.config_fingerprint();
+  const auto record_counts = [&] {
+    std::map<std::string, int> counts;
+    const Journal journal(dir_, fingerprint, /*resume=*/true);
+    for (const auto& record : journal.records()) ++counts[std::string(record.key)];
+    return counts;
+  };
+  // The resume prologue re-runs the phases that were mid-flight before the
+  // graph starts, so the first resume's first commit is one of their
+  // partials, unless none of them has a block left to save. Which phases
+  // are mid-flight depends on thread timing; try kill points until one is.
+  std::string spanning;
+  for (const char* first_kill : {"5", "3", "8"}) {
+    std::filesystem::remove_all(dir_);
+    run_until_killed(first_kill, /*resume=*/false);
+    const auto first = record_counts();
+    run_until_killed("1", /*resume=*/true);
+    for (const auto& [key, count] : record_counts()) {
+      const auto was = first.find(key);
+      if (key.starts_with("partial:") && was != first.end() &&
+          count == was->second + 1 &&
+          first.find("phase:" + key.substr(8)) == first.end())
+        spanning = key.substr(8);
+    }
+    if (!spanning.empty()) break;
+  }
+  ASSERT_FALSE(spanning.empty())
+      << "no kill point left a phase whose chain spans the first two processes";
+
+  const std::string expected = reference.observability_report().to_json();
+  Study resumed(StudyConfig::quick());
+  resumed.enable_checkpoint(dir_, /*resume=*/true);
+  EXPECT_EQ(resumed.observability_report().to_json(), expected)
+      << spanning << "'s chain spans three processes";
 }
 
 // The resume prologue only checks that a partial exists; the phase's own

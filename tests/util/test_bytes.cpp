@@ -39,6 +39,25 @@ TEST(Bytes, RoundTripsEveryFieldType) {
   EXPECT_NO_THROW(r.expect_done());
 }
 
+// The journal's on-disk layout: every fixed-width field little-endian, in
+// exactly its width, whatever the host's byte order.
+TEST(Bytes, FixedWidthFieldsAreLittleEndian) {
+  ByteWriter w;
+  w.u16(0x0102);
+  w.u32(0x03040506u);
+  w.u64(0x0708090A0B0C0D0Eull);
+  w.i64(-2);
+  w.f64(1.0);  // IEEE-754 0x3FF0000000000000
+  const std::vector<std::uint8_t> expected = {
+      0x02, 0x01,                                      // u16
+      0x06, 0x05, 0x04, 0x03,                          // u32
+      0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x09, 0x08, 0x07,  // u64
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // f64
+  };
+  EXPECT_EQ(w.data(), expected);
+}
+
 TEST(Bytes, DoubleBitPatternSurvivesExactly) {
   for (const double v : {0.0, -0.0, 1.0 / 3.0,
                          std::numeric_limits<double>::denorm_min(),

@@ -155,13 +155,14 @@ run_checkpoint_guard() {
   # Journaling must not perturb the phase and must keep at least a third of
   # the checkpoint-off throughput (quick scale is its worst case — see
   # bench_macro_study.cpp for the bound's rationale). Reopening the journal
-  # it wrote must take at most twice a raw read plus one FNV-1a pass.
+  # it wrote must take at most twice a raw read plus one FNV-1a pass, and the
+  # journal must stay within 1.5x its final cursor re-encoded whole.
   echo "=== checkpoint overhead guard ==="
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
   ./build/bench/bench_macro_study --checkpoint-guard "${tmp}/ckpt"
-  echo "checkpointed reachability and its resume stay within budget."
+  echo "checkpointed reachability, its resume and its journal size stay within budget."
 }
 
 run_scan_guard() {

@@ -399,16 +399,15 @@ std::uint32_t DnsCache::ttl_for(const CachedAnswer& answer) const noexcept {
 }
 
 std::optional<DnsCache::Hit> DnsCache::lookup(
-    std::string_view key, std::int64_t now_s,
+    const Key& key, std::int64_t now_s,
     std::vector<dns::ResourceRecord>& answers) {
-  const std::uint64_t hash = util::fnv1a(key);
-  Shard& shard = *shards_[hash & shard_mask_];
+  Shard& shard = *shards_[key.hash & shard_mask_];
   std::optional<Hit> hit;
   {
     // Decode under the lock: a concurrent store may recycle the slot the
     // moment it is released.
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const std::uint32_t s = shard.find(key, tag_of(hash));
+    const std::uint32_t s = shard.find(key.text, tag_of(key.hash));
     Hit found;
     if (s != kNil && now_s < shard.slot(s).expiry_s &&
         decode_answer_into(shard.slot(s).wire(), found.rcode, answers)) {
@@ -431,15 +430,14 @@ std::optional<DnsCache::Hit> DnsCache::lookup(
 }
 
 std::optional<DnsCache::Hit> DnsCache::lookup_stale(
-    std::string_view key, std::int64_t now_s,
+    const Key& key, std::int64_t now_s,
     std::vector<dns::ResourceRecord>& answers) {
   if (!config_.serve_stale) return std::nullopt;
-  const std::uint64_t hash = util::fnv1a(key);
-  Shard& shard = *shards_[hash & shard_mask_];
+  Shard& shard = *shards_[key.hash & shard_mask_];
   Hit hit;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const std::uint32_t s = shard.find(key, tag_of(hash));
+    const std::uint32_t s = shard.find(key.text, tag_of(key.hash));
     if (s == kNil) return std::nullopt;
     const std::int64_t expiry = shard.slot(s).expiry_s;
     if (now_s >= expiry + static_cast<std::int64_t>(config_.max_stale_s))
@@ -455,7 +453,7 @@ std::optional<DnsCache::Hit> DnsCache::lookup_stale(
   return hit;
 }
 
-bool DnsCache::store(std::string_view key, const CachedAnswer& answer,
+bool DnsCache::store(const Key& key, const CachedAnswer& answer,
                      std::int64_t now_s) {
   if (!cacheable(answer.rcode)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -472,12 +470,11 @@ bool DnsCache::store(std::string_view key, const CachedAnswer& answer,
   thread_local std::vector<std::uint8_t> wire;
   wire.clear();
   encode_answer_to(answer, wire);
-  const std::uint64_t hash = util::fnv1a(key);
-  Shard& shard = *shards_[hash & shard_mask_];
+  Shard& shard = *shards_[key.hash & shard_mask_];
   std::uint64_t evicted = 0;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    evicted = shard.put(key, tag_of(hash), wire, expiry, owner,
+    evicted = shard.put(key.text, tag_of(key.hash), wire, expiry, owner,
                         per_shard_capacity_);
   }
   stores_.fetch_add(1, std::memory_order_relaxed);
@@ -573,10 +570,10 @@ void DnsCache::merge_entries(const std::vector<ExportedEntry>& entries) {
 void DnsCache::append_entries(const std::vector<ExportedEntry>& entries,
                               const void* owner) {
   for (const auto& entry : entries) {
-    const std::uint64_t hash = util::fnv1a(entry.key);
-    Shard& shard = *shards_[hash & shard_mask_];
+    const Key key(entry.key);
+    Shard& shard = *shards_[key.hash & shard_mask_];
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.append(entry.key, tag_of(hash), entry.wire, entry.expiry_s, owner,
+    shard.append(key.text, tag_of(key.hash), entry.wire, entry.expiry_s, owner,
                  per_shard_capacity_);
   }
 }

@@ -51,6 +51,7 @@
 
 #include "dns/message.hpp"
 #include "dns/types.hpp"
+#include "util/rng.hpp"
 
 namespace encdns::obs {
 class Counter;
@@ -139,6 +140,20 @@ class DnsCache {
   DnsCache(const DnsCache&) = delete;
   DnsCache& operator=(const DnsCache&) = delete;
 
+  /// A key and its fnv1a hash, whose low bits pick the shard and whose high
+  /// half tags the key in the shard's index. Converts implicitly from any
+  /// string, hashing it; a caller that makes several calls for one key (the
+  /// resolver's lookup then store on a miss) builds it once and hashes once.
+  /// It views `text`, which must outlive it.
+  struct Key {
+    Key(std::string_view text) noexcept : text(text), hash(util::fnv1a(text)) {}
+    Key(const std::string& text) noexcept : Key(std::string_view(text)) {}
+    Key(const char* text) noexcept : Key(std::string_view(text)) {}
+
+    std::string_view text;
+    std::uint64_t hash;
+  };
+
   /// What a hit reports besides the records it decoded.
   struct Hit {
     dns::RCode rcode = dns::RCode::kNoError;
@@ -152,7 +167,7 @@ class DnsCache {
   /// position; a miss leaves `answers` untouched. A lookup of an expired
   /// entry does not refresh it (expired entries age out of the shard).
   [[nodiscard]] std::optional<Hit> lookup(
-      std::string_view key, std::int64_t now_s,
+      const Key& key, std::int64_t now_s,
       std::vector<dns::ResourceRecord>& answers);
 
   /// RFC 8767 stale lookup, decoding into `answers` like lookup(): returns
@@ -161,7 +176,7 @@ class DnsCache {
   /// get the best local answer). Never refreshes the LRU position. Returns
   /// nullopt whenever serve_stale is disabled.
   [[nodiscard]] std::optional<Hit> lookup_stale(
-      std::string_view key, std::int64_t now_s,
+      const Key& key, std::int64_t now_s,
       std::vector<dns::ResourceRecord>& answers);
 
   /// Store (insert or refresh, both moving the entry to most-recent) if the
@@ -170,8 +185,7 @@ class DnsCache {
   /// store into a full shard reuses the LRU victim's slot, so steady-state
   /// stores allocate nothing unless an entry outgrows a slot. Returns
   /// whether stored.
-  bool store(std::string_view key, const CachedAnswer& answer,
-             std::int64_t now_s);
+  bool store(const Key& key, const CachedAnswer& answer, std::int64_t now_s);
 
   /// Whether an rcode may be cached at all.
   [[nodiscard]] static bool cacheable(dns::RCode rcode) noexcept {

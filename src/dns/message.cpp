@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dns/wire.hpp"
+#include "util/strings.hpp"
 
 namespace encdns::dns {
 namespace {
@@ -38,30 +39,6 @@ Header header_from(std::uint16_t id, std::uint16_t flags) {
   h.cd = (flags & 0x0010) != 0;
   h.rcode = static_cast<RCode>(flags & 0x000F);
   return h;
-}
-
-// DNS names compare case-insensitively for compression (RFC 1035 §4.1.4);
-// only ASCII letters fold, other octets are compared verbatim.
-bool labels_equal_fold(const std::string& a, const std::string& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const char ca = a[i], cb = b[i];
-    const char fa = static_cast<char>(ca >= 'A' && ca <= 'Z' ? ca - 'A' + 'a' : ca);
-    const char fb = static_cast<char>(cb >= 'A' && cb <= 'Z' ? cb - 'A' + 'a' : cb);
-    if (fa != fb) return false;
-  }
-  return true;
-}
-
-// Suffix (a, a_from) == suffix (b, b_from)?
-bool suffixes_equal(const Name& a, std::size_t a_from, const Name& b,
-                    std::size_t b_from) {
-  const auto& la = a.labels();
-  const auto& lb = b.labels();
-  if (la.size() - a_from != lb.size() - b_from) return false;
-  for (std::size_t i = a_from, j = b_from; i < la.size(); ++i, ++j)
-    if (!labels_equal_fold(la[i], lb[j])) return false;
-  return true;
 }
 
 void encode_rdata(WireWriter& w, NameCompressor& compressor,
@@ -226,19 +203,24 @@ bool decode_section_into(WireReader& r, std::vector<ResourceRecord>& section,
 
 }  // namespace
 
-const NameCompressor::Entry* NameCompressor::find(const Name& name,
-                                                  std::size_t from) const {
+// DNS names compare case-insensitively for compression (RFC 1035 §4.1.4).
+// Suffixes start on label boundaries, so equal folded bytes mean equal
+// labels pairwise (Name's storage comment).
+const NameCompressor::Entry* NameCompressor::find(std::string_view suffix) const {
+  const auto matches = [suffix](const Entry& entry) {
+    return entry.size == suffix.size() &&
+           util::iequals(std::string_view(entry.suffix, entry.size), suffix);
+  };
   for (std::size_t i = 0; i < count_; ++i)
-    if (suffixes_equal(name, from, *inline_[i].name, inline_[i].from))
-      return &inline_[i];
+    if (matches(inline_[i])) return &inline_[i];
   for (const auto& entry : spill_)
-    if (suffixes_equal(name, from, *entry.name, entry.from)) return &entry;
+    if (matches(entry)) return &entry;
   return nullptr;
 }
 
-void NameCompressor::push(const Name& name, std::size_t from,
-                          std::uint16_t offset) {
-  const Entry entry{&name, static_cast<std::uint16_t>(from), offset};
+void NameCompressor::push(std::string_view suffix, std::uint16_t offset) {
+  const Entry entry{suffix.data(), static_cast<std::uint16_t>(suffix.size()),
+                    offset};
   if (count_ < kInlineEntries) {
     inline_[count_++] = entry;
   } else {
@@ -247,26 +229,25 @@ void NameCompressor::push(const Name& name, std::size_t from,
 }
 
 void NameCompressor::encode(WireWriter& writer, const Name& name) {
-  const auto& labels = name.labels();
+  const std::string_view wire = name.wire_labels();
   // Find the longest (i.e. starting earliest) suffix already in the dictionary.
-  std::size_t match_from = labels.size();
+  std::size_t match_at = wire.size();
   std::uint16_t match_offset = 0;
-  for (std::size_t from = 0; from < labels.size(); ++from) {
-    if (const Entry* entry = find(name, from)) {
-      match_from = from;
+  for (std::size_t at = 0; at < wire.size(); at = Name::next_label(wire, at)) {
+    if (const Entry* entry = find(wire.substr(at))) {
+      match_at = at;
       match_offset = entry->offset;
       break;
     }
   }
-  // Emit literal labels before the matched suffix, registering each new
-  // suffix position (only while representable as a 14-bit pointer).
-  for (std::size_t i = 0; i < match_from; ++i) {
-    const std::size_t at = writer.size() - base_;
-    if (at <= 0x3FFF) push(name, i, static_cast<std::uint16_t>(at));
-    writer.u8(static_cast<std::uint8_t>(labels[i].size()));
-    writer.text(labels[i]);
-  }
-  if (match_from < labels.size()) {
+  // Register the suffix at each literal label while it is representable as
+  // a 14-bit pointer, then emit the literal labels in one append.
+  const std::size_t start = writer.size() - base_;
+  for (std::size_t at = 0; at < match_at && start + at <= 0x3FFF;
+       at = Name::next_label(wire, at))
+    push(wire.substr(at), static_cast<std::uint16_t>(start + at));
+  writer.text(wire.substr(0, match_at));
+  if (match_at < wire.size()) {
     writer.u16(static_cast<std::uint16_t>(kPointerMask | match_offset));
   } else {
     writer.u8(0);  // root
@@ -321,7 +302,6 @@ bool decode_name_into(WireReader& reader, Name& out) {
     }
   }
   if (resume) reader.seek(*resume);
-  builder.commit();
   return true;
 }
 

@@ -6,6 +6,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -150,13 +151,13 @@ void encode_answer_only_into(WireWriter& writer, const Header& header,
 /// Maps name suffixes to the message-relative wire offset of their first
 /// occurrence; offsets beyond 0x3FFF are not recorded (pointers are 14-bit).
 ///
-/// Entries reference the `Name` objects handed to `encode` (they must
-/// outlive the compressor — true for any single-message encode, where the
-/// message owns every name). Suffix lookups compare labels pairwise and
-/// case-insensitively instead of materialising canonical key strings, so a
-/// query-sized encode performs zero heap allocations: the first
-/// `kInlineEntries` dictionary slots live inline and only outsized messages
-/// spill to the heap.
+/// Entries point into the wire form (`Name::wire_labels()`) of the `Name`
+/// objects handed to `encode` (they must outlive the compressor — true for
+/// any single-message encode, where the message owns every name). A suffix
+/// lookup is one case-folded byte-range compare against each entry of the
+/// same size, with no canonical key strings, so a query-sized encode
+/// performs zero heap allocations: the first `kInlineEntries` dictionary
+/// slots live inline and only outsized messages spill to the heap.
 class NameCompressor {
  public:
   /// `base` is the writer offset where the message starts; registered and
@@ -169,14 +170,14 @@ class NameCompressor {
 
  private:
   struct Entry {
-    const Name* name;
-    std::uint16_t from;    // suffix = name->labels()[from..]
+    const char* suffix;    // label-aligned tail of a name's wire_labels()
+    std::uint16_t size;    // suffix bytes
     std::uint16_t offset;  // message-relative wire offset
   };
   static constexpr std::size_t kInlineEntries = 16;
 
-  [[nodiscard]] const Entry* find(const Name& name, std::size_t from) const;
-  void push(const Name& name, std::size_t from, std::uint16_t offset);
+  [[nodiscard]] const Entry* find(std::string_view suffix) const;
+  void push(std::string_view suffix, std::uint16_t offset);
 
   std::size_t base_;
   std::size_t count_ = 0;  // entries in `inline_`
@@ -190,7 +191,7 @@ class NameCompressor {
 [[nodiscard]] std::optional<Name> decode_name(WireReader& reader);
 
 /// Slot-reusing twin of `decode_name`, writing into `out` via Name::Builder
-/// (label storage reused). Same validation and reader error latching.
+/// (buffer capacity reused). Same validation and reader error latching.
 [[nodiscard]] bool decode_name_into(WireReader& reader, Name& out);
 
 }  // namespace encdns::dns

@@ -1,7 +1,8 @@
 #include "dns/name.hpp"
 
-#include <algorithm>
 #include <cctype>
+
+#include "util/strings.hpp"
 
 namespace encdns::dns {
 namespace {
@@ -13,103 +14,96 @@ bool valid_label_char(char c) noexcept {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '-' || c == '_';
 }
 
-char lower(char c) noexcept {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
-
-bool ilabel_equals(const std::string& a, const std::string& b) noexcept {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (lower(a[i]) != lower(b[i])) return false;
-  return true;
+/// Offset of the label-aligned suffix of `wire` that is `size` bytes long
+/// or, when none is, of the longest one shorter than that.
+std::size_t suffix_offset(std::string_view wire, std::size_t size) noexcept {
+  std::size_t at = 0;
+  while (wire.size() - at > size) at = Name::next_label(wire, at);
+  return at;
 }
 
 }  // namespace
 
 std::optional<Name> Name::parse(std::string_view text) {
   if (!text.empty() && text.back() == '.') text.remove_suffix(1);
-  if (text.empty()) return Name{};  // root
-  std::vector<std::string> labels;
+  Name n;
+  if (text.empty()) return n;  // root
+  Builder builder(n);
   std::size_t start = 0;
-  while (start <= text.size()) {
+  while (true) {
     std::size_t dot = text.find('.', start);
     if (dot == std::string_view::npos) dot = text.size();
     const auto label = text.substr(start, dot - start);
-    if (label.empty() || label.size() > kMaxLabel) return std::nullopt;
     for (char c : label)
       if (!valid_label_char(c)) return std::nullopt;
-    labels.emplace_back(label);
-    if (dot == text.size()) break;
+    if (!builder.append(label)) return std::nullopt;
+    if (dot == text.size()) return n;
     start = dot + 1;
   }
-  return from_labels(std::move(labels));
 }
 
-std::optional<Name> Name::from_labels(std::vector<std::string> labels) {
-  std::size_t wire = 1;  // root byte
-  for (const auto& label : labels) {
-    if (label.empty() || label.size() > kMaxLabel) return std::nullopt;
-    wire += 1 + label.size();
-  }
-  if (wire > kMaxWire) return std::nullopt;
+std::optional<Name> Name::from_labels(const std::vector<std::string>& labels) {
   Name n;
-  n.labels_ = std::move(labels);
+  Builder builder(n);
+  for (const auto& label : labels)
+    if (!builder.append(label)) return std::nullopt;
   return n;
 }
 
-std::string Name::to_string() const {
-  if (labels_.empty()) return ".";
-  std::string out;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (i) out.push_back('.');
-    out += labels_[i];
-  }
+std::vector<std::string> Name::labels() const {
+  std::vector<std::string> out;
+  for (std::size_t at = 0; at < wire_.size(); at = next_label(wire_, at))
+    out.emplace_back(wire_, at + 1, static_cast<std::uint8_t>(wire_[at]));
   return out;
 }
 
-std::size_t Name::wire_length() const noexcept {
-  std::size_t len = 1;
-  for (const auto& label : labels_) len += 1 + label.size();
-  return len;
+std::size_t Name::label_count() const noexcept {
+  std::size_t count = 0;
+  for (std::size_t at = 0; at < wire_.size(); at = next_label(wire_, at)) ++count;
+  return count;
+}
+
+std::string Name::to_string() const {
+  if (wire_.empty()) return ".";
+  // Presentation form is the canonical layout (each length octet becomes the
+  // following label's dot) shifted by one, in the original case.
+  std::string out(wire_.size() - 1, '.');
+  for (std::size_t at = 0; at < wire_.size(); at = next_label(wire_, at))
+    wire_.copy(out.data() + at, static_cast<std::uint8_t>(wire_[at]), at + 1);
+  return out;
 }
 
 bool Name::is_subdomain_of(const Name& other) const noexcept {
-  if (other.labels_.size() > labels_.size()) return false;
-  const std::size_t offset = labels_.size() - other.labels_.size();
-  for (std::size_t i = 0; i < other.labels_.size(); ++i)
-    if (!ilabel_equals(labels_[offset + i], other.labels_[i])) return false;
-  return true;
+  if (other.wire_.size() > wire_.size()) return false;
+  const std::size_t at = suffix_offset(wire_, other.wire_.size());
+  return util::iequals(std::string_view(wire_).substr(at), other.wire_);
 }
 
 Name Name::parent() const {
   Name n;
-  if (labels_.size() <= 1) return n;
-  n.labels_.assign(labels_.begin() + 1, labels_.end());
+  if (!wire_.empty()) n.wire_.assign(wire_, next_label(wire_, 0));
   return n;
 }
 
 std::optional<Name> Name::prefixed_with(std::string_view label) const {
-  std::vector<std::string> labels;
-  labels.reserve(labels_.size() + 1);
-  labels.emplace_back(label);
-  labels.insert(labels.end(), labels_.begin(), labels_.end());
-  for (char c : label)
-    if (!valid_label_char(c)) return std::nullopt;
-  return from_labels(std::move(labels));
+  Name n;
+  if (!n.assign_prefixed(label, *this)) return std::nullopt;
+  return n;
 }
 
 Name Name::sld() const {
-  if (labels_.size() <= 2) return *this;
+  std::size_t last = 0, second_last = 0;
+  for (std::size_t at = 0; at < wire_.size(); at = next_label(wire_, at)) {
+    second_last = last;
+    last = at;
+  }
   Name n;
-  n.labels_.assign(labels_.end() - 2, labels_.end());
+  n.wire_.assign(wire_, second_last);
   return n;
 }
 
 bool Name::equals(const Name& other) const noexcept {
-  if (labels_.size() != other.labels_.size()) return false;
-  for (std::size_t i = 0; i < labels_.size(); ++i)
-    if (!ilabel_equals(labels_[i], other.labels_[i])) return false;
-  return true;
+  return util::iequals(wire_, other.wire_);
 }
 
 std::string Name::canonical() const {
@@ -119,12 +113,19 @@ std::string Name::canonical() const {
 }
 
 void Name::canonical_into(std::string& out) const {
-  out.clear();
-  for (const auto& label : labels_) {
-    for (char c : label) out.push_back(lower(c));
-    out.push_back('.');
+  if (wire_.empty()) {
+    out.assign(1, '.');
+    return;
   }
-  if (out.empty()) out.push_back('.');
+  // "\3www\7example\3com" -> "www.example.com.": the same length, each label
+  // moved one byte left and followed by a dot where the next length octet was.
+  out.resize(wire_.size());
+  for (std::size_t at = 0; at < wire_.size();) {
+    const std::size_t end = next_label(wire_, at);
+    for (std::size_t i = at + 1; i < end; ++i) out[i - 1] = util::ascii_lower(wire_[i]);
+    out[end - 1] = '.';
+    at = end;
+  }
 }
 
 bool Name::assign_prefixed(std::string_view label, const Name& base) {
@@ -132,25 +133,19 @@ bool Name::assign_prefixed(std::string_view label, const Name& base) {
     if (!valid_label_char(c)) return false;
   Builder builder(*this);
   if (!builder.append(label)) return false;
-  for (const auto& existing : base.labels_)
-    if (!builder.append(existing)) return false;
-  builder.commit();
+  if (wire_.size() + base.wire_.size() + 1 > kMaxWire) return false;
+  wire_.append(base.wire_);
   return true;
 }
 
 bool Name::Builder::append(std::string_view label) {
-  if (label.empty() || label.size() > kMaxLabel) return false;
-  wire_ += 1 + label.size();
-  if (wire_ > kMaxWire) return false;
-  auto& labels = name_->labels_;
-  if (used_ < labels.size())
-    labels[used_].assign(label);
-  else
-    labels.emplace_back(label);
-  ++used_;
+  std::string& wire = name_->wire_;
+  if (label.empty() || label.size() > kMaxLabel ||
+      wire.size() + 1 + label.size() + 1 > kMaxWire)
+    return false;
+  wire.push_back(static_cast<char>(label.size()));
+  wire.append(label);
   return true;
 }
-
-void Name::Builder::commit() noexcept { name_->labels_.resize(used_); }
 
 }  // namespace encdns::dns

@@ -15,6 +15,13 @@ namespace encdns::dns {
 /// first ("www.example.com" -> {"www", "example", "com"}). The root name has
 /// zero labels. Comparison and hashing are case-insensitive, but the original
 /// spelling is preserved for presentation.
+///
+/// Storage is flat (DESIGN.md §11): the labels in uncompressed wire form —
+/// each a length octet followed by its bytes, in their original case — in
+/// one buffer without the root octet. Length octets are below 64, so ASCII
+/// case folding never changes them, and two label-aligned byte ranges
+/// compare equal (folded) exactly when their labels do pairwise: equality,
+/// subdomain tests and compression suffix matching are byte-range compares.
 class Name {
  public:
   Name() = default;
@@ -27,19 +34,32 @@ class Name {
 
   /// Construct from raw labels without charset validation (used by the wire
   /// decoder, which must accept any octets); still enforces length limits.
-  [[nodiscard]] static std::optional<Name> from_labels(std::vector<std::string> labels);
+  [[nodiscard]] static std::optional<Name> from_labels(
+      const std::vector<std::string>& labels);
 
-  [[nodiscard]] const std::vector<std::string>& labels() const noexcept {
-    return labels_;
+  /// Copies of the labels, most-specific first. Allocates one string per
+  /// label: for tests and cold paths (hot paths read `wire_labels()`).
+  [[nodiscard]] std::vector<std::string> labels() const;
+
+  /// The labels in uncompressed wire form without the root octet, original
+  /// case: "\3www\7example\3com" for www.example.com, empty for the root.
+  [[nodiscard]] std::string_view wire_labels() const noexcept { return wire_; }
+
+  /// In a `wire_labels()` buffer, the offset of the label after the one
+  /// starting at `at`: the step that walks a name's label-aligned suffixes.
+  [[nodiscard]] static std::size_t next_label(std::string_view wire,
+                                              std::size_t at) noexcept {
+    return at + 1 + static_cast<std::uint8_t>(wire[at]);
   }
-  [[nodiscard]] bool is_root() const noexcept { return labels_.empty(); }
-  [[nodiscard]] std::size_t label_count() const noexcept { return labels_.size(); }
+
+  [[nodiscard]] bool is_root() const noexcept { return wire_.empty(); }
+  [[nodiscard]] std::size_t label_count() const noexcept;
 
   /// Presentation format without trailing dot; root renders as ".".
   [[nodiscard]] std::string to_string() const;
 
   /// Length of the uncompressed wire encoding (1 for root).
-  [[nodiscard]] std::size_t wire_length() const noexcept;
+  [[nodiscard]] std::size_t wire_length() const noexcept { return wire_.size() + 1; }
 
   /// True if this name is `other` or a subdomain of it (case-insensitive).
   [[nodiscard]] bool is_subdomain_of(const Name& other) const noexcept;
@@ -67,36 +87,31 @@ class Name {
   /// caller's string capacity. Hot paths build cache keys through this.
   void canonical_into(std::string& out) const;
 
-  /// Rebuild this name as `label`.`base` in place, reusing label storage —
-  /// the slot-reuse twin of `base.prefixed_with(label)`, with identical
-  /// validation (charset on the new label, length limits on the whole).
-  /// Returns false (leaving the name unspecified but destructible) if the
+  /// Rebuild this name as `label`.`base` in place, reusing the buffer's
+  /// capacity — the slot-reuse twin of `base.prefixed_with(label)`, with
+  /// identical validation (charset on the new label, length limits on the
+  /// whole). Returns false (leaving the name unspecified but valid) if the
   /// result would be invalid. `base` may not alias `*this`.
   [[nodiscard]] bool assign_prefixed(std::string_view label, const Name& base);
 
-  /// Slot-reusing rebuild for the wire decoder (DESIGN.md §11): borrows the
-  /// Name's label storage, overwrites it label by label (string capacity is
-  /// reused), and truncates on commit. Length limits are enforced exactly as
-  /// in `from_labels`; charset is not checked (wire names may carry any
-  /// octets). Without a commit the Name is left unspecified-but-valid, which
-  /// is fine for decode scratch that is only read after a successful decode.
+  /// Slot-reusing rebuild for the wire decoder (DESIGN.md §11): restarts the
+  /// Name as the root, keeping its buffer's capacity, and appends labels in
+  /// place. Length limits are enforced exactly as in `from_labels`; charset
+  /// is not checked (wire names may carry any octets). After a failed append
+  /// the Name holds the labels appended so far.
   class Builder {
    public:
-    explicit Builder(Name& name) noexcept : name_(&name) {}
+    explicit Builder(Name& name) noexcept : name_(&name) { name.wire_.clear(); }
     /// Append one label; false if label or total wire limits are exceeded.
     [[nodiscard]] bool append(std::string_view label);
-    /// Truncate the Name to the appended labels.
-    void commit() noexcept;
 
    private:
     Name* name_;
-    std::size_t used_ = 0;
-    std::size_t wire_ = 1;  // trailing root byte
   };
 
  private:
   friend class Builder;
-  std::vector<std::string> labels_;
+  std::string wire_;
 };
 
 }  // namespace encdns::dns

@@ -30,13 +30,17 @@ class WireWriter {
   WireWriter& operator=(const WireWriter&) = delete;
 
   void u8(std::uint8_t v) { buf_->push_back(v); }
+  // Fixed-width fields grow the buffer once and store by index.
   void u16(std::uint16_t v) {
-    buf_->push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_->push_back(static_cast<std::uint8_t>(v));
+    const std::size_t at = buf_->size();
+    buf_->resize(at + 2);
+    patch_u16(at, v);
   }
   void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
+    const std::size_t at = buf_->size();
+    buf_->resize(at + 4);
+    patch_u16(at, static_cast<std::uint16_t>(v >> 16));
+    patch_u16(at + 2, static_cast<std::uint16_t>(v));
   }
   void bytes(std::span<const std::uint8_t> data) {
     buf_->insert(buf_->end(), data.begin(), data.end());

@@ -1,10 +1,9 @@
 #include "fault/fault.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdlib>
 
 #include "util/env.hpp"
+#include "util/strings.hpp"
 
 namespace encdns::fault {
 namespace {
@@ -63,9 +62,7 @@ FaultProfile FaultProfile::canonical() noexcept {
 FaultProfile FaultProfile::from_env(FaultProfile fallback) {
   const auto env = util::env_string("ENCDNS_FAULTS");
   if (!env) return fallback;
-  std::string value(*env);
-  std::transform(value.begin(), value.end(), value.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
+  const std::string value = util::to_lower(*env);
   if (value == "canonical" || value == "on" || value == "1") {
     return canonical();
   }

@@ -1,5 +1,6 @@
 #include "net/geo.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace encdns::net {
@@ -15,20 +16,35 @@ constexpr double kRttFloorMs = 0.3;
 
 }  // namespace
 
-double great_circle_km(const GeoPoint& a, const GeoPoint& b) noexcept {
-  const double lat1 = a.lat * kDegToRad;
-  const double lat2 = b.lat * kDegToRad;
-  const double dlat = (b.lat - a.lat) * kDegToRad;
-  const double dlon = (b.lon - a.lon) * kDegToRad;
+GeoAnchor::GeoAnchor(const GeoPoint& point) noexcept
+    : geo(point), cos_lat(std::cos(point.lat * kDegToRad)) {}
+
+double haversine(const GeoAnchor& a, const GeoAnchor& b) noexcept {
+  const double dlat = (b.geo.lat - a.geo.lat) * kDegToRad;
+  const double dlon = (b.geo.lon - a.geo.lon) * kDegToRad;
   const double s = std::sin(dlat / 2.0);
   const double t = std::sin(dlon / 2.0);
-  const double h = s * s + std::cos(lat1) * std::cos(lat2) * t * t;
+  return s * s + a.cos_lat * b.cos_lat * t * t;
+}
+
+double haversine_km(double h) noexcept {
   return 2.0 * kEarthRadiusKm * std::asin(std::sqrt(std::min(1.0, h)));
 }
 
-sim::Millis propagation_rtt(const GeoPoint& a, const GeoPoint& b) noexcept {
-  const double km = great_circle_km(a, b);
+double great_circle_km(const GeoPoint& a, const GeoPoint& b) noexcept {
+  return haversine_km(haversine(GeoAnchor(a), GeoAnchor(b)));
+}
+
+sim::Millis propagation_rtt_km(double km) noexcept {
   return sim::Millis{kRttFloorMs + 2.0 * km / kEffectiveKmPerMsOneWay};
+}
+
+sim::Millis propagation_rtt(const GeoPoint& a, const GeoPoint& b) noexcept {
+  return propagation_rtt_km(great_circle_km(a, b));
+}
+
+sim::Millis propagation_rtt(const GeoAnchor& a, const GeoAnchor& b) noexcept {
+  return propagation_rtt_km(haversine_km(haversine(a, b)));
 }
 
 }  // namespace encdns::net

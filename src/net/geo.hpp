@@ -26,6 +26,32 @@ struct GeoPoint {
 /// indirection factor is applied, with a small floor for serialization.
 [[nodiscard]] sim::Millis propagation_rtt(const GeoPoint& a, const GeoPoint& b) noexcept;
 
+/// `propagation_rtt` for an already computed great-circle distance.
+[[nodiscard]] sim::Millis propagation_rtt_km(double km) noexcept;
+
+/// A point with its per-endpoint haversine factor cos(latitude) computed
+/// once. Endpoints fixed for a world's lifetime (anycast PoPs, zone
+/// nameservers) keep one, so each distance to them costs one cosine less;
+/// the results are bit-identical to `great_circle_km`.
+struct GeoAnchor {
+  GeoAnchor() = default;
+  explicit GeoAnchor(const GeoPoint& point) noexcept;
+
+  GeoPoint geo;
+  double cos_lat = 1.0;
+};
+
+/// The haversine term h = sin²(Δlat/2) + cos(lat_a)·cos(lat_b)·sin²(Δlon/2),
+/// evaluated exactly as `great_circle_km` does.
+[[nodiscard]] double haversine(const GeoAnchor& a, const GeoAnchor& b) noexcept;
+
+/// The distance for a haversine term, 2R·asin(√min(1, h)):
+/// `great_circle_km(a, b) == haversine_km(haversine(GeoAnchor(a), GeoAnchor(b)))`.
+[[nodiscard]] double haversine_km(double h) noexcept;
+
+/// `propagation_rtt` between anchored points (bit-identical).
+[[nodiscard]] sim::Millis propagation_rtt(const GeoAnchor& a, const GeoAnchor& b) noexcept;
+
 /// Where a simulated actor (client, PoP, middlebox) sits.
 struct Location {
   GeoPoint geo;

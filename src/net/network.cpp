@@ -22,7 +22,10 @@ Service& background_host_service() {
 }
 
 void Network::bind(Binding binding) {
-  bindings_[binding.addr].push_back(std::move(binding));
+  const std::size_t first_anchor = anchors_.size();
+  for (const auto& pop : binding.pops) anchors_.emplace_back(pop.location.geo);
+  auto& list = bindings_[binding.addr];
+  list.push_back(BoundBinding{std::move(binding), first_anchor});
 }
 
 std::size_t Network::binding_count() const noexcept {
@@ -40,27 +43,48 @@ std::vector<util::Ipv4> Network::bound_addresses() const {
 
 const Pop* Network::route(util::Ipv4 addr, const Location& from,
                           const util::Date& date) const {
+  return nearest(addr, from, date).pop;
+}
+
+Network::Routed Network::nearest(util::Ipv4 addr, const Location& from,
+                                 const util::Date& date) const {
+  // Relative slack on the pruning bound below: far wider than any rounding
+  // error of sqrt/asin, so the pruning holds even for a libm whose asin is
+  // only faithfully rounded.
+  constexpr double kPruneSlack = 1.0 + 0x1p-30;
+  Routed best;
   const auto it = bindings_.find(addr);
-  if (it == bindings_.end()) return nullptr;
-  const Pop* best = nullptr;
+  if (it == bindings_.end()) return best;
+  // The strictly nearest PoP wins, ties to the first in binding order. The
+  // distance never decreases as the haversine term h grows, so a PoP whose h
+  // is not below the best's cannot be strictly nearer: only candidates pay
+  // for asin and sqrt, and the client's cos(lat) is computed once.
+  const GeoAnchor client(from.geo);
+  double best_h = std::numeric_limits<double>::infinity();
   double best_km = std::numeric_limits<double>::max();
-  for (const auto& binding : it->second) {
+  for (const auto& bound : it->second) {
+    const Binding& binding = bound.binding;
     if (!date.in_window(binding.active_from, binding.active_to)) continue;
-    for (const auto& pop : binding.pops) {
-      const double km = great_circle_km(from.geo, pop.location.geo);
+    const GeoAnchor* anchors = anchors_.data() + bound.first_anchor;
+    for (std::size_t i = 0; i < binding.pops.size(); ++i) {
+      const double h = haversine(client, anchors[i]);
+      if (!(h < best_h * kPruneSlack)) continue;
+      const double km = haversine_km(h);
       if (km < best_km) {
+        best_h = h;
         best_km = km;
-        best = &pop;
+        best.pop = &binding.pops[i];
       }
     }
   }
+  best.km = best_km;
   return best;
 }
 
-sim::Millis Network::sample_rtt(const ClientContext& client, const GeoPoint& remote,
+sim::Millis Network::sample_rtt(const ClientContext& client, double km,
                                 sim::Millis extra, util::Rng& rng) {
   const sim::Millis base =
-      propagation_rtt(client.location.geo, remote) + client.link.last_mile + extra;
+      propagation_rtt_km(km) + client.link.last_mile + extra;
   return base * rng.lognormal(1.0, client.link.jitter_sigma);
 }
 
@@ -80,7 +104,7 @@ Network::ProbeResult Network::probe_tcp(const ClientContext& client, util::Rng& 
   }
   if (fd.kind == fault::Decision::Kind::kReset) {
     result.status = ProbeStatus::kClosed;  // spurious RST
-    result.latency = sample_rtt(client, client.location.geo, sim::Millis{0}, rng);
+    result.latency = sample_rtt(client, 0.0, sim::Millis{0}, rng);
     return result;
   }
   for (const auto* box : client.path) {
@@ -95,21 +119,22 @@ Network::ProbeResult Network::probe_tcp(const ClientContext& client, util::Rng& 
         return result;
       case Action::kReset:
         result.status = ProbeStatus::kClosed;
-        result.latency = sample_rtt(client, client.location.geo, sim::Millis{0}, rng);
+        result.latency = sample_rtt(client, 0.0, sim::Millis{0}, rng);
         return result;
       case Action::kHijack: {
         const bool open = verdict.service != nullptr &&
                           verdict.service->accepts(port, Transport::kTcp);
         result.status = open ? ProbeStatus::kOpen : ProbeStatus::kClosed;
-        result.latency = sample_rtt(client, client.location.geo, sim::Millis{1.0}, rng);
+        result.latency = sample_rtt(client, 0.0, sim::Millis{1.0}, rng);
         return result;
       }
     }
   }
-  if (const Pop* pop = route(dst, client.location, date)) {
+  if (const Routed routed = nearest(dst, client.location, date); routed.pop) {
+    const Pop* pop = routed.pop;
     const bool open = pop->service->accepts(port, Transport::kTcp);
     result.status = open ? ProbeStatus::kOpen : ProbeStatus::kClosed;
-    result.latency = sample_rtt(client, pop->location.geo, pop->extra_processing, rng) +
+    result.latency = sample_rtt(client, routed.km, pop->extra_processing, rng) +
                      fd.extra_latency;
     return result;
   }
@@ -171,7 +196,8 @@ void Network::udp_exchange_into(const ClientContext& client, util::Rng& rng,
       }
     }
   }
-  const Pop* pop = route(dst, client.location, date);
+  const Routed routed = nearest(dst, client.location, date);
+  const Pop* pop = routed.pop;
   if (pop == nullptr || !pop->service->accepts(port, Transport::kUdp)) {
     out.status = UdpResult::Status::kTimeout;
     out.latency = timeout;
@@ -198,7 +224,7 @@ void Network::udp_exchange_into(const ClientContext& client, util::Rng& rng,
     return;
   }
   const sim::Millis latency =
-      sample_rtt(client, pop->location.geo, pop->extra_processing, rng) +
+      sample_rtt(client, routed.km, pop->extra_processing, rng) +
       reply.processing + fd.extra_latency;
   if (latency > timeout) {
     out.status = UdpResult::Status::kTimeout;
@@ -271,21 +297,22 @@ Network::ConnectResult Network::tcp_connect(const ClientContext& client, util::R
     }
   }
 
-  const Pop* pop = route(dst, client.location, date);
+  const Routed routed = nearest(dst, client.location, date);
+  const Pop* pop = routed.pop;
   Service* endpoint = nullptr;
   Location pop_location = client.location;
   sim::Millis rtt{0.0};
   if (pop != nullptr && pop->service->accepts(port, Transport::kTcp)) {
     endpoint = pop->service.get();
     pop_location = pop->location;
-    rtt = sample_rtt(client, pop->location.geo, pop->extra_processing, rng);
+    rtt = sample_rtt(client, routed.km, pop->extra_processing, rng);
   } else if (pop == nullptr && background_ && background_(dst, port, date)) {
     endpoint = &background_host_service();
     rtt = sim::Millis{rng.uniform(20.0, 250.0)};
   } else {
     result.status = ConnectResult::Status::kRefused;
     result.latency = pop != nullptr
-                         ? sample_rtt(client, pop->location.geo, sim::Millis{0}, rng)
+                         ? sample_rtt(client, routed.km, sim::Millis{0}, rng)
                          : sim::Millis{rng.uniform(10.0, 200.0)};
     return result;
   }

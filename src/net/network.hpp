@@ -69,7 +69,8 @@ class Network {
   }
 
   /// Nearest active PoP for `addr` as seen from `from` at `date`; nullptr if
-  /// the address has no active binding.
+  /// the address has no active binding. Ties go to the first PoP in binding
+  /// order.
   [[nodiscard]] const Pop* route(util::Ipv4 addr, const Location& from,
                                  const util::Date& date) const;
 
@@ -135,14 +136,33 @@ class Network {
                                           sim::Millis timeout) const;
 
  private:
-  std::unordered_map<util::Ipv4, std::vector<Binding>> bindings_;
+  /// A binding and where its PoPs' haversine anchors start in `anchors_`
+  /// (`anchors_[first_anchor + i]` is `binding.pops[i].location.geo`).
+  struct BoundBinding {
+    Binding binding;
+    std::size_t first_anchor = 0;
+  };
+  /// `route`'s answer plus the client-to-PoP great-circle distance, which
+  /// the transports turn into the sampled RTT without a second haversine.
+  struct Routed {
+    const Pop* pop = nullptr;
+    double km = 0.0;
+  };
+
+  std::unordered_map<util::Ipv4, std::vector<BoundBinding>> bindings_;
+  /// Every bound PoP's location with its cos(latitude), computed once at
+  /// bind(), in bind order.
+  std::vector<GeoAnchor> anchors_;
   BackgroundProbe background_;
   const fault::FaultInjector* injector_ = nullptr;
 
-  /// Sample this client's RTT to a point, with per-call jitter.
+  [[nodiscard]] Routed nearest(util::Ipv4 addr, const Location& from,
+                               const util::Date& date) const;
+
+  /// Sample this client's RTT to a point `km` away, with per-call jitter.
   [[nodiscard]] static sim::Millis sample_rtt(const ClientContext& client,
-                                              const GeoPoint& remote,
-                                              sim::Millis extra, util::Rng& rng);
+                                              double km, sim::Millis extra,
+                                              util::Rng& rng);
 
   friend class TcpConnection;
 };

@@ -17,8 +17,8 @@ namespace {
 /// Stable pseudo-address for the authoritative side of a recursion, so the
 /// fault injector's per-(target, day) streams and flap windows apply to the
 /// resolver->nameserver leg exactly as they do to client transports.
-[[nodiscard]] util::Ipv4 upstream_target(const std::string& key) noexcept {
-  return util::Ipv4{static_cast<std::uint32_t>(util::fnv1a(key))};
+[[nodiscard]] util::Ipv4 upstream_target(const cache::DnsCache::Key& key) noexcept {
+  return util::Ipv4{static_cast<std::uint32_t>(key.hash)};
 }
 
 [[nodiscard]] cache::CacheConfig effective_cache_config(
@@ -77,15 +77,18 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
     return;
   }
   const auto& q = query.questions.front();
+  // Resolved once: the warm-path check and the upstream answer share it.
+  const Zone* zone = universe_->find_zone(q.name);
 
   // Popular zones are warm in every resolver's cache: answer without touching
   // shared state, so the outcome never depends on other sessions.
-  if (config_.enable_cache && universe_->popular(q.name)) {
+  if (config_.enable_cache && zone != nullptr && zone->popular) {
     ++hits_;
     static obs::Counter& warm_hits =
         obs::MetricsRegistry::global().counter("cache.lookup.warm_hit");
     warm_hits.add();
-    const Answer answer = universe_->authoritative_answer(q.name, q.type, date);
+    const Answer answer =
+        universe_->authoritative_answer(zone, q.name, q.type, date);
     response_skeleton_into(out, query, answer.rcode);
     out.response.answers = answer.answers;
     out.processing =
@@ -94,11 +97,13 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
   }
 
   // Per-thread cache-key scratch: keys are consumed within this call (the
-  // cache copies the key only when inserting a new entry).
-  thread_local std::string key;
-  q.name.canonical_into(key);
-  key.push_back('/');
-  key.append(std::to_string(static_cast<int>(q.type)));
+  // cache copies the key only when inserting a new entry). Hashed once for
+  // the lookup, the stale lookup, the upstream target and the store.
+  thread_local std::string key_text;
+  q.name.canonical_into(key_text);
+  key_text.push_back('/');
+  key_text.append(std::to_string(static_cast<int>(q.type)));
+  const cache::DnsCache::Key key(key_text);
   const std::int64_t now_s = to_seconds(date);
 
   if (config_.enable_cache) {
@@ -155,7 +160,7 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
     }
   }
 
-  auto upstream = universe_->query(q.name, q.type, pop, date, rng);
+  auto upstream = universe_->query(zone, q.name, q.type, pop, date, rng);
   response_skeleton_into(out, query, upstream.answer.rcode);
   out.response.answers = upstream.answer.answers;
   out.processing =

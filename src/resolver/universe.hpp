@@ -8,6 +8,7 @@
 // nameservers legitimately exceed 2 seconds for a tail of queries.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -89,21 +90,26 @@ class AuthoritativeUniverse {
     Answer answer;
     sim::Millis latency{0.0};  // resolver-observed cold recursion time
   };
-  /// Resolve `qname` authoritatively as seen from a resolver at `from`.
-  [[nodiscard]] Upstream query(const dns::Name& qname, dns::RrType type,
-                               const net::Location& from, const util::Date& date,
-                               util::Rng& rng) const;
 
-  /// The zone owning `qname` (longest-suffix match), if any.
+  /// The zone owning `qname`, if any: of the zones whose apex `qname` is at
+  /// or under, the one with the most labels, the first added among equal
+  /// apexes (a root apex matches last). Indexed, not scanned: one probe per
+  /// label of `qname` into the apexes bucketed by wire size (DESIGN.md §10).
+  /// The pointer stays valid until the next add_zone.
   [[nodiscard]] const Zone* find_zone(const dns::Name& qname) const;
 
-  /// True if `qname` belongs to a zone marked popular.
-  [[nodiscard]] bool popular(const dns::Name& qname) const;
+  /// Resolve `qname` authoritatively as seen from a resolver at `from`;
+  /// `zone` is `find_zone(qname)`, which the caller resolves once per query.
+  [[nodiscard]] Upstream query(const Zone* zone, const dns::Name& qname,
+                               dns::RrType type, const net::Location& from,
+                               const util::Date& date, util::Rng& rng) const;
 
-  /// The authoritative answer content for `qname`, with no latency draw and
-  /// no rng: a pure function of (name, type, date). Used for cache-warm
-  /// answers, where only content matters.
-  [[nodiscard]] Answer authoritative_answer(const dns::Name& qname,
+  /// The authoritative answer content for `qname` in `zone` (again
+  /// `find_zone(qname)`), with no latency draw and no rng: a pure function
+  /// of (name, type, date). Used for cache-warm answers, where only content
+  /// matters.
+  [[nodiscard]] Answer authoritative_answer(const Zone* zone,
+                                            const dns::Name& qname,
                                             dns::RrType type,
                                             const util::Date& date) const;
 
@@ -111,6 +117,11 @@ class AuthoritativeUniverse {
 
  private:
   std::vector<Zone> zones_;
+  /// `ns_anchors_[i]` is `zones_[i].ns_location.geo` with its cos(lat).
+  std::vector<net::GeoAnchor> ns_anchors_;
+  /// Zone indices by apex wire size (`Name::wire_labels().size()`), each
+  /// bucket in add order.
+  std::vector<std::vector<std::uint32_t>> by_apex_size_;
   bool synthesize_unknown_ = true;
   RecursionLatencyModel latency_;
 };

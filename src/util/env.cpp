@@ -1,10 +1,10 @@
 #include "util/env.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+
+#include "util/strings.hpp"
 
 namespace encdns::util {
 namespace {
@@ -57,9 +57,7 @@ std::optional<double> env_double(const char* name) {
 std::optional<bool> env_bool(const char* name) {
   const auto raw = env_string(name);
   if (!raw) return std::nullopt;
-  std::string value = *raw;
-  std::transform(value.begin(), value.end(), value.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
+  const std::string value = to_lower(*raw);
   if (value == "on" || value == "true" || value == "1") return true;
   if (value == "off" || value == "false" || value == "0") return false;
   fail(name, *raw, "on/off, true/false or 1/0");

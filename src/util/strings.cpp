@@ -1,6 +1,5 @@
 #include "util/strings.hpp"
 
-#include <algorithm>
 #include <cctype>
 
 namespace encdns::util {
@@ -30,19 +29,8 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 
 std::string to_lower(std::string_view text) {
   std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  for (char& c : out) c = ascii_lower(c);
   return out;
-}
-
-bool iequals(std::string_view a, std::string_view b) noexcept {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i])))
-      return false;
-  }
-  return true;
 }
 
 std::string_view trim(std::string_view text) noexcept {

@@ -1,12 +1,12 @@
 #include "world/providers.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace encdns::world {
 namespace {
@@ -177,10 +177,7 @@ std::string small_provider_name(const std::string& country, int index,
                 kHeads[rng.below(std::size(kHeads))],
                 kTails[rng.below(std::size(kTails))], country.c_str(), index,
                 kTlds[rng.below(std::size(kTlds))]);
-  std::string name = buf;
-  std::transform(name.begin(), name.end(), name.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return name;
+  return util::to_lower(buf);
 }
 
 /// Remaining invalid-certificate budget, spent while filling country quotas.

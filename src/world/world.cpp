@@ -781,19 +781,25 @@ Vantage World::make_clean_vantage(std::string_view country) const {
   return v;
 }
 
+std::array<char, 17> probe_label(std::uint64_t value) noexcept {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::array<char, 17> label;
+  label[0] = 'p';
+  for (std::size_t i = label.size() - 1; i > 0; --i, value >>= 4)
+    label[i] = kHex[value & 0xF];
+  return label;
+}
+
 dns::Name World::unique_probe_name(util::Rng& rng) const {
-  char prefix[20];
-  std::snprintf(prefix, sizeof(prefix), "p%016llx",
-                static_cast<unsigned long long>(rng.next()));
-  const auto name = probe_apex_.prefixed_with(prefix);
-  return name.value_or(probe_apex_);
+  dns::Name name;
+  unique_probe_name_into(rng, name);
+  return name;
 }
 
 void World::unique_probe_name_into(util::Rng& rng, dns::Name& out) const {
-  char prefix[20];
-  std::snprintf(prefix, sizeof(prefix), "p%016llx",
-                static_cast<unsigned long long>(rng.next()));
-  if (!out.assign_prefixed(prefix, probe_apex_)) out = probe_apex_;
+  const auto label = probe_label(rng.next());
+  if (!out.assign_prefixed(std::string_view(label.data(), label.size()), probe_apex_))
+    out = probe_apex_;
 }
 
 util::Ipv4 World::bootstrap_resolver(const std::string& country) const {

@@ -6,6 +6,8 @@
 // dataset, and vantage-point sampling for the two proxy platforms.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,6 +27,10 @@
 #include "world/providers.hpp"
 
 namespace encdns::world {
+
+/// The unique probe label for one rng draw: 'p' and the value as 16
+/// zero-padded lowercase hex digits (printf's "p%016llx"), 17 characters.
+[[nodiscard]] std::array<char, 17> probe_label(std::uint64_t value) noexcept;
 
 struct WorldConfig {
   std::uint64_t seed = 2019;
@@ -185,12 +191,13 @@ class World {
   [[nodiscard]] const dns::Name& probe_apex() const noexcept { return probe_apex_; }
   [[nodiscard]] util::Ipv4 probe_answer() const noexcept { return probe_answer_; }
 
-  /// A uniquely prefixed name under the probe zone (defeats caching, §4.1).
+  /// A uniquely prefixed name under the probe zone (defeats caching, §4.1):
+  /// `probe_label(rng.next())`.<probe apex>.
   [[nodiscard]] dns::Name unique_probe_name(util::Rng& rng) const;
 
   /// Slot-reusing twin of `unique_probe_name` (DESIGN.md §12): same single
-  /// rng draw, but rebuilds `out` in place reusing its label storage, so a
-  /// warmed scratch name costs no allocations per probe.
+  /// rng draw, but rebuilds `out` in place reusing its buffer, so a warmed
+  /// scratch name costs no allocations per probe.
   void unique_probe_name_into(util::Rng& rng, dns::Name& out) const;
 
   /// Country's ISP recursive resolver (bootstrap for DoH hostnames).

@@ -29,6 +29,17 @@ AuthoritativeUniverse make_universe() {
   return universe;
 }
 
+/// An upstream A query for `text`, resolving its zone first as the
+/// recursive backend does.
+AuthoritativeUniverse::Upstream upstream_a(const AuthoritativeUniverse& universe,
+                                           const char* text,
+                                           const net::Location& from,
+                                           util::Rng& rng) {
+  const dns::Name qname = *dns::Name::parse(text);
+  return universe.query(universe.find_zone(qname), qname, dns::RrType::kA, from,
+                        kDay, rng);
+}
+
 TEST(Universe, LongestSuffixZoneMatch) {
   AuthoritativeUniverse universe = make_universe();
   Zone sub;
@@ -48,8 +59,7 @@ TEST(Universe, LongestSuffixZoneMatch) {
 TEST(Universe, AnswersFromZone) {
   auto universe = make_universe();
   util::Rng rng(1);
-  const auto up = universe.query(*dns::Name::parse("p1.probe.test"),
-                                 dns::RrType::kA, kPop, kDay, rng);
+  const auto up = upstream_a(universe, "p1.probe.test", kPop, rng);
   ASSERT_EQ(up.answer.answers.size(), 1u);
   EXPECT_EQ(std::get<util::Ipv4>(up.answer.answers[0].rdata),
             util::Ipv4(45, 90, 77, 99));
@@ -59,10 +69,8 @@ TEST(Universe, AnswersFromZone) {
 TEST(Universe, SynthesizesUnknownDeterministically) {
   auto universe = make_universe();
   util::Rng rng(1);
-  const auto a = universe.query(*dns::Name::parse("random.example.org"),
-                                dns::RrType::kA, kPop, kDay, rng);
-  const auto b = universe.query(*dns::Name::parse("random.example.org"),
-                                dns::RrType::kA, kPop, kDay, rng);
+  const auto a = upstream_a(universe, "random.example.org", kPop, rng);
+  const auto b = upstream_a(universe, "random.example.org", kPop, rng);
   ASSERT_FALSE(a.answer.answers.empty());
   EXPECT_EQ(std::get<util::Ipv4>(a.answer.answers[0].rdata),
             std::get<util::Ipv4>(b.answer.answers[0].rdata));
@@ -72,8 +80,7 @@ TEST(Universe, NxdomainWhenSynthesisOff) {
   auto universe = make_universe();
   universe.set_synthesize_unknown(false);
   util::Rng rng(1);
-  const auto up = universe.query(*dns::Name::parse("nope.example"),
-                                 dns::RrType::kA, kPop, kDay, rng);
+  const auto up = upstream_a(universe, "nope.example", kPop, rng);
   EXPECT_EQ(up.answer.rcode, dns::RCode::kNxDomain);
 }
 
@@ -83,10 +90,8 @@ TEST(Universe, LatencyScalesWithNsDistance) {
   double near_total = 0, far_total = 0;
   const net::Location near_pop{{39.9, 116.4}, "CN", 3};  // next to the NS
   for (int i = 0; i < 60; ++i) {
-    far_total += universe.query(*dns::Name::parse("a.probe.test"),
-                                dns::RrType::kA, kPop, kDay, rng).latency.value;
-    near_total += universe.query(*dns::Name::parse("a.probe.test"),
-                                 dns::RrType::kA, near_pop, kDay, rng).latency.value;
+    far_total += upstream_a(universe, "a.probe.test", kPop, rng).latency.value;
+    near_total += upstream_a(universe, "a.probe.test", near_pop, rng).latency.value;
   }
   EXPECT_GT(far_total, near_total * 2);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 namespace encdns::util {
 namespace {
 
@@ -15,6 +17,18 @@ TEST(Join, Inverse) {
   EXPECT_EQ(join({"a", "b", "c"}, "."), "a.b.c");
   EXPECT_EQ(join({}, "."), "");
   EXPECT_EQ(join({"one"}, ", "), "one");
+}
+
+TEST(AsciiLower, MatchesCLocaleToLowerOnEveryByte) {
+  // Nothing in the program calls setlocale, so std::tolower runs in the "C"
+  // locale: only 'A'..'Z' fold, and bytes >= 0x80 pass through unchanged.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(static_cast<unsigned char>(ascii_lower(c)), std::tolower(b))
+        << "byte " << b;
+  }
+  static_assert(ascii_lower('Q') == 'q' && ascii_lower('@') == '@' &&
+                ascii_lower('[') == '[' && ascii_lower('\x3F') == '\x3F');
 }
 
 TEST(ToLower, Ascii) {

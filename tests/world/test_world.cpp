@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <unordered_set>
 
 #include "util/stats.hpp"
@@ -238,6 +241,39 @@ TEST(WorldModel, UniqueProbeNamesDiffer) {
     const auto name = world.unique_probe_name(rng);
     EXPECT_TRUE(name.is_subdomain_of(world.probe_apex()));
     EXPECT_TRUE(names.insert(name.canonical()).second);
+  }
+}
+
+TEST(WorldModel, ProbeLabelIsPFollowedBySixteenLowercaseHexDigits) {
+  const auto text = [](std::uint64_t value) {
+    const auto label = probe_label(value);
+    return std::string(label.data(), label.size());
+  };
+  EXPECT_EQ(text(0), "p0000000000000000");
+  EXPECT_EQ(text(UINT64_MAX), "pffffffffffffffff");
+  EXPECT_EQ(text(0x00c0ffee1234abcdULL), "p00c0ffee1234abcd");
+  // The printf form it replaces, over arbitrary draws.
+  util::Rng rng(2019);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t value = rng.next() >> rng.below(64);
+    char reference[20];
+    std::snprintf(reference, sizeof(reference), "p%016llx",
+                  static_cast<unsigned long long>(value));
+    EXPECT_EQ(text(value), reference);
+  }
+}
+
+TEST(WorldModel, ProbeNamesPrefixOneDrawsLabelToTheApex) {
+  World& world = shared_world();
+  util::Rng rng(9), draws(9), into_rng(9);
+  dns::Name into = *dns::Name::parse("stale.scratch.example");
+  for (int i = 0; i < 100; ++i) {
+    const auto label = probe_label(draws.next());
+    const dns::Name name = world.unique_probe_name(rng);
+    EXPECT_EQ(name.to_string(), std::string(label.data(), label.size()) + "." +
+                                    world.probe_apex().to_string());
+    world.unique_probe_name_into(into_rng, into);
+    EXPECT_EQ(into.wire_labels(), name.wire_labels());
   }
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/phases.hpp"
 #include "dns/message.hpp"
 
 namespace encdns::core {
@@ -85,15 +86,6 @@ void encode_proxy_cursor(util::ByteWriter& w, const proxy::ProxyCursor& c) {
 }
 
 }  // namespace
-
-const std::vector<std::string>& canonical_phases() {
-  static const std::vector<std::string> phases{
-      "scan_campaign",       "doh_discovery", "doh_scan",
-      "local_probe",         "reachability_global", "reachability_cn",
-      "performance",         "no_reuse",      "netflow",
-      "netflow_trend",       "passive_dns"};
-  return phases;
-}
 
 // --- relative cache sections -------------------------------------------------
 
@@ -601,20 +593,43 @@ namespace {
 
 }  // namespace
 
+/// A phase's block-boundary hook, in either family. A delta record's
+/// metrics half is the phase's own delta instead of the global registry:
+/// load() re-applies it additively and save() snapshots the calling
+/// thread's PhaseTally, so overlapping phases never see each other's
+/// numbers.
 class PhaseHookImpl : public exec::CheckpointHook {
  public:
-  PhaseHookImpl(StudyCheckpoint* owner, std::string phase, const WorldCursor& pre,
-                std::function<WorldCursor()> capture,
+  PhaseHookImpl(StudyCheckpoint* owner, std::string phase, bool delta,
+                const WorldCursor& pre, std::function<WorldCursor()> capture,
                 std::optional<StudyCheckpoint::LoadedRecord> resumed)
       : owner_(owner),
         phase_(std::move(phase)),
+        delta_(delta),
         pre_(platforms_of(pre)),
         capture_(std::move(capture)),
         resumed_(std::move(resumed)) {}
 
   std::optional<std::vector<std::uint8_t>> load() override {
     if (!resumed_) return std::nullopt;
-    obs::MetricsRegistry::global().restore(resumed_->metrics);
+    auto& registry = obs::MetricsRegistry::global();
+    if (!delta_) {
+      registry.restore(resumed_->metrics);
+    } else {
+      // The phase re-executed its prologue (e.g. the platform batch
+      // re-acquisition) before asking for the checkpoint — work the saved
+      // delta already accounts for. Serial mode wipes the duplicate with
+      // its absolute restore; the additive protocol retracts exactly what
+      // this phase recorded so far and restarts its tally from the delta.
+      if (obs::PhaseTally* tally = obs::current_tally()) {
+        registry.retract_delta(registry.delta_snapshot(*tally));
+        tally->clear();
+      }
+      // Additive restore: lands in the global registry *and* in the calling
+      // thread's current tally, so the resumed phase's final delta covers
+      // the killed run's committed blocks too.
+      registry.apply_delta(resumed_->metrics);
+    }
     std::vector<std::uint8_t> state = std::move(resumed_->state);
     resumed_.reset();
     return state;
@@ -628,77 +643,21 @@ class PhaseHookImpl : public exec::CheckpointHook {
     WorldCursor at_save = capture_();
     at_save.global_platform = pre_.global_platform;
     at_save.cn_platform = pre_.cn_platform;
-    const obs::Snapshot snapshot = obs::MetricsRegistry::global().snapshot();
+    obs::Snapshot metrics;
+    if (!delta_)
+      metrics = obs::MetricsRegistry::global().snapshot();
+    else if (const obs::PhaseTally* tally = obs::current_tally())
+      metrics = obs::MetricsRegistry::global().delta_snapshot(*tally);
     std::lock_guard<std::mutex> guard(owner_->mutex_);
-    owner_->append_cursor_record(phase_, /*is_phase=*/false, /*delta=*/false,
-                                 at_save, snapshot, state);
+    owner_->append_cursor_record(phase_, /*is_phase=*/false, delta_, at_save,
+                                 metrics, state);
     owner_->journal_.commit();
   }
 
  private:
   StudyCheckpoint* owner_;
   std::string phase_;
-  WorldCursor pre_;
-  std::function<WorldCursor()> capture_;
-  std::optional<StudyCheckpoint::LoadedRecord> resumed_;
-};
-
-// ---------------------------------------------------------------------------
-
-/// Delta-family twin of PhaseHookImpl (task-graph mode). The metrics half of
-/// a record is the phase's own delta instead of the global registry: load()
-/// re-applies it additively and save() snapshots the calling thread's
-/// PhaseTally, so overlapping phases never see each other's numbers.
-class PhaseDeltaHookImpl : public exec::CheckpointHook {
- public:
-  PhaseDeltaHookImpl(StudyCheckpoint* owner, std::string phase,
-                     const WorldCursor& pre, std::function<WorldCursor()> capture,
-                     std::optional<StudyCheckpoint::LoadedRecord> resumed)
-      : owner_(owner),
-        phase_(std::move(phase)),
-        pre_(platforms_of(pre)),
-        capture_(std::move(capture)),
-        resumed_(std::move(resumed)) {}
-
-  std::optional<std::vector<std::uint8_t>> load() override {
-    if (!resumed_) return std::nullopt;
-    auto& registry = obs::MetricsRegistry::global();
-    // The phase re-executed its prologue (e.g. the platform batch
-    // re-acquisition) before asking for the checkpoint — work the saved
-    // delta already accounts for. Serial mode wipes the duplicate with its
-    // absolute restore; the additive protocol retracts exactly what this
-    // phase recorded so far and restarts its tally from the delta.
-    if (obs::PhaseTally* tally = obs::current_tally()) {
-      registry.retract_delta(registry.delta_snapshot(*tally));
-      tally->clear();
-    }
-    // Additive restore: lands in the global registry *and* in the calling
-    // thread's current tally, so the resumed phase's final delta covers the
-    // killed run's committed blocks too.
-    registry.apply_delta(resumed_->metrics);
-    std::vector<std::uint8_t> state = std::move(resumed_->state);
-    resumed_.reset();
-    return state;
-  }
-
-  void save(const std::vector<std::uint8_t>& state) override {
-    // Same hybrid cursor rule as the serial hook: platform position rewinds
-    // to the phase start, cache contents ride along from NOW.
-    WorldCursor at_save = capture_();
-    at_save.global_platform = pre_.global_platform;
-    at_save.cn_platform = pre_.cn_platform;
-    obs::Snapshot delta;
-    if (const obs::PhaseTally* tally = obs::current_tally())
-      delta = obs::MetricsRegistry::global().delta_snapshot(*tally);
-    std::lock_guard<std::mutex> guard(owner_->mutex_);
-    owner_->append_cursor_record(phase_, /*is_phase=*/false, /*delta=*/true,
-                                 at_save, delta, state);
-    owner_->journal_.commit();
-  }
-
- private:
-  StudyCheckpoint* owner_;
-  std::string phase_;
+  bool delta_;
   WorldCursor pre_;
   std::function<WorldCursor()> capture_;
   std::optional<StudyCheckpoint::LoadedRecord> resumed_;
@@ -750,8 +709,9 @@ void StudyCheckpoint::commit_phase(const std::string& phase,
 std::unique_ptr<exec::CheckpointHook> StudyCheckpoint::phase_hook(
     const std::string& phase, const WorldCursor& pre_cursor,
     std::function<WorldCursor()> capture, std::optional<LoadedRecord> resumed) {
-  return std::make_unique<PhaseHookImpl>(this, phase, pre_cursor,
-                                         std::move(capture), std::move(resumed));
+  return std::make_unique<PhaseHookImpl>(this, phase, /*delta=*/false,
+                                         pre_cursor, std::move(capture),
+                                         std::move(resumed));
 }
 
 // --- task-graph (delta) protocol -------------------------------------------
@@ -809,9 +769,9 @@ std::optional<obs::Snapshot> StudyCheckpoint::load_skeleton() {
 std::unique_ptr<exec::CheckpointHook> StudyCheckpoint::phase_delta_hook(
     const std::string& phase, const WorldCursor& pre_cursor,
     std::function<WorldCursor()> capture, std::optional<LoadedRecord> resumed) {
-  return std::make_unique<PhaseDeltaHookImpl>(this, phase, pre_cursor,
-                                              std::move(capture),
-                                              std::move(resumed));
+  return std::make_unique<PhaseHookImpl>(this, phase, /*delta=*/true,
+                                         pre_cursor, std::move(capture),
+                                         std::move(resumed));
 }
 
 }  // namespace encdns::core

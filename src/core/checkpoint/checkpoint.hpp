@@ -146,9 +146,6 @@ void decode_cache_section(util::ByteReader& r, const CacheSection& base,
 [[nodiscard]] std::vector<std::vector<cache::ExportedEntry>> export_section(
     const CacheSection& section);
 
-/// The canonical phase order (matches Study::observability_report).
-[[nodiscard]] const std::vector<std::string>& canonical_phases();
-
 // Byte codecs shared by checkpoint.cpp, the tests and the checkpoint guard.
 /// A whole cursor, its cache section against an empty base (journal records
 /// encode theirs against the phase's previous record instead).
@@ -252,7 +249,6 @@ class StudyCheckpoint {
 
  private:
   friend class PhaseHookImpl;
-  friend class PhaseDeltaHookImpl;
 
   /// Decodes `phase`'s newest phase (`is_phase`) or partial record of the
   /// serial or `delta` family, resolving its cache section through the

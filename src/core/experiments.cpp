@@ -30,13 +30,13 @@ std::string protocol_name(measure::Protocol protocol) {
 // deadline-clipped run cannot be mistaken for a complete one. Fully covered
 // phases add nothing: an undegraded run's tables keep their exact bytes.
 void annotate_coverage(util::Table& table, Study& study,
-                       std::initializer_list<const char*> phases) {
+                       std::initializer_list<PhaseId> phases) {
   std::string note;
-  for (const char* phase : phases) {
+  for (const PhaseId phase : phases) {
     const PhaseCoverage coverage = study.phase_coverage(phase);
     if (!coverage.degraded()) continue;
     note += note.empty() ? "degraded coverage: " : ", ";
-    note += std::string(phase) + " " + std::to_string(coverage.completed) + "/" +
+    note += coverage.phase + " " + std::to_string(coverage.completed) + "/" +
             std::to_string(coverage.planned) + " (" +
             fmt_pct(coverage.fraction(), 1) + ")";
   }
@@ -86,7 +86,7 @@ util::Table experiment_figure3(Study& study) {
   util::Table table("Figure 3: Open DoT resolvers identified by each scan",
                     {"Scan date", "Hosts w/ 853 open", "DoT resolvers",
                      "Providers", "Large-provider address share"});
-  annotate_coverage(table, study, {"scan_campaign"});
+  annotate_coverage(table, study, {PhaseId::kScanCampaign});
   for (const auto& snapshot : study.scans()) {
     // Share of resolver addresses owned by providers with >= 20 addresses.
     util::Counter per_provider;
@@ -109,7 +109,7 @@ util::Table experiment_table2(Study& study) {
   const auto& scans = study.scans();
   util::Table table("Table 2: Top countries of open DoT resolvers",
                     {"CC", "First scan", "Last scan", "Growth"});
-  annotate_coverage(table, study, {"scan_campaign"});
+  annotate_coverage(table, study, {PhaseId::kScanCampaign});
   if (scans.empty()) return table;
   util::Counter first, last;
   for (const auto& resolver : scans.front().resolvers) first.add(resolver.country);
@@ -129,7 +129,7 @@ util::Table experiment_figure4(Study& study) {
   const auto& scans = study.scans();
   util::Table table("Figure 4: Providers of open DoT resolvers (last scan)",
                     {"Metric", "Value"});
-  annotate_coverage(table, study, {"scan_campaign"});
+  annotate_coverage(table, study, {PhaseId::kScanCampaign});
   if (scans.empty()) return table;
   const auto& last = scans.back();
 
@@ -192,7 +192,7 @@ util::Table experiment_doh_discovery(Study& study) {
   const auto& discovery = study.doh_discovery();
   util::Table table("DoH discovery from the URL dataset (Section 3.2)",
                     {"Metric", "Value"});
-  annotate_coverage(table, study, {"doh_discovery"});
+  annotate_coverage(table, study, {PhaseId::kDohDiscovery});
   table.add_row({"URLs in dataset",
                  fmt_count(static_cast<std::int64_t>(discovery.urls_in_dataset))});
   table.add_row({"URLs matching DoH path templates",
@@ -235,7 +235,7 @@ util::Table experiment_figure5(Study& study) {
   const auto& discovery = study.doh_discovery();
   util::Table table("Figure 5: DoH discovery workflow (URL dataset funnel)",
                     {"Stage", "Count", "Share of dataset"});
-  annotate_coverage(table, study, {"doh_discovery"});
+  annotate_coverage(table, study, {PhaseId::kDohDiscovery});
   const auto total = static_cast<double>(discovery.urls_in_dataset);
   const auto share = [&](std::size_t n) {
     return total <= 0.0 ? fmt_pct(0.0, 2)
@@ -263,7 +263,7 @@ util::Table experiment_figure7(Study& study) {
   const auto& reach = study.reachability_global();
   util::Table table("Figure 7: Reachability test workflow (global platform)",
                     {"Step", "Count"});
-  annotate_coverage(table, study, {"reachability_global"});
+  annotate_coverage(table, study, {PhaseId::kReachabilityGlobal});
   std::uint64_t lookups = 0;
   for (const auto& [key, counts] : reach.cells) lookups += counts.total();
   table.add_row(
@@ -293,7 +293,7 @@ util::Table experiment_figure8(Study& study) {
   const auto& perf = study.performance();
   util::Table table("Figure 8: Performance test workflow (client funnel)",
                     {"Step", "Value"});
-  annotate_coverage(table, study, {"performance"});
+  annotate_coverage(table, study, {PhaseId::kPerformance});
   const std::size_t recruited = perf.clients.size() + perf.discarded_clients;
   table.add_row(
       {"Clients recruited", fmt_count(static_cast<std::int64_t>(recruited))});
@@ -312,7 +312,7 @@ util::Table experiment_local_probe(Study& study) {
   const auto& results = study.local_probe();
   util::Table table("Local-resolver DoT probe (Section 3.1, RIPE-Atlas-style)",
                     {"Metric", "Value"});
-  annotate_coverage(table, study, {"local_probe"});
+  annotate_coverage(table, study, {PhaseId::kLocalProbe});
   table.add_row({"Probes", fmt_count(static_cast<std::int64_t>(results.probes))});
   table.add_row({"DoT queries succeeded",
                  fmt_count(static_cast<std::int64_t>(results.dot_succeeded))});
@@ -347,7 +347,8 @@ util::Table experiment_table3(Study& study) {
   util::Table table("Table 3: Evaluation of client-side dataset",
                     {"Test", "Platform", "# Distinct IP", "# Country", "# AS"});
   annotate_coverage(table, study,
-                    {"reachability_global", "reachability_cn", "performance"});
+                    {PhaseId::kReachabilityGlobal, PhaseId::kReachabilityCn,
+                     PhaseId::kPerformance});
   const auto& global = study.reachability_global();
   const auto& cn = study.reachability_cn();
   table.add_row({"Reachability", global.dataset.platform + " (Global)",
@@ -371,7 +372,8 @@ util::Table experiment_table4(Study& study) {
   util::Table table("Table 4: Reachability test results of public resolvers",
                     {"Platform", "Resolver", "Protocol", "Correct", "Incorrect",
                      "Failed"});
-  annotate_coverage(table, study, {"reachability_global", "reachability_cn"});
+  annotate_coverage(table, study,
+                    {PhaseId::kReachabilityGlobal, PhaseId::kReachabilityCn});
   const auto emit = [&](const measure::ReachabilityResults& results,
                         const std::string& platform) {
     for (const auto& resolver : {"Cloudflare", "Google", "Quad9", "Self-built"}) {
@@ -401,7 +403,7 @@ util::Table experiment_table5(Study& study) {
   util::Table table(
       "Table 5: Ports open on 1.1.1.1, probed from clients failing Cloudflare DoT",
       {"Port", "# Clients", "Share of diagnosed clients"});
-  annotate_coverage(table, study, {"reachability_global"});
+  annotate_coverage(table, study, {PhaseId::kReachabilityGlobal});
   const std::size_t total = results.conflict_diagnoses.size();
   std::map<std::uint16_t, std::size_t> per_port;
   std::size_t none = 0;
@@ -425,7 +427,7 @@ util::Table experiment_table6(Study& study) {
   util::Table table("Table 6: Example clients affected by TLS interception",
                     {"Client", "CC", "AS", "Untrusted CA CN", "443", "853",
                      "Opportunistic DoT answered"});
-  annotate_coverage(table, study, {"reachability_global"});
+  annotate_coverage(table, study, {PhaseId::kReachabilityGlobal});
   for (const auto& record : results.interceptions) {
     // Anonymize the client like the paper: a.b.c.* form.
     const util::Ipv4 block = record.client_address.slash24();
@@ -449,7 +451,7 @@ util::Table experiment_figure9(Study& study) {
       "Figure 9: Query performance per country (overhead vs DNS/TCP, reused "
       "connections, ms)",
       {"Country", "# Clients", "DoT mean", "DoT median", "DoH mean", "DoH median"});
-  annotate_coverage(table, study, {"performance"});
+  annotate_coverage(table, study, {PhaseId::kPerformance});
   table.add_row({"GLOBAL",
                  fmt_count(static_cast<std::int64_t>(results.clients.size())),
                  fmt(results.overall(false, false), 1),
@@ -469,7 +471,7 @@ util::Table experiment_figure10(Study& study) {
   util::Table table(
       "Figure 10: Per-client query time, DNS vs DoT/DoH (scatter summary)",
       {"Statistic", "DNS (ms)", "DoT (ms)", "DoH (ms)"});
-  annotate_coverage(table, study, {"performance"});
+  annotate_coverage(table, study, {PhaseId::kPerformance});
   std::vector<double> dns, dot, doh;
   for (const auto& client : results.clients) {
     dns.push_back(client.dns_ms);
@@ -497,7 +499,7 @@ util::Table experiment_table7(Study& study) {
   util::Table table(
       "Table 7: Performance test results w/o connection reuse (medians, s)",
       {"Vantage", "DNS/TCP", "DoT (overhead)", "DoH (overhead)"});
-  annotate_coverage(table, study, {"no_reuse"});
+  annotate_coverage(table, study, {PhaseId::kNoReuse});
   for (const auto& row : study.no_reuse()) {
     table.add_row({row.vantage_country, fmt(row.dns_s, 3),
                    fmt(row.dot_s, 3) + " (" + fmt(row.dot_overhead_ms(), 0) + "ms)",
@@ -510,7 +512,7 @@ util::Table experiment_figure11(Study& study) {
   const auto& results = study.netflow();
   util::Table table("Figure 11: Monthly DoT flows to Cloudflare and Quad9 (sampled)",
                     {"Month", "Cloudflare", "Quad9", "est. Do53 (sampled)"});
-  annotate_coverage(table, study, {"netflow"});
+  annotate_coverage(table, study, {PhaseId::kNetflow});
   std::map<util::Date, std::pair<std::uint64_t, std::uint64_t>> merged;
   for (const auto& [month, count] : results.cloudflare_monthly)
     merged[month].first = count;
@@ -541,7 +543,7 @@ util::Table experiment_figure12(Study& study) {
   const auto& results = study.netflow();
   util::Table table("Figure 12: DoT traffic to Cloudflare/Quad9 per /24 network",
                     {"Rank", "/24", "Records", "Share", "Active days"});
-  annotate_coverage(table, study, {"netflow"});
+  annotate_coverage(table, study, {PhaseId::kNetflow});
   for (std::size_t i = 0; i < std::min<std::size_t>(10, results.netblocks.size());
        ++i) {
     const auto& nb = results.netblocks[i];
@@ -581,7 +583,7 @@ util::Table experiment_figure11_trend(Study& study) {
   util::Table table(
       "Figure 11 (trend): Multi-year encrypted-DNS adoption by provider",
       {"Month", "Provider", "Flows (sampled)", "Distinct clients (est.)"});
-  annotate_coverage(table, study, {"netflow_trend"});
+  annotate_coverage(table, study, {PhaseId::kNetflowTrend});
   for (const auto& provider : results.providers) {
     for (const auto& month : provider.monthly) {
       if (month.month.month != 1 && month.month.month != 7) continue;
@@ -625,7 +627,7 @@ util::Table experiment_figure13(Study& study) {
   util::Table table("Figure 13: Monthly query volume of popular DoH domains",
                     {"Month", "Google", "Cloudflare (mozilla.*)", "CleanBrowsing",
                      "crypto.sx"});
-  annotate_coverage(table, study, {"passive_dns"});
+  annotate_coverage(table, study, {PhaseId::kPassiveDns});
   std::map<util::Date, std::array<std::uint64_t, 4>> merged;
   for (std::size_t i = 0; i < popular.size(); ++i)
     for (const auto& [month, count] : results.daily_db.monthly_series(popular[i]))
@@ -650,7 +652,7 @@ util::Table experiment_doh_scan(Study& study) {
   const auto& scan = study.doh_scan();
   util::Table table("IP-directed DoH discovery scan (Section 3 variant)",
                     {"Metric", "Value"});
-  annotate_coverage(table, study, {"doh_scan"});
+  annotate_coverage(table, study, {PhaseId::kDohScan});
   table.add_row({"Addresses probed on TCP/443",
                  fmt_count(static_cast<std::int64_t>(scan.addresses_probed))});
   table.add_row({"Hosts with port 443 open",

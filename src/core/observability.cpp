@@ -1,87 +1,67 @@
-// Study-level observability: drives the paper phases — serially under one
+// Study-level observability: drives the phase table — serially under one
 // PhaseProfiler, or as a dependency graph (exec::TaskGraph, DESIGN.md §15)
 // with per-phase PhaseTally deltas — and assembles the ObservabilityReport
-// (DESIGN.md §9). Both schedules produce byte-identical reports.
+// (DESIGN.md §9). Both schedules produce byte-identical reports at quick
+// scale (DESIGN.md §15 on paper scale).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "core/study.hpp"
 #include "exec/graph.hpp"
-#include "obs/span.hpp"
-#include "tls/verify.hpp"
 
 namespace encdns::core {
 
-void Study::run_certs_analysis() {
-  // Certificate analysis of the final scan snapshot (§3.2, Table 2 input):
-  // serial pass, so plain counter adds are already deterministic.
-  OBS_SPAN("certs.analyze");
-  auto& registry = obs::MetricsRegistry::global();
-  const auto& snapshots = scans();
-  if (snapshots.empty()) return;
-  for (const auto& resolver : snapshots.back().resolvers) {
-    registry.counter("certs.analyzed").add(1);
-    if (resolver.cert_status == tls::CertStatus::kValid)
-      registry.counter("certs.valid").add(1);
-    else
-      registry.counter("certs.invalid").add(1);
-    if (resolver.cert_status == tls::CertStatus::kSelfSigned)
-      registry.counter("certs.self_signed").add(1);
-    if (resolver.cert_status == tls::CertStatus::kExpired)
-      registry.counter("certs.expired").add(1);
+namespace {
+
+/// The phase table split into runs of rows that share a report group, in
+/// table order: the serial schedule's profiler brackets and the groups the
+/// task graph's node deltas fold into.
+std::vector<std::span<const PhaseSpec>> report_groups() {
+  std::vector<std::span<const PhaseSpec>> groups;
+  const std::span<const PhaseSpec> table = phase_table();
+  std::size_t first = 0;
+  for (std::size_t i = 1; i <= table.size(); ++i) {
+    if (i == table.size() ||
+        std::string_view(table[i].group) != table[first].group) {
+      groups.push_back(table.subspan(first, i - first));
+      first = i;
+    }
   }
+  return groups;
 }
+
+}  // namespace
 
 const ObservabilityReport& Study::observability_report() {
   if (obs_report_) return *obs_report_;
-  if (dag_enabled()) return observability_report_dag();
-
+  const bool dag = dag_enabled();
   // On a fresh Study the registry starts from zero so the report (and its
   // JSON) is a pure function of the config. If the caller already forced
   // experiments, their metrics must survive — skip the reset and leave those
   // contributions outside any phase.
-  const bool fresh = !scans_ && !doh_discovery_ && !doh_scan_ &&
-                     !local_probe_ && !reach_global_ && !reach_cn_ &&
-                     !performance_ && !no_reuse_ && !netflow_ &&
-                     !netflow_trend_ && !passive_dns_;
-  if (fresh) obs::MetricsRegistry::global().reset();
-
-  obs::PhaseProfiler profiler;
-
-  profiler.begin("scan");
-  (void)scans();
-  (void)doh_discovery();
-  (void)doh_scan();
-  (void)local_probe();
-  profiler.end();
-
-  profiler.begin("certs");
-  run_certs_analysis();
-  profiler.end();
-
-  profiler.begin("reachability");
-  (void)reachability_global();
-  (void)reachability_cn();
-  profiler.end();
-
-  profiler.begin("performance");
-  (void)performance();
-  (void)no_reuse();
-  profiler.end();
-
-  profiler.begin("netflow");
-  (void)netflow();
-  (void)netflow_trend();
-  profiler.end();
-
-  profiler.begin("passive_dns");
-  (void)passive_dns();
-  profiler.end();
+  const auto cached = [this](const PhaseSpec& spec) {
+    return spec.cached && spec.cached(*this);
+  };
+  if (std::none_of(phase_table().begin(), phase_table().end(), cached))
+    obs::MetricsRegistry::global().reset();
 
   ObservabilityReport report;
+  if (dag) {
+    report.phases = run_graph();
+  } else {
+    obs::PhaseProfiler profiler;
+    for (const auto group : report_groups()) {
+      profiler.begin(group.front().group);
+      for (const PhaseSpec& spec : group) run_phase(spec);
+      profiler.end();
+    }
+    report.phases = profiler.records();
+  }
   report.metrics = obs::MetricsRegistry::global().snapshot();
-  report.phases = profiler.records();
   report.robustness = robustness_report();
   report.data_quality = data_quality_report();
   obs_report_ = std::move(report);
@@ -90,47 +70,21 @@ const ObservabilityReport& Study::observability_report() {
 
 // --- task-graph schedule ----------------------------------------------------
 
-void Study::force_phase(const std::string& phase) {
-  if (phase == "scan_campaign") {
-    (void)scans();
-  } else if (phase == "doh_discovery") {
-    (void)doh_discovery();
-  } else if (phase == "doh_scan") {
-    (void)doh_scan();
-  } else if (phase == "local_probe") {
-    (void)local_probe();
-  } else if (phase == "certs") {
-    run_certs_analysis();
-  } else if (phase == "reachability_global") {
-    (void)reachability_global();
-  } else if (phase == "reachability_cn") {
-    (void)reachability_cn();
-  } else if (phase == "performance") {
-    (void)performance();
-  } else if (phase == "no_reuse") {
-    (void)no_reuse();
-  } else if (phase == "netflow") {
-    (void)netflow();
-  } else if (phase == "netflow_trend") {
-    (void)netflow_trend();
-  } else if (phase == "passive_dns") {
-    (void)passive_dns();
-  } else {
-    throw std::logic_error("unknown study phase \"" + phase + "\"");
-  }
-}
-
-void Study::run_phase_node(const std::string& phase) {
+void Study::run_phase_node(const PhaseSpec& spec) {
+  // Dependencies are already done in the graph; a phase the resume prologue
+  // re-runs may meet one that has not run, which then runs first as its
+  // own node rather than inside this phase's tally.
+  for (const PhaseId dep : spec.deps) run_phase_node(phase_spec(dep));
   {
     std::lock_guard<std::mutex> lock(dag_mutex_);
-    if (phase_deltas_.find(phase) != phase_deltas_.end())
+    if (phase_deltas_.find(spec.name) != phase_deltas_.end())
       return;  // loaded from the journal in the resume prologue
   }
   obs::PhaseTally tally;
   const auto start = std::chrono::steady_clock::now();
   {
     obs::ScopedTally scope(&tally);
-    force_phase(phase);
+    run_phase(spec);
   }
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
@@ -138,23 +92,24 @@ void Study::run_phase_node(const std::string& phase) {
           .count();
   obs::Snapshot delta = obs::MetricsRegistry::global().delta_snapshot(tally);
   std::lock_guard<std::mutex> lock(dag_mutex_);
-  phase_deltas_[phase] = std::move(delta);
-  phase_walls_[phase] += wall_ms;
+  phase_deltas_[spec.name] = std::move(delta);
+  phase_walls_[spec.name] += wall_ms;
 }
 
-void Study::commit_phase_node(const std::string& phase) {
+void Study::commit_phase_node(const PhaseSpec& spec) {
   if (!checkpoint_) return;
   PendingCommit pending;
   obs::Snapshot delta;
   {
     std::lock_guard<std::mutex> lock(dag_mutex_);
-    const auto it = pending_commits_.find(phase);
-    if (it == pending_commits_.end()) return;  // loaded phase, or "certs"
+    const auto it = pending_commits_.find(spec.name);
+    if (it == pending_commits_.end()) return;  // loaded phase
     pending = std::move(it->second);
     pending_commits_.erase(it);
-    delta = phase_deltas_.at(phase);
+    delta = phase_deltas_.at(spec.name);
   }
-  checkpoint_->commit_phase_delta(phase, pending.state, pending.cursor, delta);
+  checkpoint_->commit_phase_delta(spec.name, pending.state, pending.cursor,
+                                  delta);
 }
 
 void Study::dag_resume_prologue() {
@@ -165,27 +120,28 @@ void Study::dag_resume_prologue() {
   if (auto skeleton = checkpoint_->load_skeleton())
     obs::MetricsRegistry::global().register_skeleton(*skeleton);
   bool every_phase_loaded = true;
-  for (const auto& phase : canonical_phases()) {
-    if (auto loaded = checkpoint_->load_phase_delta(phase)) {
-      decode_phase_state(phase, loaded->state);
-      restore_owned_platform(phase, loaded->cursor);
+  for (const PhaseSpec& spec : phase_table()) {
+    if (!spec.journaled()) continue;
+    if (auto loaded = checkpoint_->load_phase_delta(spec.name)) {
+      spec.decode(*this, loaded->state);
+      restore_owned_platform(spec.platform, loaded->cursor);
       pending_caches_.push_back(std::move(loaded->caches));
       // Additive replay — records are position-independent, so phases that
       // committed out of canonical order at the kill still land exactly.
       obs::MetricsRegistry::global().apply_delta(loaded->metrics);
       std::lock_guard<std::mutex> lock(dag_mutex_);
-      phase_deltas_[phase] = std::move(loaded->metrics);
+      phase_deltas_[spec.name] = std::move(loaded->metrics);
     } else {
       every_phase_loaded = false;
-      if (checkpoint_->has_partial(phase)) {
+      if (checkpoint_->has_partial(spec.name)) {
         // Mid-flight at the kill: finish it here, serially, before the
         // graph starts — its cache restore must not interleave with live
         // phases. It reads the caches its predecessors stored, so theirs
-        // are merged first. The accessor decodes the partial (a corrupt one
+        // are merged first. run_phase decodes the partial (a corrupt one
         // fails closed there) and the delta hook resumes from it; the
         // graph's merge slot journals the full record like any other phase.
         restore_pending_caches();
-        run_phase_node(phase);
+        run_phase_node(spec);
       }
     }
   }
@@ -198,13 +154,7 @@ void Study::dag_resume_prologue() {
     restore_pending_caches();
 }
 
-const ObservabilityReport& Study::observability_report_dag() {
-  const bool fresh = !scans_ && !doh_discovery_ && !doh_scan_ &&
-                     !local_probe_ && !reach_global_ && !reach_cn_ &&
-                     !performance_ && !no_reuse_ && !netflow_ &&
-                     !netflow_trend_ && !passive_dns_;
-  if (fresh) obs::MetricsRegistry::global().reset();
-
+std::vector<obs::PhaseRecord> Study::run_graph() {
   graph_mode_ = true;
   if (checkpoint_) dag_resume_prologue();
 
@@ -213,38 +163,20 @@ const ObservabilityReport& Study::observability_report_dag() {
   exec::WorkerPool pool(config_.thread_count);
   shared_pool_ = &pool;
 
-  exec::TaskGraph graph;
-  const auto body = [this](const char* phase) {
-    return [this, phase] { run_phase_node(phase); };
-  };
-  const auto merge = [this](const char* phase) {
-    return [this, phase] { commit_phase_node(phase); };
-  };
   // Declaration order is canonical (merge/commit order); the edges are the
-  // true data dependencies: certs reads the final scan snapshot, and each
-  // proxy platform's recruitment cursor chains its users (global: the
-  // reachability run then performance; cn: its own run, which also shares
-  // the reachability sim-budget token and the reachability sim-date cache
-  // entries with the global run).
-  const auto scan_id = graph.add("scan_campaign", body("scan_campaign"),
-                                 merge("scan_campaign"));
-  (void)graph.add("doh_discovery", body("doh_discovery"),
-                  merge("doh_discovery"));
-  (void)graph.add("doh_scan", body("doh_scan"), merge("doh_scan"));
-  (void)graph.add("local_probe", body("local_probe"), merge("local_probe"));
-  (void)graph.add("certs", body("certs"), nullptr, {scan_id});
-  const auto reach_id = graph.add("reachability_global",
-                                  body("reachability_global"),
-                                  merge("reachability_global"));
-  (void)graph.add("reachability_cn", body("reachability_cn"),
-                  merge("reachability_cn"), {reach_id});
-  (void)graph.add("performance", body("performance"), merge("performance"),
-                  {reach_id});
-  (void)graph.add("no_reuse", body("no_reuse"), merge("no_reuse"));
-  (void)graph.add("netflow", body("netflow"), merge("netflow"));
-  (void)graph.add("netflow_trend", body("netflow_trend"),
-                  merge("netflow_trend"));
-  (void)graph.add("passive_dns", body("passive_dns"), merge("passive_dns"));
+  // table's dependencies.
+  exec::TaskGraph graph;
+  std::vector<exec::TaskGraph::NodeId> nodes;
+  for (const PhaseSpec& spec : phase_table()) {
+    std::vector<exec::TaskGraph::NodeId> deps;
+    for (const PhaseId dep : spec.deps)
+      deps.push_back(nodes[static_cast<std::size_t>(dep)]);
+    std::function<void()> merge;
+    if (spec.journaled()) merge = [this, &spec] { commit_phase_node(spec); };
+    nodes.push_back(graph.add(
+        spec.name, [this, &spec] { run_phase_node(spec); }, std::move(merge),
+        std::move(deps)));
+  }
   try {
     graph.run();
   } catch (...) {
@@ -255,40 +187,22 @@ const ObservabilityReport& Study::observability_report_dag() {
   shared_pool_ = nullptr;
   graph_mode_ = false;
 
-  ObservabilityReport report;
-  report.metrics = obs::MetricsRegistry::global().snapshot();
-
-  // Fold the node deltas into the serial schedule's six phase records, in
-  // its order — the report is byte-identical either way.
-  struct Group {
-    const char* name;
-    std::vector<const char*> members;
-  };
-  const Group groups[] = {
-      {"scan", {"scan_campaign", "doh_discovery", "doh_scan", "local_probe"}},
-      {"certs", {"certs"}},
-      {"reachability", {"reachability_global", "reachability_cn"}},
-      {"performance", {"performance", "no_reuse"}},
-      {"netflow", {"netflow", "netflow_trend"}},
-      {"passive_dns", {"passive_dns"}},
-  };
-  for (const auto& group : groups) {
+  // Fold the node deltas into the serial schedule's phase records, in its
+  // order — the report is byte-identical either way.
+  std::vector<obs::PhaseRecord> phases;
+  for (const auto group : report_groups()) {
     obs::Snapshot merged;
     double wall_ms = 0.0;
-    for (const char* member : group.members) {
-      const auto it = phase_deltas_.find(member);
+    for (const PhaseSpec& spec : group) {
+      const auto it = phase_deltas_.find(spec.name);
       if (it != phase_deltas_.end()) obs::merge_delta(merged, it->second);
-      const auto wit = phase_walls_.find(member);
+      const auto wit = phase_walls_.find(spec.name);
       if (wit != phase_walls_.end()) wall_ms += wit->second;
     }
-    report.phases.push_back(
-        obs::PhaseProfiler::from_delta(group.name, merged, wall_ms));
+    phases.push_back(
+        obs::PhaseProfiler::from_delta(group.front().group, merged, wall_ms));
   }
-
-  report.robustness = robustness_report();
-  report.data_quality = data_quality_report();
-  obs_report_ = std::move(report);
-  return *obs_report_;
+  return phases;
 }
 
 namespace {

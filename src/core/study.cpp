@@ -3,9 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "measure/codec.hpp"
-#include "scan/codec.hpp"
-#include "traffic/codec.hpp"
 #include "util/bytes.hpp"
 #include "util/env.hpp"
 
@@ -74,8 +71,9 @@ void Study::enable_checkpoint(const std::string& dir, bool resume) {
 }
 
 void Study::set_deadline(double seconds) {
-  if (!study_cancel_) study_cancel_.emplace();
-  study_cancel_->set_wall_budget(seconds);
+  std::lock_guard<std::mutex> lock(dag_mutex_);
+  budget_tokens_.try_emplace(kStudyDeadline).first->second.set_wall_budget(
+      seconds);
 }
 
 std::uint64_t Study::config_fingerprint() const {
@@ -196,31 +194,43 @@ bool Study::dag_enabled() {
                        "(serial fallback)");
 }
 
-exec::CancelToken* Study::phase_cancel(const char* env_name,
-                                       std::optional<exec::CancelToken>& slot) {
-  if (slot) return &*slot;
-  const auto value = util::env_string(env_name);
-  if (!value && !study_cancel_) return nullptr;
-  slot.emplace();
-  if (study_cancel_) slot->set_parent(&*study_cancel_);
-  if (value) {
-    const bool is_sim = value->rfind("sim:", 0) == 0;
-    const std::string number = is_sim ? value->substr(4) : *value;
-    char* end = nullptr;
-    const double parsed =
-        number.empty() ? 0.0 : std::strtod(number.c_str(), &end);
-    if (number.empty() || end == nullptr || *end != '\0' ||
-        !std::isfinite(parsed) || parsed <= 0.0) {
-      throw util::EnvError(std::string(env_name) + "=\"" + *value +
-                           "\": expected a positive wall budget in seconds "
-                           "or a deterministic \"sim:<milliseconds>\" budget");
+exec::CancelToken* Study::budget_token(const PhaseBudget& budget) {
+  if (budget.env == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(dag_mutex_);
+  const auto study = budget_tokens_.find(kStudyDeadline);
+  const exec::CancelToken* deadline =
+      study == budget_tokens_.end() ? nullptr : &study->second;
+  auto token = budget_tokens_.find(budget.env);
+  if (token == budget_tokens_.end()) {
+    const bool borrow =
+        budget.fallback != nullptr && !util::env_string(budget.env);
+    const char* env = borrow ? budget.fallback : budget.env;
+    const auto value = util::env_string(env);
+    if (!value && deadline == nullptr) return nullptr;
+    token = budget_tokens_.try_emplace(budget.env).first;
+    if (value) {
+      const bool is_sim = value->rfind("sim:", 0) == 0;
+      const std::string number = is_sim ? value->substr(4) : *value;
+      char* end = nullptr;
+      const double parsed =
+          number.empty() ? 0.0 : std::strtod(number.c_str(), &end);
+      if (number.empty() || end == nullptr || *end != '\0' ||
+          !std::isfinite(parsed) || parsed <= 0.0) {
+        throw util::EnvError(
+            std::string(env) + "=\"" + *value +
+            "\": expected a positive wall budget in seconds or a "
+            "deterministic \"sim:<milliseconds>\" budget");
+      }
+      if (is_sim)
+        token->second.set_sim_budget(sim::Millis{parsed});
+      else
+        token->second.set_wall_budget(parsed);
     }
-    if (is_sim)
-      slot->set_sim_budget(sim::Millis{parsed});
-    else
-      slot->set_wall_budget(parsed);
   }
-  return &*slot;
+  // Chained at every hand-out, not only at creation: a study deadline set
+  // after a shared token exists must still reach the token's later users.
+  if (deadline != nullptr) token->second.set_parent(deadline);
+  return &token->second;
 }
 
 WorldCursor Study::capture_cursor() const {
@@ -263,57 +273,36 @@ void Study::restore_cursor(const WorldCursor& cursor) {
   tally_baseline_.entries = rebase(cursor.cache_tally.entries, live.entries);
 }
 
-namespace {
-
-/// Which proxy platform a phase advances (acquire_batch prologue). The graph
-/// edges serialize each platform's users, so the owner's cursor is stable at
-/// capture time while the *other* platform may be mid-advance on another
-/// node thread — owned-cursor capture must not read it.
-enum class OwnedPlatform { kNone, kGlobal, kCn };
-
-[[nodiscard]] OwnedPlatform owned_platform(const std::string& phase) {
-  if (phase == "reachability_global" || phase == "performance")
-    return OwnedPlatform::kGlobal;
-  if (phase == "reachability_cn") return OwnedPlatform::kCn;
-  return OwnedPlatform::kNone;
-}
-
-}  // namespace
-
-WorldCursor Study::capture_owned_cursor(const std::string& phase) const {
-  WorldCursor cursor;
-  switch (owned_platform(phase)) {
+Study::Owned Study::owned(OwnedPlatform platform) const {
+  switch (platform) {
     case OwnedPlatform::kGlobal:
-      cursor.global_platform = global_platform_->cursor();
-      break;
+      return {global_platform_.get(), &WorldCursor::global_platform};
     case OwnedPlatform::kCn:
-      cursor.cn_platform = cn_platform_->cursor();
-      break;
+      return {cn_platform_.get(), &WorldCursor::cn_platform};
     case OwnedPlatform::kNone:
       break;
   }
+  return {nullptr, nullptr};
+}
+
+WorldCursor Study::capture_owned_cursor(OwnedPlatform platform) const {
+  WorldCursor cursor;
+  if (const auto [network, field] = owned(platform); network != nullptr)
+    cursor.*field = network->cursor();
   cursor.cache_tally = cumulative_cache_tally();
   // Only the entries this phase stored (attributed by its PhaseTally — the
-  // accessors call this under the node's ScopedTally): a full-contents
-  // capture under overlap would carry concurrent phases' half-done stores,
-  // and replaying those on resume hands a re-running phase cache hits its
-  // reference run never saw.
+  // phase runs under the node's ScopedTally): a full-contents capture under
+  // overlap would carry concurrent phases' half-done stores, and replaying
+  // those on resume hands a re-running phase cache hits its reference run
+  // never saw.
   cursor.caches = world_->export_resolver_caches(obs::current_tally());
   return cursor;
 }
 
-void Study::restore_owned_platform(const std::string& phase,
+void Study::restore_owned_platform(OwnedPlatform platform,
                                    const WorldCursor& cursor) {
-  switch (owned_platform(phase)) {
-    case OwnedPlatform::kGlobal:
-      global_platform_->restore_cursor(cursor.global_platform);
-      break;
-    case OwnedPlatform::kCn:
-      cn_platform_->restore_cursor(cursor.cn_platform);
-      break;
-    case OwnedPlatform::kNone:
-      break;
-  }
+  if (const auto [network, field] = owned(platform); network != nullptr)
+    network->restore_cursor(cursor.*field);
 }
 
 void Study::restore_pending_caches() {
@@ -328,37 +317,38 @@ void Study::restore_pending_caches() {
   pending_caches_.clear();
 }
 
-void Study::stash_commit(const std::string& phase,
+void Study::stash_commit(const PhaseSpec& spec,
                          std::vector<std::uint8_t> state) {
   PendingCommit pending;
   pending.state = std::move(state);
-  pending.cursor = capture_owned_cursor(phase);
+  pending.cursor = capture_owned_cursor(spec.platform);
   std::lock_guard<std::mutex> lock(dag_mutex_);
-  pending_commits_[phase] = std::move(pending);
+  pending_commits_[spec.name] = std::move(pending);
 }
 
 std::unique_ptr<exec::CheckpointHook> Study::checkpoint_hook(
-    const std::string& phase) {
+    const PhaseSpec& spec) {
   // The newest partial is decoded once, here: its cursor rewinds the world
   // before the phase's prologue runs, and the hook's load() hands the phase
   // its state and metrics. Only the platform cursors of `pre` are kept.
   WorldCursor pre;
   if (graph_mode_) {
-    auto resumed = checkpoint_->load_partial_delta(phase);
+    auto resumed = checkpoint_->load_partial_delta(spec.name);
     if (resumed) {
-      restore_owned_platform(phase, resumed->cursor);
+      restore_owned_platform(spec.platform, resumed->cursor);
       world_->merge_resolver_caches(export_section(resumed->caches));
       pre.global_platform = resumed->cursor.global_platform;
       pre.cn_platform = resumed->cursor.cn_platform;
       resumed->caches = {};
     } else {
-      pre = capture_owned_cursor(phase);
+      pre = capture_owned_cursor(spec.platform);
     }
     return checkpoint_->phase_delta_hook(
-        phase, pre, [this, phase] { return capture_owned_cursor(phase); },
+        spec.name, pre,
+        [this, &spec] { return capture_owned_cursor(spec.platform); },
         std::move(resumed));
   }
-  auto resumed = checkpoint_->load_partial(phase);
+  auto resumed = checkpoint_->load_partial(spec.name);
   if (resumed) {
     restore_cursor(resumed->cursor);
     pre.global_platform = resumed->cursor.global_platform;
@@ -369,395 +359,81 @@ std::unique_ptr<exec::CheckpointHook> Study::checkpoint_hook(
     pre.cn_platform = cn_platform_->cursor();
   }
   return checkpoint_->phase_hook(
-      phase, pre, [this] { return capture_cursor(); }, std::move(resumed));
+      spec.name, pre, [this] { return capture_cursor(); }, std::move(resumed));
 }
 
-void Study::decode_phase_state(const std::string& phase,
-                               const std::vector<std::uint8_t>& state) {
-  util::ByteReader r(state);
-  if (phase == "scan_campaign") {
-    scans_ = scan::decode_snapshots(r);
-  } else if (phase == "doh_discovery") {
-    doh_discovery_ = scan::decode_doh_discovery(r);
-  } else if (phase == "doh_scan") {
-    doh_scan_ = scan::decode_doh_scan(r);
-  } else if (phase == "local_probe") {
-    local_probe_ = measure::decode_local_probe(r);
-  } else if (phase == "reachability_global") {
-    reach_global_ = measure::decode_reachability(r);
-  } else if (phase == "reachability_cn") {
-    reach_cn_ = measure::decode_reachability(r);
-  } else if (phase == "performance") {
-    performance_ = measure::decode_performance(r);
-  } else if (phase == "no_reuse") {
-    no_reuse_ = measure::decode_no_reuse(r);
-  } else if (phase == "netflow") {
-    netflow_ = traffic::decode_netflow_results(r);
-  } else if (phase == "netflow_trend") {
-    netflow_trend_ = traffic::decode_trend_results(r);
-  } else if (phase == "passive_dns") {
-    passive_dns_ = traffic::decode_passive_dns(r);
-  } else {
-    throw util::CodecError("unknown checkpoint phase \"" + phase + "\"");
+void Study::run_phase(const PhaseSpec& spec) {
+  if (spec.cached && spec.cached(*this)) return;
+  // A phase reads its dependencies' results and the platform and cache
+  // state they leave behind, so a lone accessor runs them first; in the
+  // graph and the serial loop they are already cached.
+  for (const PhaseId dep : spec.deps) run_phase(phase_spec(dep));
+  const bool journaled = checkpoint_ != nullptr && spec.journaled();
+  if (journaled && !graph_mode_) {
+    if (auto loaded = checkpoint_->load_phase(spec.name)) {
+      spec.decode(*this, loaded->state);
+      restore_cursor(loaded->cursor);
+      return;
+    }
   }
-  r.expect_done();
+  PhaseContext context{.pool = shared_pool_,
+                       .cancel = budget_token(spec.budget),
+                       .platform = owned(spec.platform).network};
+  std::unique_ptr<exec::CheckpointHook> hook;
+  if (journaled && spec.partials) {
+    hook = checkpoint_hook(spec);
+    context.checkpoint = hook.get();
+  }
+  spec.run(*this, context);
+  if (!journaled) return;
+  if (graph_mode_)
+    stash_commit(spec, spec.encode(*this));
+  else
+    checkpoint_->commit_phase(spec.name, spec.encode(*this), capture_cursor());
 }
 
 const std::vector<scan::ScanSnapshot>& Study::scans() {
-  if (scans_) return *scans_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("scan_campaign")) {
-      util::ByteReader r(loaded->state);
-      scans_ = scan::decode_snapshots(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *scans_;
-    }
-  }
-  scan::CampaignConfig cfg = config_.campaign;
-  cfg.pool = shared_pool_;
-  cfg.cancel = phase_cancel("ENCDNS_DEADLINE_SCAN", scan_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    hook = checkpoint_hook("scan_campaign");
-    cfg.checkpoint = hook.get();
-  }
-  scan::Scanner scanner(*world_, cfg);
-  scans_ = scanner.run_campaign();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    scan::encode_snapshots(w, *scans_);
-    if (graph_mode_)
-      stash_commit("scan_campaign", w.take());
-    else
-      checkpoint_->commit_phase("scan_campaign", w.take(), capture_cursor());
-  }
-  return *scans_;
+  return forced(PhaseId::kScanCampaign, scans_);
 }
 
 const scan::DohDiscovery& Study::doh_discovery() {
-  if (doh_discovery_) return *doh_discovery_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("doh_discovery")) {
-      util::ByteReader r(loaded->state);
-      doh_discovery_ = scan::decode_doh_discovery(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *doh_discovery_;
-    }
-  }
-  scan::DohProber prober(*world_, world_->make_clean_vantage("US"),
-                         config_.campaign.seed ^ 0xD0DULL);
-  doh_discovery_ =
-      prober.discover(world_->url_dataset(), config_.campaign.start.plus_days(30));
-  if (checkpoint_) {
-    util::ByteWriter w;
-    scan::encode_doh_discovery(w, *doh_discovery_);
-    if (graph_mode_)
-      stash_commit("doh_discovery", w.take());
-    else
-      checkpoint_->commit_phase("doh_discovery", w.take(), capture_cursor());
-  }
-  return *doh_discovery_;
+  return forced(PhaseId::kDohDiscovery, doh_discovery_);
 }
 
 const scan::DohScanResult& Study::doh_scan() {
-  if (doh_scan_) return *doh_scan_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("doh_scan")) {
-      util::ByteReader r(loaded->state);
-      doh_scan_ = scan::decode_doh_scan(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *doh_scan_;
-    }
-  }
-  scan::DohScanConfig cfg;
-  cfg.seed = config_.campaign.seed ^ 0xED0ULL;
-  cfg.thread_count = config_.thread_count;
-  cfg.scan_window = config_.campaign.scan_window;
-  cfg.scan_rate = config_.campaign.scan_rate;
-  cfg.pool = shared_pool_;
-  // This phase budgets under ENCDNS_DEADLINE_DOH_SCAN, falling back to the
-  // ENCDNS_DEADLINE_SCAN *value* when unset — but always through its own
-  // token. Sharing scan_cancel_ here used to hand this phase a token the
-  // campaign sweep had already tripped, silently zeroing its coverage.
-  const char* budget_env = util::env_string("ENCDNS_DEADLINE_DOH_SCAN")
-                               ? "ENCDNS_DEADLINE_DOH_SCAN"
-                               : "ENCDNS_DEADLINE_SCAN";
-  cfg.cancel = phase_cancel(budget_env, doh_scan_cancel_);
-  doh_scan_ =
-      scan::run_doh_scan(*world_, cfg, config_.campaign.start.plus_days(60));
-  if (checkpoint_) {
-    util::ByteWriter w;
-    scan::encode_doh_scan(w, *doh_scan_);
-    if (graph_mode_)
-      stash_commit("doh_scan", w.take());
-    else
-      checkpoint_->commit_phase("doh_scan", w.take(), capture_cursor());
-  }
-  return *doh_scan_;
+  return forced(PhaseId::kDohScan, doh_scan_);
 }
 
 const measure::LocalProbeResults& Study::local_probe() {
-  if (local_probe_) return *local_probe_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("local_probe")) {
-      util::ByteReader r(loaded->state);
-      local_probe_ = measure::decode_local_probe(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *local_probe_;
-    }
-  }
-  local_probe_ = measure::run_local_resolver_probe(*world_, config_.local_probe);
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_local_probe(w, *local_probe_);
-    if (graph_mode_)
-      stash_commit("local_probe", w.take());
-    else
-      checkpoint_->commit_phase("local_probe", w.take(), capture_cursor());
-  }
-  return *local_probe_;
+  return forced(PhaseId::kLocalProbe, local_probe_);
 }
 
 const measure::ReachabilityResults& Study::reachability_global() {
-  if (reach_global_) return *reach_global_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("reachability_global")) {
-      util::ByteReader r(loaded->state);
-      reach_global_ = measure::decode_reachability(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *reach_global_;
-    }
-  }
-  measure::ReachabilityConfig cfg = config_.reachability_global;
-  cfg.pool = shared_pool_;
-  cfg.cancel = phase_cancel("ENCDNS_DEADLINE_REACH", reach_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    hook = checkpoint_hook("reachability_global");
-    cfg.checkpoint = hook.get();
-  }
-  measure::ReachabilityTest test(*world_, *global_platform_, cfg);
-  reach_global_ = test.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_reachability(w, *reach_global_);
-    if (graph_mode_)
-      stash_commit("reachability_global", w.take());
-    else
-      checkpoint_->commit_phase("reachability_global", w.take(),
-                                capture_cursor());
-  }
-  return *reach_global_;
+  return forced(PhaseId::kReachabilityGlobal, reach_global_);
 }
 
 const measure::ReachabilityResults& Study::reachability_cn() {
-  if (reach_cn_) return *reach_cn_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("reachability_cn")) {
-      util::ByteReader r(loaded->state);
-      reach_cn_ = measure::decode_reachability(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *reach_cn_;
-    }
-  }
-  measure::ReachabilityConfig cfg = config_.reachability_cn;
-  // Both reachability runs share one token: ENCDNS_DEADLINE_REACH is a
-  // combined budget for the global and censored platforms together. (The
-  // graph serializes the two — reachability_cn depends on
-  // reachability_global — so the shared slot is never raced.)
-  cfg.pool = shared_pool_;
-  cfg.cancel = phase_cancel("ENCDNS_DEADLINE_REACH", reach_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    hook = checkpoint_hook("reachability_cn");
-    cfg.checkpoint = hook.get();
-  }
-  measure::ReachabilityTest test(*world_, *cn_platform_, cfg);
-  reach_cn_ = test.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_reachability(w, *reach_cn_);
-    if (graph_mode_)
-      stash_commit("reachability_cn", w.take());
-    else
-      checkpoint_->commit_phase("reachability_cn", w.take(), capture_cursor());
-  }
-  return *reach_cn_;
+  return forced(PhaseId::kReachabilityCn, reach_cn_);
 }
 
 const measure::PerformanceResults& Study::performance() {
-  if (performance_) return *performance_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("performance")) {
-      util::ByteReader r(loaded->state);
-      performance_ = measure::decode_performance(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *performance_;
-    }
-  }
-  measure::PerformanceConfig cfg = config_.performance;
-  cfg.pool = shared_pool_;
-  cfg.cancel = phase_cancel("ENCDNS_DEADLINE_PERF", perf_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    hook = checkpoint_hook("performance");
-    cfg.checkpoint = hook.get();
-  }
-  measure::PerformanceTest test(*world_, *global_platform_, cfg);
-  performance_ = test.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_performance(w, *performance_);
-    if (graph_mode_)
-      stash_commit("performance", w.take());
-    else
-      checkpoint_->commit_phase("performance", w.take(), capture_cursor());
-  }
-  return *performance_;
+  return forced(PhaseId::kPerformance, performance_);
 }
 
 const std::vector<measure::NoReuseRow>& Study::no_reuse() {
-  if (no_reuse_) return *no_reuse_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("no_reuse")) {
-      util::ByteReader r(loaded->state);
-      no_reuse_ = measure::decode_no_reuse(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *no_reuse_;
-    }
-  }
-  no_reuse_ = measure::run_no_reuse_test(*world_, config_.no_reuse);
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_no_reuse(w, *no_reuse_);
-    if (graph_mode_)
-      stash_commit("no_reuse", w.take());
-    else
-      checkpoint_->commit_phase("no_reuse", w.take(), capture_cursor());
-  }
-  return *no_reuse_;
+  return forced(PhaseId::kNoReuse, no_reuse_);
 }
 
 const traffic::NetflowStudyResults& Study::netflow() {
-  if (netflow_) return *netflow_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("netflow")) {
-      util::ByteReader r(loaded->state);
-      netflow_ = traffic::decode_netflow_results(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *netflow_;
-    }
-  }
-  traffic::NetflowStudyConfig cfg = config_.netflow;
-  cfg.pool = shared_pool_;
-  cfg.cancel = phase_cancel("ENCDNS_DEADLINE_NETFLOW", netflow_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    hook = checkpoint_hook("netflow");
-    cfg.checkpoint = hook.get();
-  }
-  traffic::NetflowStudy study(cfg, traffic::big_resolver_address_list());
-  netflow_ = study.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    traffic::encode_netflow_results(w, *netflow_);
-    if (graph_mode_)
-      stash_commit("netflow", w.take());
-    else
-      checkpoint_->commit_phase("netflow", w.take(), capture_cursor());
-  }
-  return *netflow_;
+  return forced(PhaseId::kNetflow, netflow_);
 }
 
 const traffic::TrendStudyResults& Study::netflow_trend() {
-  if (netflow_trend_) return *netflow_trend_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("netflow_trend")) {
-      util::ByteReader r(loaded->state);
-      netflow_trend_ = traffic::decode_trend_results(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *netflow_trend_;
-    }
-  }
-  traffic::TrendStudyConfig cfg = config_.trend;
-  cfg.pool = shared_pool_;
-  // ENCDNS_NETFLOW_SCALE multiplies the configured scale (quick() runs at
-  // 0.02; the soak and bench tiers push it back up) and
-  // ENCDNS_HLL_PRECISION overrides the sketch width. Both change the
-  // deterministic output, so both strings sit in the config fingerprint.
-  if (const auto scale = util::env_double("ENCDNS_NETFLOW_SCALE")) {
-    if (!(*scale > 0.0)) {
-      throw util::EnvError("ENCDNS_NETFLOW_SCALE=\"" +
-                           *util::env_string("ENCDNS_NETFLOW_SCALE") +
-                           "\": expected a multiplier > 0");
-    }
-    cfg.scale *= *scale;
-  }
-  if (const auto precision = util::env_int("ENCDNS_HLL_PRECISION")) {
-    if (*precision < traffic::Hll::kMinPrecision ||
-        *precision > traffic::Hll::kMaxPrecision) {
-      throw util::EnvError("ENCDNS_HLL_PRECISION=\"" +
-                           *util::env_string("ENCDNS_HLL_PRECISION") +
-                           "\": expected a precision in [4, 16]");
-    }
-    cfg.hll_precision = static_cast<int>(*precision);
-  }
-  // Own budget slot, falling back to the ENCDNS_DEADLINE_NETFLOW *value*
-  // through a fresh token (the doh-scan pattern): this phase must not
-  // inherit a token the netflow phase already tripped.
-  const char* budget_env = util::env_string("ENCDNS_DEADLINE_NETFLOW_TREND")
-                               ? "ENCDNS_DEADLINE_NETFLOW_TREND"
-                               : "ENCDNS_DEADLINE_NETFLOW";
-  cfg.cancel = phase_cancel(budget_env, netflow_trend_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    hook = checkpoint_hook("netflow_trend");
-    cfg.checkpoint = hook.get();
-  }
-  traffic::TrendStudy study(cfg);
-  netflow_trend_ = study.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    traffic::encode_trend_results(w, *netflow_trend_);
-    if (graph_mode_)
-      stash_commit("netflow_trend", w.take());
-    else
-      checkpoint_->commit_phase("netflow_trend", w.take(), capture_cursor());
-  }
-  return *netflow_trend_;
+  return forced(PhaseId::kNetflowTrend, netflow_trend_);
 }
 
 const traffic::PassiveDnsStudyResults& Study::passive_dns() {
-  if (passive_dns_) return *passive_dns_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("passive_dns")) {
-      util::ByteReader r(loaded->state);
-      passive_dns_ = traffic::decode_passive_dns(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *passive_dns_;
-    }
-  }
-  passive_dns_ = traffic::run_passive_dns_study(config_.passive_dns);
-  if (checkpoint_) {
-    util::ByteWriter w;
-    traffic::encode_passive_dns(w, *passive_dns_);
-    if (graph_mode_)
-      stash_commit("passive_dns", w.take());
-    else
-      checkpoint_->commit_phase("passive_dns", w.take(), capture_cursor());
-  }
-  return *passive_dns_;
+  return forced(PhaseId::kPassiveDns, passive_dns_);
 }
 
 fault::RobustnessReport Study::robustness_report() {
@@ -803,58 +479,21 @@ fault::RobustnessReport Study::robustness_report() {
   return report;
 }
 
-PhaseCoverage Study::phase_coverage(const std::string& phase) {
+PhaseCoverage Study::phase_coverage(PhaseId phase) {
+  const PhaseSpec& spec = phase_spec(phase);
   PhaseCoverage coverage;
-  coverage.phase = phase;
-  if (phase == "scan_campaign") {
-    coverage.planned = static_cast<std::uint64_t>(config_.campaign.scan_count);
-    coverage.completed = scans().size();
-  } else if (phase == "doh_discovery") {
-    (void)doh_discovery();
-    coverage.planned = 1;
-    coverage.completed = 1;
-  } else if (phase == "doh_scan") {
-    (void)doh_scan();
-    coverage.planned = 1;
-    coverage.completed = 1;
-  } else if (phase == "local_probe") {
-    coverage.planned = config_.local_probe.probe_count;
-    coverage.completed = local_probe().probes;
-  } else if (phase == "reachability_global") {
-    const auto& r = reachability_global();
-    coverage.planned = r.clients_planned;
-    coverage.completed = r.clients;
-  } else if (phase == "reachability_cn") {
-    const auto& r = reachability_cn();
-    coverage.planned = r.clients_planned;
-    coverage.completed = r.clients;
-  } else if (phase == "performance") {
-    const auto& p = performance();
-    coverage.planned = p.clients_planned;
-    coverage.completed = p.clients_processed;
-  } else if (phase == "no_reuse") {
-    coverage.planned = config_.no_reuse.vantage_countries.size();
-    coverage.completed = no_reuse().size();
-  } else if (phase == "netflow") {
-    const auto& n = netflow();
-    coverage.planned = n.days_planned;
-    coverage.completed = n.days_processed;
-  } else if (phase == "netflow_trend") {
-    const auto& t = netflow_trend();
-    coverage.planned = t.days_planned;
-    coverage.completed = t.days_processed;
-  } else if (phase == "passive_dns") {
-    (void)passive_dns();
-    coverage.planned = 1;
-    coverage.completed = 1;
+  if (spec.coverage) {
+    run_phase(spec);
+    coverage = spec.coverage(*this);
   }
+  coverage.phase = spec.name;
   return coverage;
 }
 
 std::vector<PhaseCoverage> Study::data_quality_report() {
   std::vector<PhaseCoverage> report;
-  for (const auto& phase : canonical_phases())
-    report.push_back(phase_coverage(phase));
+  for (const PhaseSpec& spec : phase_table())
+    if (spec.coverage) report.push_back(phase_coverage(spec.id));
   return report;
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/checkpoint/checkpoint.hpp"
+#include "core/phases.hpp"
 #include "exec/cancel.hpp"
 #include "fault/retry.hpp"
 #include "measure/local_probe.hpp"
@@ -27,23 +28,6 @@
 #include "world/world.hpp"
 
 namespace encdns::core {
-
-/// Coverage of one study phase (DESIGN.md §13): work units planned by the
-/// config vs actually completed. They differ only when a deadline budget
-/// cancelled the phase's tail; every table and figure derived from a
-/// degraded phase is annotated with this fraction.
-struct PhaseCoverage {
-  std::string phase;
-  std::uint64_t planned = 0;
-  std::uint64_t completed = 0;
-
-  [[nodiscard]] double fraction() const noexcept {
-    return planned == 0 ? 1.0
-                        : static_cast<double>(completed) /
-                              static_cast<double>(planned);
-  }
-  [[nodiscard]] bool degraded() const noexcept { return completed < planned; }
-};
 
 /// Everything the obs layer saw while the study ran: the full metrics
 /// snapshot, the six-phase profile (scan → certs → reachability →
@@ -140,7 +124,11 @@ class Study {
   /// DESIGN.md §15): independent phases overlap on one shared worker pool,
   /// per-phase metrics come from obs::PhaseTally deltas, and checkpoint
   /// records switch to the delta family. ENCDNS_DAG=0 keeps the serial
-  /// schedule. Both produce byte-identical reports and golden output.
+  /// schedule. At quick scale both produce byte-identical reports and
+  /// golden output; at paper scale overlapping phases share the resolver
+  /// caches, whose evictions then depend on thread timing, so only the
+  /// serial schedule is deterministic and exactly resumable there
+  /// (ROADMAP item 1).
   [[nodiscard]] const ObservabilityReport& observability_report();
 
   /// ENCDNS_DAG parse: unset/1/on/true → task-graph schedule, 0/off/false →
@@ -166,64 +154,80 @@ class Study {
   /// fingerprint refuses to resume under another.
   [[nodiscard]] std::uint64_t config_fingerprint() const;
 
-  /// Planned-vs-completed accounting for one canonical phase (forces it).
-  [[nodiscard]] PhaseCoverage phase_coverage(const std::string& phase);
+  /// Planned-vs-completed accounting for one journaled phase (forces it).
+  [[nodiscard]] PhaseCoverage phase_coverage(PhaseId phase);
 
   /// Coverage for every canonical phase, in canonical order (forces all).
   [[nodiscard]] std::vector<PhaseCoverage> data_quality_report();
 
  private:
+  // The table binds each row to its result member below.
+  friend const std::vector<PhaseSpec>& phase_table();
+
+  /// The one way a phase result is produced (DESIGN.md §7): return if it is
+  /// cached; force the row's dependencies; outside the graph, load a
+  /// committed serial-family record; otherwise run the phase under its
+  /// budget token and checkpoint hook and commit the result to the journal.
+  void run_phase(const PhaseSpec& spec);
+  /// run_phase, then the cached result.
+  template <typename R>
+  const R& forced(PhaseId phase, const std::optional<R>& result) {
+    run_phase(phase_spec(phase));
+    return *result;
+  }
   [[nodiscard]] WorldCursor capture_cursor() const;
   void restore_cursor(const WorldCursor& cursor);
   // --- task-graph mode (DESIGN.md §15) ------------------------------------
-  [[nodiscard]] const ObservabilityReport& observability_report_dag();
+  /// Run the phases as a task graph; the report's phase records.
+  [[nodiscard]] std::vector<obs::PhaseRecord> run_graph();
   /// Serial resume pass before the graph starts: committed delta records
   /// load (results + owned platform + additive metrics; their cache
   /// sections wait in pending_caches_), phases that were mid-flight at the
   /// kill re-run to completion here — serially, so their cache restores
   /// cannot interleave with live phases.
   void dag_resume_prologue();
-  /// Node-body wrapper: force `phase` under a fresh PhaseTally and record
+  /// Node-body wrapper: run the phase under a fresh PhaseTally and record
   /// its metrics delta and wall time. No-op if the phase already has a
-  /// delta (loaded from the journal).
-  void run_phase_node(const std::string& phase);
+  /// delta (loaded from the journal, or run first as a dependency).
+  void run_phase_node(const PhaseSpec& spec);
   /// Node-merge wrapper: journal the phase's pending delta commit. Runs on
   /// the driver thread, in canonical declaration order.
-  void commit_phase_node(const std::string& phase);
-  /// Dispatch a phase name to its accessor (plus the "certs" pseudo-phase).
-  void force_phase(const std::string& phase);
-  /// §3.2 certificate analysis of the final scan snapshot — the body of the
-  /// serial "certs" profiler bracket and of the DAG certs node.
-  void run_certs_analysis();
-  /// Decode a committed phase's state blob into its cached optional.
-  void decode_phase_state(const std::string& phase,
-                          const std::vector<std::uint8_t>& state);
-  /// Cursor capture limited to the platform `phase` itself advances (plus
+  void commit_phase_node(const PhaseSpec& spec);
+  /// The proxy platform `platform` names and its field of a WorldCursor
+  /// (nulls for kNone).
+  struct Owned {
+    proxy::ProxyNetwork* network;
+    proxy::ProxyCursor WorldCursor::*field;
+  };
+  [[nodiscard]] Owned owned(OwnedPlatform platform) const;
+  /// Cursor capture limited to the platform a phase itself advances (plus
   /// its own cache entries and the tally), and the matching platform
   /// restore: under overlap the other platform belongs to a concurrently
   /// running node and must not be touched.
-  [[nodiscard]] WorldCursor capture_owned_cursor(const std::string& phase) const;
-  void restore_owned_platform(const std::string& phase, const WorldCursor& cursor);
+  [[nodiscard]] WorldCursor capture_owned_cursor(OwnedPlatform platform) const;
+  void restore_owned_platform(OwnedPlatform platform,
+                              const WorldCursor& cursor);
   /// Merge the cache sections of the phases the resume prologue loaded, in
   /// canonical order. Deferred until a phase that can read them is about to
   /// run: when every phase loads, nothing reads them and they stay unmerged.
   void restore_pending_caches();
-  /// The checkpoint hook for `phase`'s accessor (either family). A partial
-  /// left by a killed run is decoded once, here: the world rewinds to its
-  /// cursor before the phase starts, and the hook hands the phase its state.
+  /// The checkpoint hook for a phase's block loop (either family). A
+  /// partial left by a killed run is decoded once, here: the world rewinds
+  /// to its cursor before the phase starts, and the hook hands the phase
+  /// its state.
   [[nodiscard]] std::unique_ptr<exec::CheckpointHook> checkpoint_hook(
-      const std::string& phase);
+      const PhaseSpec& spec);
   /// Stash a phase's serialized results + post-phase owned cursor for the
   /// merge slot to journal (graph mode defers commits to merge order).
-  void stash_commit(const std::string& phase, std::vector<std::uint8_t> state);
+  void stash_commit(const PhaseSpec& spec, std::vector<std::uint8_t> state);
   /// Resolver-cache tally including activity from before the last resume
   /// (the live World starts cold; the cursor carries the killed run's tally).
   [[nodiscard]] world::World::ResolverCacheTally cumulative_cache_tally() const;
-  /// Lazily build the per-phase cancel token in `slot` from the `env_name`
-  /// budget variable ("<seconds>" wall or "sim:<ms>" deterministic) chained
-  /// to the study-wide deadline token. Returns nullptr when neither exists.
-  [[nodiscard]] exec::CancelToken* phase_cancel(
-      const char* env_name, std::optional<exec::CancelToken>& slot);
+  /// The cancel token for `budget`, built on first use from its env
+  /// variable ("<seconds>" wall or "sim:<ms>" deterministic) and chained to
+  /// the study-wide deadline at every hand-out. Null when the phase has no
+  /// budget, or neither its variable nor a study deadline is set.
+  [[nodiscard]] exec::CancelToken* budget_token(const PhaseBudget& budget);
 
   StudyConfig config_;
   std::unique_ptr<world::World> world_;
@@ -231,28 +235,20 @@ class Study {
   std::unique_ptr<proxy::ProxyNetwork> cn_platform_;
 
   std::unique_ptr<StudyCheckpoint> checkpoint_;
-  std::optional<exec::CancelToken> study_cancel_;
-  std::optional<exec::CancelToken> scan_cancel_;
-  /// Own budget slot (ENCDNS_DEADLINE_DOH_SCAN) — deliberately NOT
-  /// scan_cancel_: a sweep that exhausts the scan budget must not zero out
-  /// the doh-scan phase through a shared tripped token.
-  std::optional<exec::CancelToken> doh_scan_cancel_;
-  std::optional<exec::CancelToken> reach_cancel_;  // shared by both platforms
-  std::optional<exec::CancelToken> perf_cancel_;
-  std::optional<exec::CancelToken> netflow_cancel_;
-  /// Own budget slot (ENCDNS_DEADLINE_NETFLOW_TREND, falling back to the
-  /// ENCDNS_DEADLINE_NETFLOW budget *value* with a fresh token) — the trend
-  /// phase must not inherit a token the netflow phase already tripped.
-  std::optional<exec::CancelToken> netflow_trend_cancel_;
   world::World::ResolverCacheTally tally_baseline_;
 
-  // Task-graph run state. graph_mode_ flips the accessors' checkpoint
-  // branches to the delta protocol and shared_pool_ routes their fan-out
-  // through the one pool the graph owns; dag_mutex_ guards the maps, which
-  // node threads fill concurrently.
+  // Task-graph run state. graph_mode_ flips run_phase's checkpoint
+  // branches to the delta protocol and shared_pool_ routes the phases'
+  // fan-out through the one pool the graph owns; dag_mutex_ guards the maps,
+  // which node threads fill concurrently.
   bool graph_mode_ = false;
   exec::WorkerPool* shared_pool_ = nullptr;
   std::mutex dag_mutex_;
+  /// Cancel tokens by budget env variable, plus the study-wide deadline
+  /// under kStudyDeadline (set_deadline). Node-based, so handed-out tokens
+  /// stay put.
+  std::map<std::string, exec::CancelToken, std::less<>> budget_tokens_;
+  static constexpr const char* kStudyDeadline = "study";
   std::map<std::string, obs::Snapshot> phase_deltas_;
   std::map<std::string, double> phase_walls_;
   struct PendingCommit {

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,28 @@ class WorkerPool {
   struct Job;
   unsigned thread_count_;
   Impl* impl_ = nullptr;  // null when thread_count_ <= 1 (inline mode)
+};
+
+/// The pool one call runs on: the shared pool when one is given (the task
+/// graph's, DESIGN.md §15), else a local pool of `thread_count` workers,
+/// started on first use so a caller that never fans out starts no threads.
+class PoolLease {
+ public:
+  PoolLease(WorkerPool* shared, unsigned thread_count) noexcept
+      : shared_(shared), thread_count_(thread_count) {}
+  PoolLease(const PoolLease&) = delete;
+  PoolLease& operator=(const PoolLease&) = delete;
+
+  [[nodiscard]] WorkerPool& get() {
+    if (shared_ != nullptr) return *shared_;
+    if (!local_) local_.emplace(thread_count_);
+    return *local_;
+  }
+
+ private:
+  WorkerPool* shared_;
+  unsigned thread_count_;
+  std::optional<WorkerPool> local_;
 };
 
 /// Map fn over items, one task per item, preserving item order in the result.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "exec/executor.hpp"
+#include "exec/blocked_pass.hpp"
 #include "http/url.hpp"
 #include "measure/client_set.hpp"
 #include "measure/codec.hpp"
@@ -248,82 +248,68 @@ PerformanceResults PerformanceTest::run() {
   static obs::Histogram& doh_ms =
       registry.histogram("measure.perf.doh_ms", obs::latency_buckets_ms());
 
-  // Clients run in fixed-size blocks; block boundaries are where checkpoints
-  // land, sim time is accounted, and cancellation is honored, so degradation
-  // and resume both cut on an exact prefix of the canonical client order.
-  std::size_t processed = 0;
+  // Clients run in blocks of 512 on the shared blocked-pass loop
+  // (exec/blocked_pass.hpp), so degradation and resume both cut on an exact
+  // prefix of the canonical client order.
   std::uint64_t sim_credit_us = 0;
-  if (config_.checkpoint != nullptr) {
-    if (const auto state = config_.checkpoint->load()) {
-      util::ByteReader r(*state);
-      processed = static_cast<std::size_t>(r.u64());
-      sim_credit_us = r.u64();
-      results = decode_performance(r);
-      r.expect_done();
-      // The killed process died before its phase span was recorded; carry
-      // the sim time it had already accumulated into this run's span. The
-      // credit is kept in integer microseconds because add_sim rounds per
-      // call — only the integer sum replays the original total exactly.
-      perf_span.add_sim_us(sim_credit_us);
-    }
-  }
+  std::vector<ClientPartial> partials;
+  const std::size_t processed = exec::run_blocked_pass({
+      .units = sessions.size(), .block = 512,
+      .pool = config_.pool, .thread_count = config_.thread_count,
+      .cancel = config_.cancel, .checkpoint = config_.checkpoint,
+      .run = [&](const exec::Block& block) {
+        partials = std::vector<ClientPartial>(block.count);
+        return block.run_shards([&](std::size_t i) {
+          partials[i] =
+              measure_client(sessions[block.first + i], block.first + i);
+        });
+      },
+      .fold = [&](const exec::Block&, std::size_t executed) {
+        std::size_t surviving = 0;
+        for (std::size_t i = 0; i < executed; ++i)
+          surviving += partials[i].latency.has_value() ? 1 : 0;
+        results.clients.reserve(results.clients.size() + surviving);
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
-  constexpr std::size_t kBlock = 512;
-  bool cancelled = config_.cancel != nullptr && config_.cancel->cancelled();
-  while (processed < sessions.size() && !cancelled) {
-    const std::size_t first = processed;
-    const std::size_t count = std::min(kBlock, sessions.size() - first);
-    std::vector<ClientPartial> partials(count);
-    const std::size_t executed = pool.parallel_for_shards(
-        count,
-        [&](std::size_t i) {
-          partials[i] = measure_client(sessions[first + i], first + i);
-        },
-        config_.cancel);
-
-    std::size_t surviving = 0;
-    for (std::size_t i = 0; i < executed; ++i)
-      surviving += partials[i].latency.has_value() ? 1 : 0;
-    results.clients.reserve(results.clients.size() + surviving);
-
-    sim::Millis block_sim{0.0};
-    for (std::size_t i = 0; i < executed; ++i) {  // canonical client order
-      const auto& partial = partials[i];
-      if (partial.latency) {
-        results.clients.push_back(*partial.latency);
-        do53_ms.observe(partial.latency->dns_ms);
-        dot_ms.observe(partial.latency->dot_ms);
-        doh_ms.observe(partial.latency->doh_ms);
-        const sim::Millis client_sim{partial.latency->dns_ms +
-                                     partial.latency->dot_ms +
-                                     partial.latency->doh_ms};
-        perf_span.add_sim(client_sim);
-        sim_credit_us += obs::SpanScope::to_sim_us(client_sim);
-        block_sim += client_sim;
-      } else {
-        ++results.discarded_clients;
-      }
-      results.client_faults += partial.client_faults;
-      results.proxy_faults += partial.proxy_faults;
-    }
-    processed += executed;
-    if (config_.cancel != nullptr) {
-      config_.cancel->spend_sim(block_sim);
-      if (executed < count || config_.cancel->cancelled()) cancelled = true;
-    }
-    if (config_.checkpoint != nullptr && !cancelled &&
-        processed < sessions.size()) {
-      util::ByteWriter w;
-      w.u64(processed);
-      w.u64(sim_credit_us);
-      encode_performance(w, results);
-      config_.checkpoint->save(w.take());
-    }
-  }
+        sim::Millis block_sim{0.0};
+        for (std::size_t i = 0; i < executed; ++i) {
+          const auto& partial = partials[i];
+          if (partial.latency) {
+            results.clients.push_back(*partial.latency);
+            do53_ms.observe(partial.latency->dns_ms);
+            dot_ms.observe(partial.latency->dot_ms);
+            doh_ms.observe(partial.latency->doh_ms);
+            const sim::Millis client_sim{partial.latency->dns_ms +
+                                         partial.latency->dot_ms +
+                                         partial.latency->doh_ms};
+            perf_span.add_sim(client_sim);
+            sim_credit_us += obs::SpanScope::to_sim_us(client_sim);
+            block_sim += client_sim;
+          } else {
+            ++results.discarded_clients;
+          }
+          results.client_faults += partial.client_faults;
+          results.proxy_faults += partial.proxy_faults;
+        }
+        return block_sim;
+      },
+      .encode = [&](util::ByteWriter& w, std::size_t done) {
+        w.u64(done);
+        w.u64(sim_credit_us);
+        encode_performance(w, results);
+      },
+      .decode = [&](util::ByteReader& r) {
+        const auto done = static_cast<std::size_t>(r.u64());
+        sim_credit_us = r.u64();
+        results = decode_performance(r);
+        // The killed process died before its phase span was recorded;
+        // carry the sim time it had already accumulated into this run's
+        // span. The credit is kept in integer microseconds because
+        // add_sim rounds per call — only the integer sum replays the
+        // original total exactly.
+        perf_span.add_sim_us(sim_credit_us);
+        return done;
+      },
+  });
 
   results.clients_processed = processed;
   registry.counter("measure.perf.sessions").add(processed);

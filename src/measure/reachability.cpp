@@ -4,7 +4,7 @@
 #include <memory>
 #include <optional>
 
-#include "exec/executor.hpp"
+#include "exec/blocked_pass.hpp"
 #include "http/url.hpp"
 #include "measure/client_set.hpp"
 #include "measure/codec.hpp"
@@ -316,97 +316,82 @@ ReachabilityResults ReachabilityTest::run() {
   results.dataset =
       proxy::ProxyNetwork::summarize(platform_->config().name, sessions);
 
-  // Sessions run in fixed-size blocks (a property of the workload, not the
-  // thread count). Block boundaries are where checkpoints land, sim time is
-  // accounted, and cancellation is honored — so degradation and resume both
-  // cut on an exact prefix of the canonical session order.
-  std::size_t processed = 0;
+  // Sessions run in blocks of 512 on the shared blocked-pass loop
+  // (exec/blocked_pass.hpp), so degradation and resume both cut on an exact
+  // prefix of the canonical session order.
   std::uint64_t queries = 0;
   std::uint64_t sim_credit_us = 0;
-  if (config_.checkpoint != nullptr) {
-    if (const auto state = config_.checkpoint->load()) {
-      util::ByteReader r(*state);
-      processed = static_cast<std::size_t>(r.u64());
-      queries = r.u64();
-      sim_credit_us = r.u64();
-      results = decode_reachability(r);
-      r.expect_done();
-      // The killed process died before its phase span was recorded; carry
-      // the sim time it had already accumulated into this run's span. The
-      // credit is kept in integer microseconds because add_sim rounds per
-      // call — only the integer sum replays the original total exactly.
-      reach_span.add_sim_us(sim_credit_us);
-    }
-  }
+  std::vector<SessionPartial> partials;
+  const std::size_t processed = exec::run_blocked_pass({
+      .units = sessions.size(), .block = 512,
+      .pool = config_.pool, .thread_count = config_.thread_count,
+      .cancel = config_.cancel, .checkpoint = config_.checkpoint,
+      .run = [&](const exec::Block& block) {
+        partials = std::vector<SessionPartial>(block.count);
+        return block.run_shards([&](std::size_t i) {
+          util::Rng rng =
+              exec::shard_rng(config_.seed ^ 0x4EAC4ULL, block.first + i);
+          partials[i] = run_session(sessions[block.first + i], rng);
+        });
+      },
+      .fold = [&](const exec::Block&, std::size_t executed) {
+        // Reserve the report vectors before the merge: the
+        // engaged-partial counts are known before any push_back, so
+        // assembly never regrows.
+        std::size_t interception_count = 0;
+        std::size_t diagnosis_count = 0;
+        for (std::size_t i = 0; i < executed; ++i) {
+          interception_count += partials[i].interception.has_value() ? 1 : 0;
+          diagnosis_count += partials[i].diagnosis.has_value() ? 1 : 0;
+        }
+        results.interceptions.reserve(results.interceptions.size() +
+                                      interception_count);
+        results.conflict_diagnoses.reserve(
+            results.conflict_diagnoses.size() + diagnosis_count);
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
-  constexpr std::size_t kBlock = 512;
-  bool cancelled =
-      config_.cancel != nullptr && config_.cancel->cancelled();
-  while (processed < sessions.size() && !cancelled) {
-    const std::size_t first = processed;
-    const std::size_t count = std::min(kBlock, sessions.size() - first);
-    std::vector<SessionPartial> partials(count);
-    const std::size_t executed = pool.parallel_for_shards(
-        count,
-        [&](std::size_t i) {
-          util::Rng rng = exec::shard_rng(config_.seed ^ 0x4EAC4ULL, first + i);
-          partials[i] = run_session(sessions[first + i], rng);
-        },
-        config_.cancel);
-
-    // Reserve the report vectors before the merge: the engaged-partial
-    // counts are known before any push_back, so assembly never regrows.
-    std::size_t interception_count = 0;
-    std::size_t diagnosis_count = 0;
-    for (std::size_t i = 0; i < executed; ++i) {
-      interception_count += partials[i].interception.has_value() ? 1 : 0;
-      diagnosis_count += partials[i].diagnosis.has_value() ? 1 : 0;
-    }
-    results.interceptions.reserve(results.interceptions.size() +
-                                  interception_count);
-    results.conflict_diagnoses.reserve(results.conflict_diagnoses.size() +
-                                       diagnosis_count);
-
-    sim::Millis block_sim{0.0};
-    for (std::size_t i = 0; i < executed; ++i) {  // canonical session order
-      auto& partial = partials[i];
-      for (std::size_t c = 0; c < partial.cell_counts.size(); ++c) {
-        const OutcomeCounts& counts = partial.cell_counts[c];
-        auto& cell = results.cells[cell_keys_[c]];
-        cell.correct += counts.correct;
-        cell.incorrect += counts.incorrect;
-        cell.failed += counts.failed;
-      }
-      if (partial.interception)
-        results.interceptions.push_back(std::move(*partial.interception));
-      if (partial.diagnosis)
-        results.conflict_diagnoses.push_back(std::move(*partial.diagnosis));
-      results.client_faults += partial.client_faults;
-      results.proxy_faults += partial.proxy_faults;
-      queries += partial.queries;
-      reach_span.add_sim(partial.sim_elapsed);
-      sim_credit_us += obs::SpanScope::to_sim_us(partial.sim_elapsed);
-      block_sim += partial.sim_elapsed;
-    }
-    processed += executed;
-    if (config_.cancel != nullptr) {
-      config_.cancel->spend_sim(block_sim);
-      if (executed < count || config_.cancel->cancelled()) cancelled = true;
-    }
-    if (config_.checkpoint != nullptr && !cancelled &&
-        processed < sessions.size()) {
-      util::ByteWriter w;
-      w.u64(processed);
-      w.u64(queries);
-      w.u64(sim_credit_us);
-      encode_reachability(w, results);
-      config_.checkpoint->save(w.take());
-    }
-  }
+        sim::Millis block_sim{0.0};
+        for (std::size_t i = 0; i < executed; ++i) {
+          auto& partial = partials[i];
+          for (std::size_t c = 0; c < partial.cell_counts.size(); ++c) {
+            const OutcomeCounts& counts = partial.cell_counts[c];
+            auto& cell = results.cells[cell_keys_[c]];
+            cell.correct += counts.correct;
+            cell.incorrect += counts.incorrect;
+            cell.failed += counts.failed;
+          }
+          if (partial.interception)
+            results.interceptions.push_back(std::move(*partial.interception));
+          if (partial.diagnosis)
+            results.conflict_diagnoses.push_back(std::move(*partial.diagnosis));
+          results.client_faults += partial.client_faults;
+          results.proxy_faults += partial.proxy_faults;
+          queries += partial.queries;
+          reach_span.add_sim(partial.sim_elapsed);
+          sim_credit_us += obs::SpanScope::to_sim_us(partial.sim_elapsed);
+          block_sim += partial.sim_elapsed;
+        }
+        return block_sim;
+      },
+      .encode = [&](util::ByteWriter& w, std::size_t done) {
+        w.u64(done);
+        w.u64(queries);
+        w.u64(sim_credit_us);
+        encode_reachability(w, results);
+      },
+      .decode = [&](util::ByteReader& r) {
+        const auto done = static_cast<std::size_t>(r.u64());
+        queries = r.u64();
+        sim_credit_us = r.u64();
+        results = decode_reachability(r);
+        // The killed process died before its phase span was recorded;
+        // carry the sim time it had already accumulated into this run's
+        // span. The credit is kept in integer microseconds because
+        // add_sim rounds per call — only the integer sum replays the
+        // original total exactly.
+        reach_span.add_sim_us(sim_credit_us);
+        return done;
+      },
+  });
 
   results.clients = processed;
   auto& registry = obs::MetricsRegistry::global();

@@ -54,7 +54,7 @@ std::size_t thread_shard() noexcept {
   return shard;
 }
 
-thread_local PhaseTally* t_tally = nullptr;
+constinit thread_local PhaseTally* t_tally = nullptr;
 }  // namespace detail
 
 // ---------------------------------------------------------------------------

@@ -106,8 +106,12 @@ inline constexpr std::size_t kCounterShards = 16;
 
 /// The phase tally (if any) attributed to the calling thread. Workers
 /// executing a pool job inherit the submitting phase's tally for the span
-/// of each shard (exec::WorkerPool installs it via ScopedTally).
-extern thread_local PhaseTally* t_tally;
+/// of each shard (exec::WorkerPool installs it via ScopedTally). constinit
+/// tells every including unit that the variable has no dynamic initializer,
+/// so accesses skip GCC's TLS wrapper function; through the wrapper, a
+/// -fsanitize=undefined build reported ScopedTally's store as a store to a
+/// null pointer.
+extern constinit thread_local PhaseTally* t_tally;
 }  // namespace detail
 
 /// The tally currently attributed to this thread, or nullptr.

@@ -1,7 +1,6 @@
 #include "scan/doh_scan.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "client/doh.hpp"
@@ -78,13 +77,10 @@ DohScanResult run_doh_scan(const world::World& world,
   // address (the learned name supplies SNI and certificate validation). One
   // task per host with an address-derived rng stream, exactly like the DoT
   // campaign's Phase 2, so the result is thread-count invariant.
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config.pool != nullptr
-                               ? *config.pool
-                               : local_pool.emplace(config.thread_count);
+  exec::PoolLease pool(config.pool, config.thread_count);
   const std::uint64_t probe_seed = util::mix64(config.seed ^ 0xD0A5CA4ULL);
   const auto probes = exec::parallel_map(
-      pool, sweep.open_hosts,
+      pool.get(), sweep.open_hosts,
       [&](const util::Ipv4 addr, std::size_t) -> HostProbe {
         HostProbe probe;
         util::Rng rng(util::mix64(probe_seed ^ addr.value()));

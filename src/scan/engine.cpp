@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -370,12 +369,9 @@ SweepResult ScanEngine::sweep(const ScanSpace& space,
     if (const auto index = space.index_of(addr))
       bound[static_cast<std::size_t>(*index)] = true;
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
+  exec::PoolLease pool(config_.pool, config_.thread_count);
   std::vector<ShardPartial> partials(kSweepShards);
-  pool.parallel_for_shards(
+  pool.get().parallel_for_shards(
       kSweepShards,
       [&](std::size_t shard) {
         const auto [first, last] =

@@ -4,7 +4,7 @@
 #include <optional>
 #include <unordered_set>
 
-#include "exec/executor.hpp"
+#include "exec/blocked_pass.hpp"
 #include "obs/span.hpp"
 #include "scan/codec.hpp"
 #include "scan/engine.hpp"
@@ -145,11 +145,8 @@ std::vector<util::Ipv4> Scanner::sweep_once(const util::Date& date,
       sim::Millis sim_elapsed{0.0};  // credited to the sweep span at merge
     };
     std::vector<SweepPartial> partials(kSweepShards);
-    std::optional<exec::WorkerPool> local_pool;
-    exec::WorkerPool& pool = config_.pool != nullptr
-                                 ? *config_.pool
-                                 : local_pool.emplace(config_.thread_count);
-    pool.parallel_for_shards(kSweepShards, [&](std::size_t shard) {
+    exec::PoolLease pool(config_.pool, config_.thread_count);
+    pool.get().parallel_for_shards(kSweepShards, [&](std::size_t shard) {
       const auto [first, last] =
           exec::shard_range(permutation.steps(), kSweepShards, shard);
       util::Rng rng = exec::shard_rng(sweep_seed, shard);
@@ -205,10 +202,7 @@ ScanSnapshot Scanner::scan_once(const util::Date& date) {
   ScanSnapshot snapshot;
   snapshot.date = date;
   const std::vector<util::Ipv4> open_hosts = sweep_once(date, snapshot);
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
+  exec::PoolLease pool(config_.pool, config_.thread_count);
 
   // Phase 2: application-layer DoT probing of every open host, one task per
   // host with an address-derived rng stream (shard-count independent); the
@@ -221,7 +215,7 @@ ScanSnapshot Scanner::scan_once(const util::Date& date) {
   // recorded serially after the merge, in canonical address order, so the
   // breaker state entering the next scan is thread-count independent.
   const auto probe_results = exec::parallel_map(
-      pool, open_hosts,
+      pool.get(), open_hosts,
       [&](const util::Ipv4 addr, std::size_t) -> std::optional<DotProbeResult> {
         if (breaker_.open(addr.value())) return std::nullopt;
         DotProber prober(*world_, probe_origin,
@@ -285,45 +279,47 @@ std::vector<ScanSnapshot> Scanner::run_campaign() {
   std::vector<ScanSnapshot> snapshots;
   snapshots.reserve(static_cast<std::size_t>(config_.scan_count));
 
-  // Scan boundaries are the campaign's checkpoint/cancellation points: each
-  // scan depends on the previous ones only through the breaker strikes and
-  // the scan serial, so restoring those two resumes the campaign exactly.
-  if (config_.checkpoint != nullptr) {
-    if (const auto state = config_.checkpoint->load()) {
-      util::ByteReader r(*state);
-      scan_serial_ = r.u64();
-      const std::uint32_t n_strikes = r.count(12);
-      std::vector<std::pair<std::uint64_t, int>> strikes;
-      strikes.reserve(n_strikes);
-      for (std::uint32_t s = 0; s < n_strikes; ++s) {
-        const std::uint64_t key = r.u64();
-        strikes.emplace_back(key, static_cast<int>(r.i64()));
-      }
-      breaker_.restore_strikes(strikes);
-      snapshots = decode_snapshots(r);
-      r.expect_done();
-    }
-  }
-
-  for (int i = static_cast<int>(snapshots.size()); i < config_.scan_count;
-       ++i) {
-    if (config_.cancel != nullptr && config_.cancel->cancelled()) break;
-    const util::Date date = config_.start.plus_days(
-        static_cast<std::int64_t>(i) * config_.interval_days);
-    snapshots.push_back(scan_once(date));
-    if (config_.checkpoint != nullptr && i + 1 < config_.scan_count) {
-      util::ByteWriter w;
-      w.u64(scan_serial_);
-      const auto strikes = breaker_.export_strikes();
-      w.u32(static_cast<std::uint32_t>(strikes.size()));
-      for (const auto& [key, count] : strikes) {
-        w.u64(key);
-        w.i64(count);
-      }
-      encode_snapshots(w, snapshots);
-      config_.checkpoint->save(w.take());
-    }
-  }
+  // One scan per block of a blocked pass (exec/blocked_pass.hpp): scan
+  // boundaries are the campaign's checkpoint/cancellation points. Each scan
+  // depends on the previous ones only through the breaker strikes and the
+  // scan serial, so restoring those two resumes the campaign exactly.
+  std::optional<ScanSnapshot> next;
+  (void)exec::run_blocked_pass({
+      .units = static_cast<std::size_t>(std::max(config_.scan_count, 0)),
+      .cancel = config_.cancel, .checkpoint = config_.checkpoint,
+      .run = [&](const exec::Block& scan) {
+        next = scan_once(config_.start.plus_days(
+            static_cast<std::int64_t>(scan.first) * config_.interval_days));
+        return std::size_t{1};
+      },
+      .fold = [&](const exec::Block&, std::size_t) {
+        snapshots.push_back(std::move(*next));
+        return sim::Millis{0.0};
+      },
+      .encode = [&](util::ByteWriter& w, std::size_t) {
+        w.u64(scan_serial_);
+        const auto strikes = breaker_.export_strikes();
+        w.u32(static_cast<std::uint32_t>(strikes.size()));
+        for (const auto& [key, count] : strikes) {
+          w.u64(key);
+          w.i64(count);
+        }
+        encode_snapshots(w, snapshots);
+      },
+      .decode = [&](util::ByteReader& r) {
+        scan_serial_ = r.u64();
+        const std::uint32_t n_strikes = r.count(12);
+        std::vector<std::pair<std::uint64_t, int>> strikes;
+        strikes.reserve(n_strikes);
+        for (std::uint32_t s = 0; s < n_strikes; ++s) {
+          const std::uint64_t key = r.u64();
+          strikes.emplace_back(key, static_cast<int>(r.i64()));
+        }
+        breaker_.restore_strikes(strikes);
+        snapshots = decode_snapshots(r);
+        return snapshots.size();
+      },
+  });
   return snapshots;
 }
 

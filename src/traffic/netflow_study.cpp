@@ -1,10 +1,9 @@
 #include "traffic/netflow_study.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
-#include "exec/executor.hpp"
+#include "exec/blocked_pass.hpp"
 #include "obs/span.hpp"
 #include "traffic/codec.hpp"
 #include "util/bytes.hpp"
@@ -108,55 +107,24 @@ NetflowStudyResults NetflowStudy::run() {
   Hll block_sketch;
   std::uint64_t flows_observed = 0;
   std::uint64_t records_sampled = 0;
-  std::size_t groups_done = 0;
 
-  // The 16 shards run as sequential groups: group boundaries are where
-  // checkpoints land and cancellation is honored, so a killed or degraded
-  // run always cuts on an executed-shard prefix of the canonical order.
+  // The 16 shards run as a blocked pass (exec/blocked_pass.hpp) in groups
+  // of four: group boundaries are where checkpoints land and cancellation
+  // is honored, so a killed or degraded run always cuts on an
+  // executed-shard prefix of the canonical order. A saved state counts
+  // groups.
   constexpr std::size_t kGroupShards = 4;
   static_assert(kNetflowShards % kGroupShards == 0);
-  constexpr std::size_t kGroups = kNetflowShards / kGroupShards;
-
-  if (config_.checkpoint != nullptr) {
-    if (const auto state = config_.checkpoint->load()) {
-      util::ByteReader r(*state);
-      groups_done = static_cast<std::size_t>(r.u64());
-      results.days_processed = static_cast<std::size_t>(r.u64());
-      flows_observed = r.u64();
-      records_sampled = r.u64();
-      results.excluded_single_syn = r.u64();
-      results.unmatched_853_records = r.u64();
-      results.total_dot_records = r.u64();
-      results.cloudflare_monthly = decode_monthly(r);
-      results.quad9_monthly = decode_monthly(r);
-      const std::uint32_t n_blocks = r.count(24);
-      for (std::uint32_t i = 0; i < n_blocks; ++i) {
-        auto& acc = blocks[r.u32()];
-        acc.records = r.u64();
-        acc.first = util::Date::from_days(r.i64());
-        acc.last = util::Date::from_days(r.i64());
-        const std::uint32_t n_active = r.count(8);
-        for (std::uint32_t d = 0; d < n_active; ++d) acc.days.insert(r.i64());
-      }
-      block_sketch = decode_hll(r);
-      decode_detector(r, detector);
-      r.expect_done();
-    }
-  }
-
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
-  bool cancelled = config_.cancel != nullptr && config_.cancel->cancelled();
-  for (std::size_t g = groups_done; g < kGroups && !cancelled; ++g) {
-    std::vector<ShardPartial> partials(kGroupShards,
-                                       ShardPartial(config_.sampling_rate));
-    const std::size_t base = g * kGroupShards;
-    const std::size_t executed = pool.parallel_for_shards(
-        kGroupShards,
-        [&](std::size_t s) {
-          const std::size_t shard = base + s;
+  std::vector<ShardPartial> partials;
+  (void)exec::run_blocked_pass({
+      .units = kNetflowShards, .block = kGroupShards,
+      .pool = config_.pool, .thread_count = config_.thread_count,
+      .cancel = config_.cancel, .checkpoint = config_.checkpoint,
+      .run = [&](const exec::Block& group) {
+        partials = std::vector<ShardPartial>(
+            group.count, ShardPartial(config_.sampling_rate));
+        return group.run_shards([&](std::size_t s) {
+          const std::size_t shard = group.first + s;
           const auto [first, last] =
               exec::shard_range(n_days, kNetflowShards, shard);
           ShardPartial& partial = partials[s];
@@ -208,68 +176,88 @@ NetflowStudyResults NetflowStudy::run() {
               acc.days.insert(record->date.to_days());
             }
           }
-        },
-        config_.cancel);
-
-    for (std::size_t s = 0; s < executed; ++s) {  // canonical shard order
-      auto& partial = partials[s];
-      detector.merge(partial.detector);
-      flows_observed += partial.flows_observed;
-      records_sampled += partial.records_sampled;
-      results.excluded_single_syn += partial.excluded_single_syn;
-      results.unmatched_853_records += partial.unmatched_853_records;
-      results.total_dot_records += partial.total_dot_records;
-      for (const auto& [month, count] : partial.cloudflare_monthly)
-        results.cloudflare_monthly[month] += count;
-      for (const auto& [month, count] : partial.quad9_monthly)
-        results.quad9_monthly[month] += count;
-      for (auto& [addr, theirs] : partial.blocks) {
-        auto& acc = blocks[addr];
-        if (acc.records == 0) acc.first = theirs.first;
-        acc.last = theirs.last;
-        acc.records += theirs.records;
-        acc.days.merge(theirs.days);
-      }
-      block_sketch.merge(partial.block_sketch);
-      const auto [first, last] =
-          exec::shard_range(n_days, kNetflowShards, base + s);
-      results.days_processed += last - first;
-    }
-    if (config_.cancel != nullptr &&
-        (executed < kGroupShards || config_.cancel->cancelled()))
-      cancelled = true;
-    if (config_.checkpoint != nullptr && !cancelled && g + 1 < kGroups) {
-      util::ByteWriter w;
-      w.u64(g + 1);
-      w.u64(results.days_processed);
-      w.u64(flows_observed);
-      w.u64(records_sampled);
-      w.u64(results.excluded_single_syn);
-      w.u64(results.unmatched_853_records);
-      w.u64(results.total_dot_records);
-      encode_monthly(w, results.cloudflare_monthly);
-      encode_monthly(w, results.quad9_monthly);
-      std::vector<std::uint32_t> sorted_blocks;
-      sorted_blocks.reserve(blocks.size());
-      for (const auto& [addr, acc] : blocks) sorted_blocks.push_back(addr);
-      std::sort(sorted_blocks.begin(), sorted_blocks.end());
-      w.u32(static_cast<std::uint32_t>(sorted_blocks.size()));
-      for (const std::uint32_t addr : sorted_blocks) {
-        const auto& acc = blocks.at(addr);
-        w.u32(addr);
-        w.u64(acc.records);
-        w.i64(acc.first.to_days());
-        w.i64(acc.last.to_days());
-        std::vector<std::int64_t> active(acc.days.begin(), acc.days.end());
-        std::sort(active.begin(), active.end());
-        w.u32(static_cast<std::uint32_t>(active.size()));
-        for (const std::int64_t day : active) w.i64(day);
-      }
-      encode_hll(w, block_sketch);
-      encode_detector(w, detector);
-      config_.checkpoint->save(w.take());
-    }
-  }
+        });
+      },
+      .fold = [&](const exec::Block& group, std::size_t executed) {
+        for (std::size_t s = 0; s < executed; ++s) {  // canonical order
+          auto& partial = partials[s];
+          detector.merge(partial.detector);
+          flows_observed += partial.flows_observed;
+          records_sampled += partial.records_sampled;
+          results.excluded_single_syn += partial.excluded_single_syn;
+          results.unmatched_853_records += partial.unmatched_853_records;
+          results.total_dot_records += partial.total_dot_records;
+          for (const auto& [month, count] : partial.cloudflare_monthly)
+            results.cloudflare_monthly[month] += count;
+          for (const auto& [month, count] : partial.quad9_monthly)
+            results.quad9_monthly[month] += count;
+          for (auto& [addr, theirs] : partial.blocks) {
+            auto& acc = blocks[addr];
+            if (acc.records == 0) acc.first = theirs.first;
+            acc.last = theirs.last;
+            acc.records += theirs.records;
+            acc.days.merge(theirs.days);
+          }
+          block_sketch.merge(partial.block_sketch);
+          const auto [first, last] =
+              exec::shard_range(n_days, kNetflowShards, group.first + s);
+          results.days_processed += last - first;
+        }
+        return sim::Millis{0.0};
+      },
+      .encode = [&](util::ByteWriter& w, std::size_t done) {
+        w.u64(done / kGroupShards);
+        w.u64(results.days_processed);
+        w.u64(flows_observed);
+        w.u64(records_sampled);
+        w.u64(results.excluded_single_syn);
+        w.u64(results.unmatched_853_records);
+        w.u64(results.total_dot_records);
+        encode_monthly(w, results.cloudflare_monthly);
+        encode_monthly(w, results.quad9_monthly);
+        std::vector<std::uint32_t> sorted_blocks;
+        sorted_blocks.reserve(blocks.size());
+        for (const auto& [addr, acc] : blocks) sorted_blocks.push_back(addr);
+        std::sort(sorted_blocks.begin(), sorted_blocks.end());
+        w.u32(static_cast<std::uint32_t>(sorted_blocks.size()));
+        for (const std::uint32_t addr : sorted_blocks) {
+          const auto& acc = blocks.at(addr);
+          w.u32(addr);
+          w.u64(acc.records);
+          w.i64(acc.first.to_days());
+          w.i64(acc.last.to_days());
+          std::vector<std::int64_t> active(acc.days.begin(), acc.days.end());
+          std::sort(active.begin(), active.end());
+          w.u32(static_cast<std::uint32_t>(active.size()));
+          for (const std::int64_t day : active) w.i64(day);
+        }
+        encode_hll(w, block_sketch);
+        encode_detector(w, detector);
+      },
+      .decode = [&](util::ByteReader& r) {
+        const std::size_t done = r.u64() * kGroupShards;
+        results.days_processed = static_cast<std::size_t>(r.u64());
+        flows_observed = r.u64();
+        records_sampled = r.u64();
+        results.excluded_single_syn = r.u64();
+        results.unmatched_853_records = r.u64();
+        results.total_dot_records = r.u64();
+        results.cloudflare_monthly = decode_monthly(r);
+        results.quad9_monthly = decode_monthly(r);
+        const std::uint32_t n_blocks = r.count(24);
+        for (std::uint32_t i = 0; i < n_blocks; ++i) {
+          auto& acc = blocks[r.u32()];
+          acc.records = r.u64();
+          acc.first = util::Date::from_days(r.i64());
+          acc.last = util::Date::from_days(r.i64());
+          const std::uint32_t n_active = r.count(8);
+          for (std::uint32_t d = 0; d < n_active; ++d) acc.days.insert(r.i64());
+        }
+        block_sketch = decode_hll(r);
+        decode_detector(r, detector);
+        return done;
+      },
+  });
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("traffic.netflow.flows").add(flows_observed);
   registry.counter("traffic.netflow.records").add(records_sampled);

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "exec/executor.hpp"
+#include "exec/blocked_pass.hpp"
 #include "obs/span.hpp"
 #include "traffic/codec.hpp"
 #include "traffic/netflow.hpp"
@@ -25,7 +24,6 @@ namespace {
 constexpr std::size_t kTrendShards = 16;
 constexpr std::size_t kGroupShards = 4;
 static_assert(kTrendShards % kGroupShards == 0);
-constexpr std::size_t kGroups = kTrendShards / kGroupShards;
 
 // Fixed overhead charged per live month accumulator in the deterministic
 // memory accounting (counters + map node, excluding the sketch registers).
@@ -242,40 +240,6 @@ TrendStudyResults TrendStudy::run() {
   std::uint64_t total_records = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t peak_tracked = 0;
-  std::size_t groups_done = 0;
-
-  if (config_.checkpoint != nullptr) {
-    if (const auto state = config_.checkpoint->load()) {
-      util::ByteReader r(*state);
-      groups_done = static_cast<std::size_t>(r.u64());
-      results.days_processed = static_cast<std::size_t>(r.u64());
-      total_records = r.u64();
-      total_bytes = r.u64();
-      peak_tracked = r.u64();
-      sample = decode_flow_batch(r);
-      const std::uint32_t n_providers = r.count(4);
-      if (n_providers != providers_.size()) {
-        throw util::CodecError("trend checkpoint: provider count mismatch");
-      }
-      for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
-        const std::uint32_t n_months = r.count(24);
-        for (std::uint32_t j = 0; j < n_months; ++j) {
-          const std::int64_t key = r.i64();
-          const std::uint64_t records = r.u64();
-          const std::uint64_t bytes = r.u64();
-          Hll clients = decode_hll(r);
-          MonthAgg agg(clients.precision(), clients.seed());
-          agg.records = records;
-          agg.bytes = bytes;
-          agg.clients = std::move(clients);
-          const std::uint32_t n_exact = r.count(4);
-          for (std::uint32_t e = 0; e < n_exact; ++e) agg.exact.insert(r.u32());
-          provider_months[pi].emplace(key, std::move(agg));
-        }
-      }
-      r.expect_done();
-    }
-  }
 
   struct ShardPartial {
     std::vector<MonthMap> months;
@@ -285,18 +249,17 @@ TrendStudyResults TrendStudy::run() {
     std::uint64_t peak_tracked = 0;
   };
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
-  bool cancelled = config_.cancel != nullptr && config_.cancel->cancelled();
-  for (std::size_t g = groups_done; g < kGroups && !cancelled; ++g) {
-    std::vector<ShardPartial> partials(kGroupShards);
-    const std::size_t base = g * kGroupShards;
-    const std::size_t executed = pool.parallel_for_shards(
-        kGroupShards,
-        [&](std::size_t s) {
-          const std::size_t shard = base + s;
+  // The shards run as a blocked pass (exec/blocked_pass.hpp), a group at a
+  // time; a saved state counts groups.
+  std::vector<ShardPartial> partials;
+  (void)exec::run_blocked_pass({
+      .units = kTrendShards, .block = kGroupShards,
+      .pool = config_.pool, .thread_count = config_.thread_count,
+      .cancel = config_.cancel, .checkpoint = config_.checkpoint,
+      .run = [&](const exec::Block& group) {
+        partials = std::vector<ShardPartial>(group.count);
+        return group.run_shards([&](std::size_t s) {
+          const std::size_t shard = group.first + s;
           const auto [first, last] =
               exec::shard_range(n_days, kTrendShards, shard);
           ShardPartial& partial = partials[s];
@@ -405,65 +368,92 @@ TrendStudyResults TrendStudy::run() {
                 months_tracked_bytes(partial.months);
             partial.peak_tracked = std::max(partial.peak_tracked, tracked);
           }
-        },
-        config_.cancel);
-
-    for (std::size_t s = 0; s < executed; ++s) {  // canonical shard order
-      ShardPartial& partial = partials[s];
-      total_records += partial.records;
-      total_bytes += partial.bytes;
-      peak_tracked = std::max(peak_tracked, partial.peak_tracked);
-      for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
-        if (partial.months.empty()) break;  // shard body never ran
-        for (auto& [key, theirs] : partial.months[pi]) {
-          MonthAgg& agg = month_slot(provider_months[pi], key,
-                                     config_.hll_precision, sketch_seed);
-          agg.records += theirs.records;
-          agg.bytes += theirs.bytes;
-          agg.clients.merge(theirs.clients);
-          agg.exact.merge(theirs.exact);
+        });
+      },
+      .fold = [&](const exec::Block& group, std::size_t executed) {
+        for (std::size_t s = 0; s < executed; ++s) {  // canonical order
+          ShardPartial& partial = partials[s];
+          total_records += partial.records;
+          total_bytes += partial.bytes;
+          peak_tracked = std::max(peak_tracked, partial.peak_tracked);
+          for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
+            if (partial.months.empty()) break;  // shard body never ran
+            for (auto& [key, theirs] : partial.months[pi]) {
+              MonthAgg& agg = month_slot(provider_months[pi], key,
+                                         config_.hll_precision, sketch_seed);
+              agg.records += theirs.records;
+              agg.bytes += theirs.bytes;
+              agg.clients.merge(theirs.clients);
+              agg.exact.merge(theirs.exact);
+            }
+          }
+          for (std::size_t i = 0;
+               i < partial.sample.size() && sample.size() < config_.sample_rows;
+               ++i) {
+            sample.push(partial.sample.row(i));
+          }
+          const auto [first, last] =
+              exec::shard_range(n_days, kTrendShards, group.first + s);
+          results.days_processed += last - first;
         }
-      }
-      for (std::size_t i = 0;
-           i < partial.sample.size() && sample.size() < config_.sample_rows;
-           ++i) {
-        sample.push(partial.sample.row(i));
-      }
-      const auto [first, last] =
-          exec::shard_range(n_days, kTrendShards, base + s);
-      results.days_processed += last - first;
-    }
-    peak_tracked =
-        std::max(peak_tracked, months_tracked_bytes(provider_months));
-    if (config_.cancel != nullptr &&
-        (executed < kGroupShards || config_.cancel->cancelled()))
-      cancelled = true;
-    if (config_.checkpoint != nullptr && !cancelled && g + 1 < kGroups) {
-      util::ByteWriter w;
-      w.u64(g + 1);
-      w.u64(results.days_processed);
-      w.u64(total_records);
-      w.u64(total_bytes);
-      w.u64(peak_tracked);
-      encode_flow_batch(w, sample);
-      w.u32(static_cast<std::uint32_t>(providers_.size()));
-      for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
-        w.u32(static_cast<std::uint32_t>(provider_months[pi].size()));
-        for (const auto& [key, agg] : provider_months[pi]) {
-          w.i64(key);
-          w.u64(agg.records);
-          w.u64(agg.bytes);
-          encode_hll(w, agg.clients);
-          std::vector<std::uint32_t> exact(agg.exact.begin(),
-                                           agg.exact.end());
-          std::sort(exact.begin(), exact.end());
-          w.u32(static_cast<std::uint32_t>(exact.size()));
-          for (const std::uint32_t addr : exact) w.u32(addr);
+        peak_tracked =
+            std::max(peak_tracked, months_tracked_bytes(provider_months));
+        return sim::Millis{0.0};
+      },
+      .encode = [&](util::ByteWriter& w, std::size_t done) {
+        w.u64(done / kGroupShards);
+        w.u64(results.days_processed);
+        w.u64(total_records);
+        w.u64(total_bytes);
+        w.u64(peak_tracked);
+        encode_flow_batch(w, sample);
+        w.u32(static_cast<std::uint32_t>(providers_.size()));
+        for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
+          w.u32(static_cast<std::uint32_t>(provider_months[pi].size()));
+          for (const auto& [key, agg] : provider_months[pi]) {
+            w.i64(key);
+            w.u64(agg.records);
+            w.u64(agg.bytes);
+            encode_hll(w, agg.clients);
+            std::vector<std::uint32_t> exact(agg.exact.begin(),
+                                             agg.exact.end());
+            std::sort(exact.begin(), exact.end());
+            w.u32(static_cast<std::uint32_t>(exact.size()));
+            for (const std::uint32_t addr : exact) w.u32(addr);
+          }
         }
-      }
-      config_.checkpoint->save(w.take());
-    }
-  }
+      },
+      .decode = [&](util::ByteReader& r) {
+        const std::size_t done = r.u64() * kGroupShards;
+        results.days_processed = static_cast<std::size_t>(r.u64());
+        total_records = r.u64();
+        total_bytes = r.u64();
+        peak_tracked = r.u64();
+        sample = decode_flow_batch(r);
+        const std::uint32_t n_providers = r.count(4);
+        if (n_providers != providers_.size()) {
+          throw util::CodecError("trend checkpoint: provider count mismatch");
+        }
+        for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
+          const std::uint32_t n_months = r.count(24);
+          for (std::uint32_t j = 0; j < n_months; ++j) {
+            const std::int64_t key = r.i64();
+            const std::uint64_t records = r.u64();
+            const std::uint64_t bytes = r.u64();
+            Hll clients = decode_hll(r);
+            MonthAgg agg(clients.precision(), clients.seed());
+            agg.records = records;
+            agg.bytes = bytes;
+            agg.clients = std::move(clients);
+            const std::uint32_t n_exact = r.count(4);
+            for (std::uint32_t e = 0; e < n_exact; ++e)
+              agg.exact.insert(r.u32());
+            provider_months[pi].emplace(key, std::move(agg));
+          }
+        }
+        return done;
+      },
+  });
 
   for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
     TrendProviderSeries series;

@@ -1,5 +1,6 @@
 // Study-level task-graph execution (DESIGN.md §15): kill-chaos resume under
-// overlapping phases, and the per-phase deadline-token regressions.
+// overlapping phases, its serial-schedule twins, and the per-phase
+// deadline-token regressions.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <stdlib.h>
@@ -40,6 +41,17 @@ class StudyDagTest : public ::testing::Test {
   std::string dir_;
 };
 
+// The same kill/resume contract under the serial schedule (ENCDNS_DAG=0) and
+// its absolute journal family: deterministic commit order, so each kill
+// point lands in a known phase.
+class StudySerialTest : public StudyDagTest {
+ protected:
+  void SetUp() override {
+    StudyDagTest::SetUp();
+    ::setenv("ENCDNS_DAG", "0", 1);
+  }
+};
+
 // The doh_scan phase budgets under ENCDNS_DEADLINE_DOH_SCAN through its OWN
 // token. Regression: it used to share scan_cancel_, so a sweep that
 // exhausted the scan budget zeroed out doh-scan coverage through the
@@ -51,7 +63,8 @@ TEST_F(StudyDagTest, DohScanDeadlineIsIndependentOfTheScanBudget) {
   ::setenv("ENCDNS_DEADLINE_DOH_SCAN", "60", 1);
   Study study(StudyConfig::quick());
   (void)study.scans();
-  const PhaseCoverage scan_coverage = study.phase_coverage("scan_campaign");
+  const PhaseCoverage scan_coverage =
+      study.phase_coverage(PhaseId::kScanCampaign);
   EXPECT_TRUE(scan_coverage.degraded())
       << "the scan budget was expected to trip (completed "
       << scan_coverage.completed << "/" << scan_coverage.planned << ")";
@@ -158,6 +171,63 @@ TEST_F(StudyDagTest, CorruptPartialFailsResumeClosed) {
               std::string::npos)
         << e.what();
   }
+}
+
+// Commit 10 falls in reachability_global: the campaign's three partials and
+// its phase record, the three single-record phases, then that phase's
+// block partials.
+TEST_F(StudySerialTest, ResumeAfterMidRunKillMatchesUninterruptedReport) {
+  EXPECT_EXIT(
+      {
+        ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", "10", 1);
+        Study victim(StudyConfig::quick());
+        victim.enable_checkpoint(dir_, /*resume=*/false);
+        (void)victim.observability_report();
+        std::_Exit(0);  // unreachable: the fuse fires first
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
+
+  Study reference(StudyConfig::quick());
+  const std::string expected = reference.observability_report().to_json();
+
+  Study resumed(StudyConfig::quick());
+  resumed.enable_checkpoint(dir_, /*resume=*/true);
+  EXPECT_EQ(resumed.observability_report().to_json(), expected);
+}
+
+// The serial twin of the three-process chain: the first resume continues
+// reachability_global from the partial it loaded and dies right after its
+// next partial, so that phase's chain of cache sections spans three
+// processes.
+TEST_F(StudySerialTest, ChainAcrossThreeProcessesMatchesUninterruptedReport) {
+  Study reference(StudyConfig::quick());
+  const std::uint64_t fingerprint = reference.config_fingerprint();
+  const auto partials = [&] {
+    const Journal journal(dir_, fingerprint, /*resume=*/true);
+    int count = 0;
+    for (const auto& record : journal.records())
+      count += record.key == "partial:reachability_global" ? 1 : 0;
+    return count;
+  };
+  for (const auto& [kill_after, resume] :
+       {std::pair{"10", false}, std::pair{"1", true}}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", kill_after, 1);
+          Study victim(StudyConfig::quick());
+          victim.enable_checkpoint(dir_, resume);
+          (void)victim.observability_report();
+          std::_Exit(0);  // unreachable: the fuse fires first
+        },
+        ::testing::KilledBySignal(SIGKILL), "");
+  }
+  ASSERT_EQ(partials(), 4) << "the first resume must have died right after "
+                              "continuing reachability_global's chain";
+
+  const std::string expected = reference.observability_report().to_json();
+  Study resumed(StudyConfig::quick());
+  resumed.enable_checkpoint(dir_, /*resume=*/true);
+  EXPECT_EQ(resumed.observability_report().to_json(), expected);
 }
 
 }  // namespace

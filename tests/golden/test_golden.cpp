@@ -40,10 +40,10 @@ class GoldenTest : public ::testing::Test {
   // construction (World reads ENCDNS_FAULTS in its ctor) to match the
   // environment --golden-dir pins when writing snapshots. The study is then
   // warmed by running every experiment once in registry order — the same
-  // sequence --golden-dir uses — because the shared proxy platform's rng is
-  // stateful: a phase's results depend on which phases ran before it, so a
-  // test process that jumped straight to, say, fig8 would measure
-  // performance against a colder platform than the corpus did.
+  // sequence --golden-dir uses. The shared proxy platforms' rngs are
+  // stateful, so a phase's results depend on the phases that advanced its
+  // platform first; an accessor runs those first (DESIGN.md §7), so a test
+  // process that jumped straight to, say, fig8 would render the same bytes.
   static Study& study() {
     static Study* instance = [] {
       setenv("ENCDNS_FAULTS", "off", 1);

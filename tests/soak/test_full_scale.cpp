@@ -9,6 +9,7 @@
 //  - Table 2 country growth ranking across the full 10-scan campaign
 //  - Table 4 / Finding 21 reachability ordering (Do53 worst, DoH best)
 //  - §3.1 local-resolver DoT probe rate band (~0.3%)
+//  - a serial-schedule SIGKILL/resume reproducing the obs JSON exactly
 //
 // The full study takes tens of seconds on one core, so the suite is opt-in:
 // each test GTEST_SKIPs unless ENCDNS_SOAK is set in the environment. CTest
@@ -16,11 +17,13 @@
 // tools/check.sh runs `ENCDNS_SOAK=1 ctest -L soak` as a dedicated step.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -249,6 +252,44 @@ TEST(SoakReport, EveryPaperClaimReproducesAtFullScale) {
                           << ")";
   }
   EXPECT_EQ(failed_count(checks), 0u);
+}
+
+// --- Serial-schedule kill/resume at paper scale --------------------------------
+
+// The serial schedule is the one schedule whose paper-scale output is
+// deterministic and exactly resumable (ROADMAP item 1: under the task graph
+// overlapping phases share evicting resolver caches). A run SIGKILLed at
+// journal commit 40 — mid reachability_global — resumes to the
+// uninterrupted run's obs JSON byte for byte. Writes ~515 MB under the
+// temp directory ($TMPDIR, else /tmp).
+TEST(SoakResume, SerialKillMidReachabilityResumesToTheUninterruptedReport) {
+  ENCDNS_REQUIRE_SOAK();
+  ::setenv("ENCDNS_DAG", "0", 1);
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "encdns_soak_resume_XXXXXX")
+                        .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  EXPECT_EXIT(
+      {
+        ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", "40", 1);
+        Study victim(StudyConfig::full());
+        victim.enable_checkpoint(dir, /*resume=*/false);
+        (void)victim.observability_report();
+        std::_Exit(0);  // unreachable: the fuse fires first
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
+  std::string expected;
+  {
+    Study reference(StudyConfig::full());
+    expected = reference.observability_report().to_json();
+  }
+  {
+    Study resumed(StudyConfig::full());
+    resumed.enable_checkpoint(dir, /*resume=*/true);
+    EXPECT_EQ(resumed.observability_report().to_json(), expected);
+  }
+  std::filesystem::remove_all(dir);
+  ::unsetenv("ENCDNS_DAG");
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Full verification sweep: plain, AddressSanitizer, and ThreadSanitizer
-# builds, each followed by the complete ctest suite. The sanitizer passes
-# exist for the fault/retry stack in particular — the injector's counters and
-# the scanner's circuit breaker are exercised from many worker threads, and
-# tsan is the tool that proves those accesses race-free.
+# Full verification sweep: plain, AddressSanitizer (with UBSan), and
+# ThreadSanitizer builds, each followed by the complete ctest suite. The
+# sanitizer passes exist for the fault/retry stack in particular — the
+# injector's counters and the scanner's circuit breaker are exercised from
+# many worker threads, and tsan is the tool that proves those accesses
+# race-free.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -73,11 +74,13 @@ run_throughput_guard() {
 }
 
 run_chaos() {
-  # The DESIGN.md §13 resume contract, proven the hard way: a reference run
-  # at 2 threads, then a checkpointed run SIGKILLed at three different
-  # journal commits (via ENCDNS_CHECKPOINT_KILL_AFTER) and resumed each time
-  # at a different thread count. The survivors' golden corpus and stable obs
-  # JSON must be byte-identical to the reference.
+  # The DESIGN.md §13 resume contract, proven the hard way under each
+  # schedule and its journal family (the task graph, then the serial
+  # ENCDNS_DAG=0): a reference run at 2 threads, then a checkpointed run
+  # SIGKILLed at three different journal commits (via
+  # ENCDNS_CHECKPOINT_KILL_AFTER) and resumed each time at a different
+  # thread count. The survivors' golden corpus and stable obs JSON must be
+  # byte-identical to the reference.
   echo "=== checkpoint kill/resume chaos ==="
   local tmp
   tmp="$(mktemp -d)"
@@ -87,25 +90,29 @@ run_chaos() {
 
   # Kill counters are per process, so each resume gets a fresh count; the
   # three points land in different phases of the journal's commit sequence.
-  local kill_points=(3 10 7) threads=(2 8 4) i rc
-  for i in 0 1 2; do
-    rc=0
-    ENCDNS_THREADS="${threads[$i]}" \
-      ENCDNS_CHECKPOINT_KILL_AFTER="${kill_points[$i]}" \
-      ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
-      $([ "$i" -gt 0 ] && echo --resume) \
-      --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" \
-      >/dev/null 2>&1 || rc=$?
-    if [ "${rc}" -ne 137 ]; then
-      echo "chaos: expected SIGKILL (137) at commit ${kill_points[$i]}, got ${rc}" >&2
-      return 1
-    fi
+  local kill_points=(3 10 7) threads=(2 8 4) dag i rc
+  for dag in 1 0; do
+    rm -rf "${tmp}/ckpt" "${tmp}/out" "${tmp}/out.json"
+    for i in 0 1 2; do
+      rc=0
+      ENCDNS_DAG="${dag}" ENCDNS_THREADS="${threads[$i]}" \
+        ENCDNS_CHECKPOINT_KILL_AFTER="${kill_points[$i]}" \
+        ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
+        $([ "$i" -gt 0 ] && echo --resume) \
+        --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" \
+        >/dev/null 2>&1 || rc=$?
+      if [ "${rc}" -ne 137 ]; then
+        echo "chaos (ENCDNS_DAG=${dag}): expected SIGKILL (137) at commit ${kill_points[$i]}, got ${rc}" >&2
+        return 1
+      fi
+    done
+    ENCDNS_DAG="${dag}" ENCDNS_THREADS=1 ./build/tools/encdns_study \
+      --checkpoint-dir "${tmp}/ckpt" --resume \
+      --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null
+    diff -r "${tmp}/ref" "${tmp}/out"
+    cmp "${tmp}/ref.json" "${tmp}/out.json"
   done
-  ENCDNS_THREADS=1 ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
-    --resume --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null
-  diff -r "${tmp}/ref" "${tmp}/out"
-  cmp "${tmp}/ref.json" "${tmp}/out.json"
-  echo "kill+resume run is byte-identical to the uninterrupted reference."
+  echo "kill+resume runs under both schedules are byte-identical to the uninterrupted reference."
 }
 
 run_dag_guard() {

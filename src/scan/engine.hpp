@@ -1,10 +1,10 @@
-// The stateless sweep engine (DESIGN.md §14), after masscan: a transmit
-// loop walks the cyclic permutation emitting probes whose whole identity
-// lives in a 64-bit cookie, and a receive loop classifies responses by
-// validating the echoed cookie — no per-target heap state in between. The
-// two loops are joined by a bounded in-flight window (exec::CreditWindow):
-// transmission stalls when the window is full until the receive side drains
-// a response and frees a credit.
+// The stateless sweep engine (DESIGN.md §14), after masscan: a blocked
+// transmit kernel walks the cyclic permutation a block of indices at a time
+// emitting probes whose whole identity lives in a 64-bit cookie, and a
+// receive loop classifies responses by validating the echoed cookie — no
+// per-target heap state in between. The two loops are joined by a bounded
+// in-flight window (exec::CreditWindow): transmission stalls when the window
+// is full until the receive side drains a response and frees a credit.
 //
 // Determinism: work is split over the same 64 fixed shards as the rest of
 // the scanner, every stochastic draw is keyed by the probe's own cookie
@@ -44,14 +44,16 @@ struct EngineConfig {
   /// ENCDNS_SCAN_RATE environment variable, else unpaced. Like the window,
   /// pacing shifts simulated arrival times without changing any verdict.
   double pace_qps = 0.0;
-  /// Cooperative cancellation, checked at shard pickup and every few
-  /// thousand transmissions inside a shard. Wall/manual cancellation cuts
-  /// coverage without a determinism promise (DESIGN.md §13); the receive
-  /// ring is always drained so every credit is released exactly once.
+  /// Cooperative cancellation, checked at shard pickup and once per
+  /// transmit block (512 permutation steps) inside a shard. Wall/manual
+  /// cancellation cuts coverage without a determinism promise (DESIGN.md
+  /// §13); the receive ring is always drained so every credit is released
+  /// exactly once.
   exec::CancelToken* cancel = nullptr;
-  /// Test hook: when > 0, trip `cancel` after this many transmissions
-  /// (counted per shard), giving chaos tests a deterministic mid-shard cut
-  /// at thread_count 1.
+  /// Test hook: when > 0, trip `cancel` once a shard's transmissions reach
+  /// this count, checked after every address (so a cut can overshoot by the
+  /// retransmits that address triggered), giving chaos tests a
+  /// deterministic mid-shard cut at thread_count 1.
   std::uint64_t cancel_after_tx = 0;
   /// Shared worker pool (task-graph mode); null = private pool.
   exec::WorkerPool* pool = nullptr;

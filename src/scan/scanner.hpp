@@ -62,10 +62,10 @@ struct ScanSnapshot {
 
 /// Phase-1 sweep implementation. kStateless is the masscan-style engine
 /// (scan::ScanEngine, DESIGN.md §14) and the default everywhere; kLegacy
-/// keeps the synchronous per-shard probe loop for the bench guard's
-/// side-by-side comparison. Fault-free sweeps produce the identical open
-/// set either way (the verdicts are rng-independent), so the golden corpus
-/// does not depend on the mode.
+/// keeps the synchronous per-shard loop that sends every address through
+/// probe_tcp, as the bench guard's independent reference. Fault-free sweeps
+/// produce the identical open set either way (the verdicts are
+/// rng-independent), so the golden corpus does not depend on the mode.
 enum class SweepMode { kStateless, kLegacy };
 
 struct CampaignConfig {

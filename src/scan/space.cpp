@@ -32,13 +32,8 @@ ScanSpace::ScanSpace(std::vector<util::Cidr> prefixes)
   }
 }
 
-util::Ipv4 ScanSpace::at(std::uint64_t i) const {
-  if (i >= total_) throw std::out_of_range("ScanSpace::at");
-  // Start from the bucket's block hint and advance to the prefix whose
-  // cumulative start is <= i (last such).
-  std::size_t block = bucket_hint_[static_cast<std::size_t>(i >> bucket_shift_)];
-  while (block + 1 < prefixes_.size() && cumulative_[block + 1] <= i) ++block;
-  return prefixes_[block].at(i - cumulative_[block]);
+void ScanSpace::throw_out_of_range() {
+  throw std::out_of_range("ScanSpace::at");
 }
 
 std::optional<std::uint64_t> ScanSpace::index_of(util::Ipv4 addr) const {

@@ -17,8 +17,16 @@ class ScanSpace {
   /// Total number of addresses across all prefixes.
   [[nodiscard]] std::uint64_t size() const noexcept { return total_; }
 
-  /// Address at flat index `i` (i < size()).
-  [[nodiscard]] util::Ipv4 at(std::uint64_t i) const;
+  /// Address at flat index `i`; throws std::out_of_range unless i < size().
+  /// Inline: the sweep kernel maps every walked index through it.
+  [[nodiscard]] util::Ipv4 at(std::uint64_t i) const {
+    if (i >= total_) throw_out_of_range();
+    // Start from the bucket's block hint and advance to the prefix whose
+    // cumulative start is <= i (last such).
+    std::size_t block = bucket_hint_[static_cast<std::size_t>(i >> bucket_shift_)];
+    while (block + 1 < prefixes_.size() && cumulative_[block + 1] <= i) ++block;
+    return prefixes_[block].at(i - cumulative_[block]);
+  }
 
   /// Inverse mapping; nullopt when the address is outside the space.
   [[nodiscard]] std::optional<std::uint64_t> index_of(util::Ipv4 addr) const;
@@ -32,6 +40,8 @@ class ScanSpace {
   }
 
  private:
+  [[noreturn]] static void throw_out_of_range();
+
   std::vector<util::Cidr> prefixes_;       // sorted by base address
   std::vector<std::uint64_t> cumulative_;  // exclusive prefix sums
   std::uint64_t total_ = 0;

@@ -5,18 +5,6 @@
 
 namespace encdns::util {
 
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  return splitmix64(x);
-}
-
 std::uint64_t fnv1a(std::string_view s) noexcept {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (unsigned char c : s) {

@@ -16,12 +16,21 @@ namespace encdns::util {
 
 /// One step of the splitmix64 sequence starting at `x`. Also usable as a
 /// high-quality 64-bit integer mixer/finalizer.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& x) noexcept;
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& x) noexcept {
+  x += 0x9E3779B97F4A7C15ULL;
+  std::uint64_t z = x;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless mix of a 64-bit value (splitmix64 finalizer). Used to derive
 /// independent child seeds and for procedural "is this address special?"
-/// predicates that must not consume generator state.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept;
+/// predicates that must not consume generator state. Inline: the sweep's
+/// closed-verdict oracle calls it once or twice per probe.
+[[nodiscard]] inline std::uint64_t mix64(std::uint64_t x) noexcept {
+  return splitmix64(x);
+}
 
 /// FNV-1a hash of a byte string, for deterministic keyed lookups.
 [[nodiscard]] std::uint64_t fnv1a(std::string_view s) noexcept;

@@ -76,7 +76,8 @@ World::World(WorldConfig config) : config_(config) {
   deployments_ = make_deployments(config_.seed);
   for (const auto& text : routable_prefixes()) {
     scan_prefixes_.push_back(*util::Cidr::parse(text));
-    routable_high16_.insert(scan_prefixes_.back().base().value() >> 16);
+    const std::uint32_t high16 = scan_prefixes_.back().base().value() >> 16;
+    routable_high16_[high16 >> 6] |= std::uint64_t{1} << (high16 & 63);
   }
   background_salt_ = util::mix64(config_.seed ^ 0xBAC6ULL);
   probe_apex_ = *dns::Name::parse(kProbeDomain);

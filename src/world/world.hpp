@@ -12,7 +12,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -149,15 +148,20 @@ class World {
   /// Whether a background (non-DoT) host has TCP/853 open at `date`.
   [[nodiscard]] bool background_open_853(util::Ipv4 addr, const util::Date& date) const;
 
+  /// One bit per /16: set when a scan prefix starts in that /16 (8 KiB).
+  using High16Bitmap = std::array<std::uint64_t, 65536 / 64>;
+
   /// Hoisted per-sweep form of background_open_853: the churn window, salts
   /// and density thresholds are resolved once per sweep instead of once per
-  /// address, so the scan engine's closed-verdict hot path is a set probe
-  /// plus one or two hash-and-compares. open() is bit-identical to calling
-  /// background_open_853(addr, date) for the date the sweep was built with.
+  /// address, so the scan engine's closed-verdict hot path is one bitmap
+  /// test plus one or two inline hash-and-compares. open() is bit-identical
+  /// to calling background_open_853(addr, date) for the date the sweep was
+  /// built with.
   class Background853Sweep {
    public:
-    [[nodiscard]] bool open(util::Ipv4 addr) const {
-      if (!routable_->contains(addr.value() >> 16)) return false;
+    [[nodiscard]] bool open(util::Ipv4 addr) const noexcept {
+      const std::uint32_t high16 = addr.value() >> 16;
+      if (((*routable_)[high16 >> 6] >> (high16 & 63) & 1) == 0) return false;
       const std::uint64_t h1 = util::mix64(addr.value() ^ stable_salt_);
       if (static_cast<double>(h1 % 1000000) < stable_threshold_) return true;
       const std::uint64_t h2 = util::mix64(addr.value() ^ churn_salt_);
@@ -166,7 +170,7 @@ class World {
 
    private:
     friend class World;
-    const std::unordered_set<std::uint32_t>* routable_ = nullptr;
+    const High16Bitmap* routable_ = nullptr;
     std::uint64_t stable_salt_ = 0;
     std::uint64_t churn_salt_ = 0;
     double stable_threshold_ = 0.0;
@@ -282,7 +286,7 @@ class World {
   resolver::AuthoritativeUniverse universe_;
   Deployments deployments_;
   std::vector<util::Cidr> scan_prefixes_;
-  std::unordered_set<std::uint32_t> routable_high16_;  // /16 fast lookup
+  High16Bitmap routable_high16_{};  // /16s holding a scan prefix
   std::uint64_t background_salt_ = 0;
 
   dns::Name probe_apex_;

@@ -15,6 +15,7 @@
 #include "scan/engine.hpp"
 #include "scan/permutation.hpp"
 #include "scan/space.hpp"
+#include "support/scan_identity.hpp"
 #include "world/world.hpp"
 
 namespace encdns::exec {
@@ -119,6 +120,7 @@ TEST(CreditWindow, EngineCancelDrainReleasesEveryCreditExactlyOnce) {
   EXPECT_LT(result.tally.probed, full.size());  // genuinely cut short
   EXPECT_EQ(result.tally.credit_leaks, 0u);
   EXPECT_EQ(result.tally.double_releases, 0u);
+  scan::expect_scan_identity(result.tally);
   // And the cut itself is deterministic at one thread: a rerun produces the
   // identical truncated tally.
   const scan::SweepResult again = cancelled_sweep();

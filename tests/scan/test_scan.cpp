@@ -6,6 +6,7 @@
 
 #include "exec/cancel.hpp"
 #include "fault/fault.hpp"
+#include "obs/metrics.hpp"
 #include "scan/doh_prober.hpp"
 #include "scan/doh_scan.hpp"
 #include "scan/dot_prober.hpp"
@@ -13,6 +14,7 @@
 #include "scan/permutation.hpp"
 #include "scan/scanner.hpp"
 #include "scan/space.hpp"
+#include "support/scan_identity.hpp"
 #include "util/stats.hpp"
 #include "world/world.hpp"
 
@@ -321,7 +323,16 @@ TEST(ScanEngine, MatchesLegacySweepFaultFree) {
     Scanner scanner(world, config);
     return scanner.scan_once(kFeb);
   };
+  // The snapshot carries no transmit count; the engine flushes it to the
+  // scan.engine.tx counter, which must grow by probed + retransmits.
+  const obs::Counter& tx =
+      obs::MetricsRegistry::global().counter("scan.engine.tx");
+  const std::uint64_t tx_before = tx.value();
   const auto stateless = snapshot_with_mode(SweepMode::kStateless);
+  if (obs::enabled()) {
+    EXPECT_EQ(tx.value() - tx_before,
+              stateless.addresses_probed + stateless.retransmits);
+  }
   const auto legacy = snapshot_with_mode(SweepMode::kLegacy);
   EXPECT_EQ(stateless.addresses_probed, legacy.addresses_probed);
   EXPECT_EQ(stateless.port_open, legacy.port_open);
@@ -376,6 +387,8 @@ TEST(ScanEngine, SweepIsThreadCountInvariantUnderFaults) {
   // Window invariants hold on the happy path.
   EXPECT_EQ(one.tally.credit_leaks, 0u);
   EXPECT_EQ(one.tally.double_releases, 0u);
+  for (const SweepResult* result : {&one, &two, &eight})
+    expect_scan_identity(result->tally);
 }
 
 // The in-flight window and the pacing rate are flow control only: a window
@@ -420,6 +433,8 @@ TEST(ScanEngine, WindowAndPaceDoNotChangeResults) {
   EXPECT_EQ(tight.tally.credit_leaks, 0u);
   EXPECT_EQ(wide.tally.credit_leaks, 0u);
   EXPECT_EQ(paced.tally.credit_leaks, 0u);
+  for (const SweepResult* result : {&tight, &wide, &paced})
+    expect_scan_identity(result->tally);
 }
 
 // A sweep that starts already cancelled emits nothing and leaks nothing.
@@ -439,6 +454,7 @@ TEST(ScanEngine, PreCancelledSweepIsEmptyAndLeakFree) {
   EXPECT_TRUE(result.open_hosts.empty());
   EXPECT_EQ(result.tally.credit_leaks, 0u);
   EXPECT_EQ(result.tally.double_releases, 0u);
+  expect_scan_identity(result.tally);
 }
 
 // ---------------------------------------------------------------------------

@@ -763,9 +763,9 @@ bool check_guard(const std::string& baseline_path,
 
   // The qps floor compares against a baseline usually recorded on a
   // multi-core machine; with a single worker the comparison only measures
-  // the core-count difference, so it is skipped (same rule as the
-  // "speedup": null emission in the per-experiment benches). The work-unit
-  // and allocation bounds are machine-independent and always apply.
+  // the core-count difference, so it is skipped, like the other wall-clock
+  // floors in this file. The work-unit and allocation bounds are
+  // machine-independent and always apply.
   const bool check_qps = exec::parallelism_available();
   if (!check_qps)
     std::printf("guard: single worker — qps floor skipped, determinism and "

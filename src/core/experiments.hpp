@@ -1,6 +1,7 @@
 // One runner per table/figure of the paper. Every runner returns a rendered
-// util::Table computed from a Study (static tables take no Study). The bench
-// binaries print these next to the paper's reference values.
+// util::Table computed from a Study (static tables take no Study). The
+// registry pairs each runner with the values the paper reports, and
+// `encdns_study --id <id>` prints the two together.
 #pragma once
 
 #include <functional>
@@ -41,6 +42,9 @@ struct Experiment {
   std::string id;     // "table4", "fig9", ...
   std::string title;  // paper caption
   std::function<util::Table(Study&)> run;
+  /// What the paper reports for this row, one display line each; printed
+  /// above the measured table. Empty for rows with no quoted figures.
+  std::vector<std::string> paper_reference = {};
 };
 
 /// All experiments in paper order.

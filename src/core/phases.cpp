@@ -156,8 +156,6 @@ const std::vector<PhaseSpec>& phase_table() {
             scan::DohScanConfig cfg;
             cfg.seed = campaign.seed ^ 0xED0ULL;
             cfg.thread_count = s.config().thread_count;
-            cfg.scan_window = campaign.scan_window;
-            cfg.scan_rate = campaign.scan_rate;
             cfg.pool = c.pool;
             cfg.cancel = c.cancel;
             return scan::run_doh_scan(s.world(), cfg,

@@ -34,8 +34,8 @@ namespace encdns::exec {
 /// than one worker — i.e. parallel wall-clock comparisons mean something.
 /// On a single-core machine (or under ENCDNS_THREADS=1) a "parallel" run is
 /// the serial run with extra bookkeeping, so speedup figures and wall-clock
-/// floors derived from one are noise; benches consult this to emit
-/// "speedup": null and skip their timing guards instead.
+/// floors derived from one are noise; benches consult this to skip their
+/// timing guards instead.
 [[nodiscard]] bool parallelism_available();
 
 /// Contiguous index range [first, last) owned by shard `shard` of `shards`

@@ -57,8 +57,6 @@ DohScanResult run_doh_scan(const world::World& world,
   engine_config.port = kHttpsPort;
   engine_config.max_attempts = 1 + std::max(config.sweep_retries, 0);
   engine_config.thread_count = config.thread_count;
-  engine_config.window = config.scan_window;
-  engine_config.pace_qps = config.scan_rate;
   engine_config.cancel = config.cancel;
   engine_config.pool = config.pool;
   ScanEngine engine(world, engine_config);

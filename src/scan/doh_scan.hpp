@@ -27,9 +27,6 @@ struct DohScanConfig {
   int sweep_retries = 1;
   /// Directed-probe attempts on transient failures per (host, path).
   int probe_attempts = 3;
-  /// Stateless-engine knobs, forwarded verbatim (scan::EngineConfig).
-  std::size_t scan_window = 0;
-  double scan_rate = 0.0;
   /// Cooperative cancellation for the sweep (the directed-probe tail runs
   /// over the open set only, which is tiny).
   exec::CancelToken* cancel = nullptr;

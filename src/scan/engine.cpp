@@ -12,7 +12,6 @@
 #include "exec/executor.hpp"
 #include "exec/window.hpp"
 #include "scan/cookie.hpp"
-#include "util/env.hpp"
 
 namespace encdns::scan {
 
@@ -37,7 +36,7 @@ constexpr sim::Millis kProbeTimeout{3000.0};
 
 /// One queued response awaiting classification.
 struct Pending {
-  double arrival = 0.0;      // shard-local simulated ms
+  double arrival = 0.0;      // simulated ms after the probe was sent
   std::uint64_t seq = 0;     // attempt-0 emission index (canonical position)
   std::uint64_t index = 0;   // space index, so a retransmit routes like attempt 0
   util::Ipv4 addr;
@@ -63,14 +62,13 @@ struct ShardPartial {
 };
 
 /// The per-shard transmit/receive pair. Everything here is shard-local:
-/// the window, the receive ring, the pacing clock, and the partial tally.
+/// the window, the receive ring, and the partial tally.
 class ShardRun {
  public:
   ShardRun(const world::World& world, const EngineConfig& config,
            const ScanSpace& space, const std::vector<world::Vantage>& origins,
            const util::Date& date, const std::vector<std::uint64_t>& bound,
-           bool fast_path, std::size_t window, double pace_qps,
-           ShardPartial& partial)
+           bool fast_path, ShardPartial& partial)
       : world_(&world),
         config_(&config),
         space_(&space),
@@ -80,11 +78,11 @@ class ShardRun {
         background_(world.background_sweep_853(date)),
         background_853_(config.port == dns::kDotPort),
         fast_path_(fast_path),
-        pace_gap_(pace_qps > 0.0 ? 1000.0 / pace_qps : 0.0),
         stop_after_tx_(config.cancel != nullptr && config.cancel_after_tx > 0
                            ? config.cancel_after_tx
                            : std::numeric_limits<std::uint64_t>::max()),
-        window_(window),
+        window_(config.window > 0 ? config.window
+                                  : EngineConfig::kDefaultWindow),
         partial_(&partial) {
     const auto* injector = world.network().fault_injector();
     injector_on_ = injector != nullptr && injector->enabled();
@@ -110,7 +108,7 @@ class ShardRun {
     drain_all(/*classify=*/!cancelled);
     // Materialized-response time, accumulated in integer nanoseconds so the
     // shard total is independent of classification order (double addition
-    // is not associative; drain order legally shifts with window/pace).
+    // is not associative; drain order legally shifts with the window).
     partial_->tally.sim_elapsed +=
         sim::Millis{static_cast<double>(sim_nanos_) * 1e-6};
     partial_->tally.credit_leaks += window_.in_flight();
@@ -123,46 +121,40 @@ class ShardRun {
  private:
   /// The transmit kernel: each walked index, in canonical order, becomes
   /// its address's attempt-0 probe. A closed verdict settles against the
-  /// hoisted bitmaps and the inline background hash with the counters and
-  /// the pacing clock held in registers; a probe that needs state publishes
-  /// them, takes the enqueue path and reloads them (its receive side may
-  /// have retransmitted). The test hook is checked after every address, so
-  /// the cut lands after exactly the same transmission as a per-probe loop.
+  /// hoisted bitmaps and the inline background hash with the counters held
+  /// in registers; a probe that needs state publishes them, takes the
+  /// enqueue path and reloads them (its receive side may have
+  /// retransmitted). The test hook is checked after every address, so the
+  /// cut lands after exactly the same transmission as a per-probe loop.
   /// Returns false once the hook trips.
   bool transmit_block(const std::uint64_t* indices, std::size_t count) {
     EngineTally& tally = partial_->tally;
     std::uint64_t probed = tally.probed;
     std::uint64_t transmitted = tally.transmitted;
-    double clock = tx_clock_;
     bool live = true;
     for (std::size_t i = 0; i < count && live; ++i) {
       const std::uint64_t index = indices[i];
       const util::Ipv4 addr = space_->at(index);
       ++transmitted;
-      clock += pace_gap_;
       if (!settles_closed(index, addr)) {
         tally.probed = probed + 1;
         tally.transmitted = transmitted;
-        tx_clock_ = clock;
         respond(index, probed, addr, /*attempt=*/0);
         transmitted = tally.transmitted;
-        clock = tx_clock_;
       }
       ++probed;
       live = transmitted < stop_after_tx_;
     }
     tally.probed = probed;
     tally.transmitted = transmitted;
-    tx_clock_ = clock;
     if (!live) config_->cancel->cancel("scan-engine-test-hook");
     return live;
   }
 
-  /// A retransmission: counted, paced and settled like an attempt-0 probe.
+  /// A retransmission: counted and settled like an attempt-0 probe.
   void transmit(std::uint64_t index, std::uint64_t seq, util::Ipv4 addr,
                 std::uint32_t attempt) {
     ++partial_->tally.transmitted;
-    tx_clock_ += pace_gap_;
     if (!settles_closed(index, addr)) respond(index, seq, addr, attempt);
   }
 
@@ -214,8 +206,7 @@ class ShardRun {
       util::Rng dup = cookie_rng(cookie ^ kDupKey);
       if (dup.chance(profile.udp_drop)) {
         Pending copy = item;
-        copy.arrival = tx_clock_ + item.latency.value +
-                       dup.uniform(1.0, 50.0);
+        copy.arrival = item.latency.value + dup.uniform(1.0, 50.0);
         copy.holds_credit = false;
         copy.duplicate = true;
         ring_.push(std::move(copy));
@@ -227,7 +218,7 @@ class ShardRun {
   void enqueue_with_credit(Pending item) {
     while (!window_.try_acquire()) classify(pop());
     item.holds_credit = true;
-    item.arrival = tx_clock_ + item.latency.value;
+    item.arrival = item.latency.value;
     ring_.push(std::move(item));
   }
 
@@ -321,7 +312,7 @@ class ShardRun {
     ghost.echoed = cookie;
     ghost.status = net::Network::ProbeStatus::kOpen;
     ghost.latency = sim::Millis{0.0};
-    ghost.arrival = tx_clock_ + kProbeTimeout.value + late.uniform(0.0, 500.0);
+    ghost.arrival = kProbeTimeout.value + late.uniform(0.0, 500.0);
     ghost.holds_credit = false;
     ghost.stale = true;
     ring_.push(std::move(ghost));
@@ -341,32 +332,12 @@ class ShardRun {
   bool background_853_;  // only TCP/853 has a background population
   bool fast_path_;
   bool injector_on_ = false;
-  double pace_gap_;
   std::uint64_t stop_after_tx_;  // the test hook's cut; max() when off
-  double tx_clock_ = 0.0;
   std::uint64_t sim_nanos_ = 0;
   exec::CreditWindow window_;
   std::priority_queue<Pending, std::vector<Pending>, ArrivesLater> ring_;
   ShardPartial* partial_;
 };
-
-[[nodiscard]] std::size_t resolve_window(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const auto env = util::env_positive_int("ENCDNS_SCAN_WINDOW"))
-    return static_cast<std::size_t>(*env);
-  return 256;
-}
-
-[[nodiscard]] double resolve_pace(double requested) {
-  if (requested > 0.0) return requested;
-  if (const auto env = util::env_double("ENCDNS_SCAN_RATE")) {
-    if (*env <= 0.0)
-      throw util::EnvError(
-          "ENCDNS_SCAN_RATE: expected a positive probes-per-second rate");
-    return *env;
-  }
-  return 0.0;
-}
 
 }  // namespace
 
@@ -387,10 +358,7 @@ EngineTally& EngineTally::operator+=(const EngineTally& other) noexcept {
 }
 
 ScanEngine::ScanEngine(const world::World& world, EngineConfig config)
-    : world_(&world),
-      config_(std::move(config)),
-      window_(resolve_window(config_.window)),
-      pace_qps_(resolve_pace(config_.pace_qps)) {}
+    : world_(&world), config_(std::move(config)) {}
 
 SweepResult ScanEngine::sweep(const ScanSpace& space,
                               const CyclicPermutation& permutation,
@@ -420,7 +388,7 @@ SweepResult ScanEngine::sweep(const ScanSpace& space,
         const auto [first, last] =
             exec::shard_range(permutation.steps(), kSweepShards, shard);
         ShardRun run(*world_, config_, space, origins, date, bound, fast_path,
-                     window_, pace_qps_, partials[shard]);
+                     partials[shard]);
         run.run(permutation.walk(first, last));
       },
       config_.cancel);

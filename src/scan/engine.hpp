@@ -11,7 +11,7 @@
 // (never by transmit order), open hosts are recorded in canonical
 // permutation order regardless of response arrival order, and shard
 // partials merge in shard order — so results are bit-identical for any
-// thread count, window size, or pacing rate.
+// thread count or window size.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +36,11 @@ struct EngineConfig {
   /// Total SYN attempts per address (1 + filtered retransmits).
   int max_attempts = 3;
   unsigned thread_count = 0;
-  /// In-flight window per shard (token-bucket credits). 0 = the
-  /// ENCDNS_SCAN_WINDOW environment variable, else 256. Purely a flow
-  /// bound: it never changes results, only internal drain order.
-  std::size_t window = 0;
-  /// Transmit pacing in probes per simulated second per shard. 0 = the
-  /// ENCDNS_SCAN_RATE environment variable, else unpaced. Like the window,
-  /// pacing shifts simulated arrival times without changing any verdict.
-  double pace_qps = 0.0;
+  /// In-flight window per shard (token-bucket credits); 0 selects the
+  /// default. Purely a flow bound: it never changes results, only internal
+  /// drain order.
+  static constexpr std::size_t kDefaultWindow = 256;
+  std::size_t window = kDefaultWindow;
   /// Cooperative cancellation, checked at shard pickup and once per
   /// transmit block (512 permutation steps) inside a shard. Wall/manual
   /// cancellation cuts coverage without a determinism promise (DESIGN.md
@@ -98,14 +95,9 @@ class ScanEngine {
                                   const std::vector<world::Vantage>& origins,
                                   const util::Date& date) const;
 
-  [[nodiscard]] std::size_t window() const noexcept { return window_; }
-  [[nodiscard]] double pace_qps() const noexcept { return pace_qps_; }
-
  private:
   const world::World* world_;
   EngineConfig config_;
-  std::size_t window_;
-  double pace_qps_;
 };
 
 }  // namespace encdns::scan

@@ -117,8 +117,6 @@ std::vector<util::Ipv4> Scanner::sweep_once(const util::Date& date,
     engine_config.port = dns::kDotPort;
     engine_config.max_attempts = 1 + std::max(config_.sweep_retries, 0);
     engine_config.thread_count = config_.thread_count;
-    engine_config.window = config_.scan_window;
-    engine_config.pace_qps = config_.scan_rate;
     engine_config.cancel = config_.cancel;
     ScanEngine engine(*world_, engine_config);
     SweepResult sweep = engine.sweep(space_, permutation, origins_, date);

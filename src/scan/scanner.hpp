@@ -85,13 +85,6 @@ struct CampaignConfig {
   int sweep_retries = 2;
   /// Phase-1 implementation (see SweepMode above).
   SweepMode sweep_mode = SweepMode::kStateless;
-  /// Stateless-engine in-flight window per shard; 0 = ENCDNS_SCAN_WINDOW
-  /// env, else 256. Flow control only — results never depend on it.
-  std::size_t scan_window = 0;
-  /// Stateless-engine transmit pacing (probes per simulated second per
-  /// shard); 0 = ENCDNS_SCAN_RATE env, else unpaced. Results never depend
-  /// on it either.
-  double scan_rate = 0.0;
   /// Application-layer probe attempts on transient failures (Phase 2).
   int probe_attempts = 3;
   /// Consecutive scans in which a port-open host must flake out of the

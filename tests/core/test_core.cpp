@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/experiments.hpp"
 #include "core/implementation_survey.hpp"
 #include "core/protocol_matrix.hpp"
@@ -163,6 +166,26 @@ TEST(Experiments, RegistryCoversPaper) {
         "table8", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
         "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"})
     EXPECT_TRUE(ids.contains(id)) << id;
+}
+
+// Every row that sets a measured table against figures or claims from the
+// paper carries that reference text, which encdns_study prints above the
+// table. fig5, fig7 and fig8 (workflow diagrams) and fig11-trend (an
+// extension) quote nothing.
+TEST(Experiments, QuotedRowsCarryPaperReference) {
+  const std::set<std::string> quoted = {
+      "table1", "table2", "table3", "table4", "table5", "table6", "table7",
+      "table8", "fig1", "fig2", "fig3", "fig4", "fig6", "fig9", "fig10",
+      "fig11", "fig12", "fig13", "doh-discovery", "doh-scan", "local-probe"};
+  std::size_t seen = 0;
+  for (const auto& experiment : all_experiments()) {
+    if (!quoted.contains(experiment.id)) continue;
+    ++seen;
+    EXPECT_FALSE(experiment.paper_reference.empty()) << experiment.id;
+    for (const auto& line : experiment.paper_reference)
+      EXPECT_FALSE(line.empty()) << experiment.id;
+  }
+  EXPECT_EQ(seen, quoted.size());
 }
 
 // Acceptance for the fault-injection stack (DESIGN.md §8): a quick study under

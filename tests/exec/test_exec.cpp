@@ -34,8 +34,8 @@ TEST(ResolveThreadCount, AutoIsAtLeastOne) {
 }
 
 TEST(ParallelismAvailable, TracksTheAutoResolvedWorkerCount) {
-  // The bench layer keys "speedup": null and its wall-clock guards off this
-  // predicate, so pin it to resolve_thread_count(0) exactly.
+  // bench_macro_study keys its wall-clock guards off this predicate, so
+  // pin it to resolve_thread_count(0) exactly.
   ::setenv("ENCDNS_THREADS", "1", 1);
   EXPECT_FALSE(exec::parallelism_available());
   ::setenv("ENCDNS_THREADS", "4", 1);

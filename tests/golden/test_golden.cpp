@@ -62,7 +62,11 @@ class GoldenTest : public ::testing::Test {
     for (const auto& candidate : all_experiments())
       if (candidate.id == id) experiment = &candidate;
     ASSERT_NE(experiment, nullptr) << "no experiment registered as " << id;
+    expect_snapshot(id, experiment->run(study()).to_json());
+  }
 
+  // Diffs `got` against the checked-in snapshot of experiment `id`.
+  static void expect_snapshot(const std::string& id, const std::string& got) {
     const auto path =
         std::filesystem::path(ENCDNS_GOLDEN_DIR) / (id + ".json");
     std::ifstream in(path);
@@ -71,8 +75,6 @@ class GoldenTest : public ::testing::Test {
         << " — run tools/regen_golden.sh and commit the result";
     std::stringstream want;
     want << in.rdbuf();
-
-    const std::string got = experiment->run(study()).to_json();
     if (got == want.str()) return;
 
     const auto got_lines = split_lines(got);
@@ -116,6 +118,21 @@ TEST_F(GoldenTest, CorpusCoversEveryExperiment) {
     const auto stem = entry.path().stem().string();
     EXPECT_TRUE(ids.contains(stem))
         << "stale snapshot " << entry.path() << " (no such experiment)";
+  }
+}
+
+// The corpus is thread-count invariant: a fresh study pinned to one worker
+// renders every row, in registry order, to the same bytes as the shared
+// auto-thread study above.
+TEST_F(GoldenTest, SingleThreadStudyMatchesCorpus) {
+  setenv("ENCDNS_FAULTS", "off", 1);
+  StudyConfig config = StudyConfig::quick();
+  config.world.seed = 2019;
+  config.thread_count = 1;
+  Study single(config);
+  for (const auto& experiment : all_experiments()) {
+    SCOPED_TRACE(experiment.id);
+    expect_snapshot(experiment.id, experiment.run(single).to_json());
   }
 }
 

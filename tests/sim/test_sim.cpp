@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "sim/duration.hpp"
-#include "sim/event_queue.hpp"
 
 namespace encdns::sim {
 namespace {
@@ -34,66 +31,6 @@ TEST(Millis, Comparisons) {
 TEST(Millis, ToString) {
   EXPECT_EQ(Millis{12.3456}.to_string(), "12.35ms");
   EXPECT_EQ(Millis{2500.0}.to_string(), "2.50s");
-}
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule_at(Millis{30}, [&] { order.push_back(3); });
-  queue.schedule_at(Millis{10}, [&] { order.push_back(1); });
-  queue.schedule_at(Millis{20}, [&] { order.push_back(2); });
-  queue.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(queue.now().value, 30.0);
-}
-
-TEST(EventQueue, TiesBreakByInsertionOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    queue.schedule_at(Millis{10}, [&order, i] { order.push_back(i); });
-  queue.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue queue;
-  int fired = 0;
-  queue.schedule_at(Millis{10}, [&] { ++fired; });
-  queue.schedule_at(Millis{50}, [&] { ++fired; });
-  queue.run_until(Millis{20});
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(queue.now().value, 20.0);
-  EXPECT_EQ(queue.pending(), 1u);
-  queue.run_until(Millis{100});
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, EventsScheduledDuringRunAreHonored) {
-  EventQueue queue;
-  std::vector<double> times;
-  queue.schedule_at(Millis{10}, [&] {
-    times.push_back(queue.now().value);
-    queue.schedule_in(Millis{5}, [&] { times.push_back(queue.now().value); });
-  });
-  queue.run_until(Millis{100});
-  EXPECT_EQ(times, (std::vector<double>{10.0, 15.0}));
-}
-
-TEST(EventQueue, PastSchedulesClampToNow) {
-  EventQueue queue;
-  queue.run_until(Millis{50});
-  double fired_at = -1;
-  queue.schedule_at(Millis{10}, [&] { fired_at = queue.now().value; });
-  queue.run_until(Millis{60});
-  EXPECT_EQ(fired_at, 50.0);
-}
-
-TEST(EventQueue, RunAllReturnsCount) {
-  EventQueue queue;
-  for (int i = 0; i < 7; ++i) queue.schedule_in(Millis{static_cast<double>(i)}, [] {});
-  EXPECT_EQ(queue.run_all(), 7u);
-  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The study runner CLI: run any (or every) experiment at quick or full
-// scale, print the tables, and optionally export CSVs — the reproduction's
-// counterpart of the paper's dataset release (https://dnsencryption.info).
+// scale, print each table below the values the paper reports for it, and
+// optionally export CSVs — the reproduction's counterpart of the paper's
+// dataset release (https://dnsencryption.info).
 //
 // Usage:
 //   encdns_study --list
@@ -182,6 +183,12 @@ int run_tables(core::Study& study, const std::string& only_id,
   for (const auto& experiment : core::all_experiments()) {
     if (!only_id.empty() && experiment.id != only_id) continue;
     found = true;
+    if (!experiment.paper_reference.empty()) {
+      std::printf("Paper reference (IMC'19):\n");
+      for (const auto& line : experiment.paper_reference)
+        std::printf("  | %s\n", line.c_str());
+      std::printf("\n");
+    }
     const auto table = experiment.run(study);
     std::printf("%s\n", table.render().c_str());
     if (!csv_dir.empty()) {

@@ -66,13 +66,12 @@ bool decode_answer_into(std::span<const std::uint8_t> wire, dns::RCode& rcode,
 
 /// One shard's entries (DESIGN.md §10). Slots live in one array that doubles
 /// on demand up to the shard's capacity slice — never pre-sized, since most
-/// shards of most backends stay nearly empty — and grows past it only while
-/// a restore or merge overfills the shard. The LRU list links slots by index
-/// (head = most recent); slots freed by trimming chain through `next` on a
-/// free list. The index is open-addressed with linear probing over
-/// (tag, slot) pairs, kept at most 2/3 full, and deletes by backward shift,
-/// so it never holds tombstones. The owner holds `mutex` around every other
-/// member call.
+/// shards of most backends stay nearly empty. A full shard recycles its LRU
+/// victim's slot, so no slot is freed short of clear(). The LRU list links
+/// slots by index (head = most recent). The index is open-addressed with
+/// linear probing over (tag, slot) pairs, kept at most 2/3 full, and
+/// deletes by backward shift, so it never holds tombstones. The owner holds
+/// `mutex` around every other member call.
 class DnsCache::Shard {
  public:
   /// Key and wire bytes live inside the slot when they fit. Sized so the
@@ -88,7 +87,7 @@ class DnsCache::Shard {
     /// compared by export_entries(owner).
     const void* owner = nullptr;
     std::uint32_t prev = kNil;  // toward the most-recent end
-    std::uint32_t next = kNil;  // toward the least-recent end; free-list link
+    std::uint32_t next = kNil;  // toward the least-recent end
     std::uint32_t tag = 0;
     std::uint32_t key_len = 0;
     std::uint32_t wire_len = 0;
@@ -143,27 +142,21 @@ class DnsCache::Shard {
   }
 
   /// store() semantics: an existing key is refreshed and promoted; a new
-  /// one enters at the most-recent end. Into a full shard, first trim the
-  /// extras a restore or merge left past `capacity`, then recycle the LRU
-  /// victim's slot. Returns the number of entries evicted.
-  std::uint64_t put(std::string_view key, std::uint32_t tag,
-                    std::span<const std::uint8_t> wire, std::int64_t expiry_s,
-                    const void* owner, std::size_t capacity) {
+  /// one enters at the most-recent end, into a full shard by recycling the
+  /// LRU victim's slot. Returns whether a victim was evicted.
+  bool put(std::string_view key, std::uint32_t tag,
+           std::span<const std::uint8_t> wire, std::int64_t expiry_s,
+           const void* owner, std::size_t capacity) {
     if (const std::uint32_t s = find(key, tag); s != kNil) {
       fill(s, tag, key, wire, expiry_s, owner);
       promote(s);
-      return 0;
+      return false;
     }
-    std::uint64_t evicted = 0;
+    const bool evicted = size_ >= capacity;
     std::uint32_t s = kNil;
-    if (size_ >= capacity) {
-      while (size_ > capacity) {
-        release(tail_);
-        ++evicted;
-      }
+    if (evicted) {
       s = tail_;
       detach(s);
-      ++evicted;
     } else {
       s = acquire(capacity);
     }
@@ -174,28 +167,11 @@ class DnsCache::Shard {
     return evicted;
   }
 
-  /// restore/merge semantics: an existing key is refreshed in place (its
-  /// LRU position kept); a new one appends at the least-recent end, with no
-  /// capacity check.
-  void append(std::string_view key, std::uint32_t tag,
-              std::span<const std::uint8_t> wire, std::int64_t expiry_s,
-              const void* owner, std::size_t capacity) {
-    if (const std::uint32_t s = find(key, tag); s != kNil) {
-      fill(s, tag, key, wire, expiry_s, owner);
-      return;
-    }
-    const std::uint32_t s = acquire(capacity);
-    fill(s, tag, key, wire, expiry_s, owner);
-    index_insert(s);
-    link_back(s);
-    ++size_;
-  }
-
   void clear() noexcept {
     release_spills();
     slots_ = std::vector<Slot>();  // frees the storage, unlike `= {}`
     index_ = std::vector<IndexEntry>();
-    head_ = tail_ = free_ = kNil;
+    head_ = tail_ = kNil;
     size_ = 0;
   }
 
@@ -255,13 +231,8 @@ class DnsCache::Shard {
     for (Slot& slot : slots_) free_spill(slot);
   }
 
-  /// A slot for a new entry: the free list first, else a fresh one.
+  /// A fresh slot for a new entry in a shard below its capacity slice.
   std::uint32_t acquire(std::size_t capacity) {
-    if (free_ != kNil) {
-      const std::uint32_t s = free_;
-      free_ = slots_[s].next;
-      return s;
-    }
     if (slots_.size() == slots_.capacity()) grow(capacity);
     slots_.emplace_back();
     return static_cast<std::uint32_t>(slots_.size() - 1);
@@ -321,14 +292,6 @@ class DnsCache::Shard {
     head_ = s;
   }
 
-  void link_back(std::uint32_t s) noexcept {
-    Slot& slot = slots_[s];
-    slot.next = kNil;
-    slot.prev = tail_;
-    (tail_ != kNil ? slots_[tail_].next : head_) = s;
-    tail_ = s;
-  }
-
   /// Take `s` out of the index and the LRU list; it keeps its bytes.
   void detach(std::uint32_t s) noexcept {
     index_erase(s);
@@ -336,19 +299,10 @@ class DnsCache::Shard {
     --size_;
   }
 
-  /// Evict `s` for good: detach it, drop its heap block, free-list it.
-  void release(std::uint32_t s) noexcept {
-    detach(s);
-    free_spill(slots_[s]);
-    slots_[s].next = free_;
-    free_ = s;
-  }
-
   std::vector<Slot> slots_;
   std::vector<IndexEntry> index_;
   std::uint32_t head_ = kNil;  // most recently used
   std::uint32_t tail_ = kNil;  // least recently used: the next victim
-  std::uint32_t free_ = kNil;
   std::size_t size_ = 0;
   std::size_t spilled_ = 0;  // slots owning a heap block
 };
@@ -471,7 +425,7 @@ bool DnsCache::store(const Key& key, const CachedAnswer& answer,
   wire.clear();
   encode_answer_to(answer, wire);
   Shard& shard = *shards_[key.hash & shard_mask_];
-  std::uint64_t evicted = 0;
+  bool evicted = false;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     evicted = shard.put(key.text, tag_of(key.hash), wire, expiry, owner,
@@ -479,9 +433,9 @@ bool DnsCache::store(const Key& key, const CachedAnswer& answer,
   }
   stores_.fetch_add(1, std::memory_order_relaxed);
   obs_store_->add();
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    obs_evict_->add(evicted);
+  if (evicted) {
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    obs_evict_->add();
   }
   return true;
 }
@@ -556,25 +510,17 @@ std::vector<ExportedEntry> DnsCache::export_entries(const void* owner) const {
   return out;
 }
 
-void DnsCache::restore_entries(const std::vector<ExportedEntry>& entries) {
-  clear();
-  // Entries arrive most-recent first per shard, so appending at each shard's
-  // least-recent end reproduces the exported LRU order exactly.
-  append_entries(entries, /*owner=*/nullptr);
-}
-
 void DnsCache::merge_entries(const std::vector<ExportedEntry>& entries) {
-  append_entries(entries, obs::current_tally());
-}
-
-void DnsCache::append_entries(const std::vector<ExportedEntry>& entries,
-                              const void* owner) {
-  for (const auto& entry : entries) {
-    const Key key(entry.key);
+  // Entries arrive most-recent first per shard, so replaying them in
+  // reverse stores each shard's oldest first and leaves their exported
+  // order at the most-recent end. Evictions are not counted.
+  const void* owner = obs::current_tally();
+  for (auto entry = entries.rbegin(); entry != entries.rend(); ++entry) {
+    const Key key(entry->key);
     Shard& shard = *shards_[key.hash & shard_mask_];
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.append(key.text, tag_of(key.hash), entry.wire, entry.expiry_s, owner,
-                 per_shard_capacity_);
+    (void)shard.put(key.text, tag_of(key.hash), entry->wire, entry->expiry_s,
+                    owner, per_shard_capacity_);
   }
 }
 

@@ -209,11 +209,10 @@ class DnsCache {
 
   void clear();
 
-  /// Checkpoint export (DESIGN.md §13): every entry, shard-by-shard in index
-  /// order and most-recently-used first within each shard, its answer in
-  /// the wire form the slot holds. Deterministic for a fixed operation
-  /// history; tallies are not included (the study restores those
-  /// separately).
+  /// Every entry, shard-by-shard in index order and most-recently-used
+  /// first within each shard, its answer in the wire form the slot holds
+  /// (the journal's entry layout, DESIGN.md §13). Deterministic for a fixed
+  /// operation history; tallies are not included.
   [[nodiscard]] std::vector<ExportedEntry> export_entries() const;
 
   /// Owner-filtered export (task-graph checkpointing, DESIGN.md §15): only
@@ -224,27 +223,22 @@ class DnsCache {
   [[nodiscard]] std::vector<ExportedEntry> export_entries(
       const void* owner) const;
 
-  /// Checkpoint restore: replace the contents with `entries`, reproducing
-  /// the per-shard LRU order export_entries() emitted. Requires the same
-  /// shard configuration as the exporting cache, and wire bytes that came
-  /// from export_entries() or passed decode_answer_into() (the journal
+  /// Additive restore for owner-filtered captures: replays the stores the
+  /// capture records, oldest first per shard, as store() would — an
+  /// existing key is refreshed and promoted, a new one enters at the
+  /// most-recent end, and a full shard recycles its LRU victim — but counts
+  /// nothing: the evictions that made room were counted by the run that
+  /// captured the entries. The merged entries end up most recent, in the
+  /// order export_entries() emitted them, and no shard passes its capacity
+  /// slice. Merged entries are attributed to the calling thread's
+  /// obs::current_tally(), exactly as if it had stored them. Requires the
+  /// same shard configuration as the exporting cache, and wire bytes that
+  /// came from an export or passed decode_answer_into() (the journal
   /// decoder checks every one); tallies are untouched.
-  void restore_entries(const std::vector<ExportedEntry>& entries);
-
-  /// Additive restore for owner-filtered captures: existing keys refresh in
-  /// place (keeping their LRU position), new keys append least-recent in
-  /// the given order, even past a shard's capacity slice (the next insert
-  /// into that shard trims it back, counting each trimmed entry as an
-  /// eviction). Merged entries are attributed to the calling thread's
-  /// obs::current_tally(), exactly as if it had stored them. Same wire
-  /// precondition as restore_entries().
   void merge_entries(const std::vector<ExportedEntry>& entries);
 
  private:
   class Shard;  // one shard's slab, defined in dns_cache.cpp
-
-  void append_entries(const std::vector<ExportedEntry>& entries,
-                      const void* owner);
 
   CacheConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -6,22 +6,18 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/phases.hpp"
 #include "dns/message.hpp"
 
 namespace encdns::core {
 namespace {
 
-// Kinds 1–4 held the same records with whole cache sections; they are
-// retired, so a journal written in that layout fails each kind check.
-// Serial family: a phase record also carries its `ordered` flag.
-constexpr std::uint8_t kKindPhase = 6;
-constexpr std::uint8_t kKindPartial = 7;
-// Delta family (task-graph mode, DESIGN.md §15): same layout for both —
-// kind, owned-platform cursor, the phase's own metrics delta, state blob.
-constexpr std::uint8_t kKindPhaseDelta = 8;
-constexpr std::uint8_t kKindPartialDelta = 9;
-// Registry name skeleton refreshed at every delta commit: names, diagnostic
+// Phase and partial records: kind, owned-platform cursor, the phase's own
+// metrics delta, state blob. Retired kinds, each failing the kind check:
+// 1–4 (whole cache sections), 6–7 (absolute records of the serial
+// schedule), 8–9 (cursors carrying a resolver-cache tally).
+constexpr std::uint8_t kKindPhase = 10;
+constexpr std::uint8_t kKindPartial = 11;
+// Registry name skeleton refreshed at every phase commit: names, diagnostic
 // flags and bucket bounds of everything registered so far. Values are a
 // mid-run mixture across overlapping phases and are ignored on load — the
 // record exists so a resume can re-register the zero-valued metrics a
@@ -308,12 +304,6 @@ void encode_cursor(util::ByteWriter& w, const WorldCursor& cursor,
                    CacheSectionEncoder& chain) {
   encode_proxy_cursor(w, cursor.global_platform);
   encode_proxy_cursor(w, cursor.cn_platform);
-  w.u64(cursor.cache_tally.hits);
-  w.u64(cursor.cache_tally.misses);
-  w.u64(cursor.cache_tally.stale_served);
-  w.u64(cursor.cache_tally.upstream_faults);
-  w.u64(cursor.cache_tally.evictions);
-  w.u64(cursor.cache_tally.entries);
   // Cached answers travel as the wire bytes their cache slots hold
   // (cache::encode_answer(): an RFC 1035 message with the rcode in the
   // header and the records in the answer section), copied through as is.
@@ -328,12 +318,6 @@ void encode_cursor(util::ByteWriter& w, const WorldCursor& cursor,
   WorldCursor cursor;
   cursor.global_platform = decode_proxy_cursor(r);
   cursor.cn_platform = decode_proxy_cursor(r);
-  cursor.cache_tally.hits = r.u64();
-  cursor.cache_tally.misses = r.u64();
-  cursor.cache_tally.stale_served = r.u64();
-  cursor.cache_tally.upstream_faults = r.u64();
-  cursor.cache_tally.evictions = r.u64();
-  cursor.cache_tally.entries = r.u64();
   decode_cache_section(r, base, section);
   return cursor;
 }
@@ -442,28 +426,12 @@ obs::Snapshot decode_metrics(util::ByteReader& r) {
 
 namespace {
 
-/// The record kinds of one family's chains.
-struct Family {
-  std::uint8_t phase_kind;
-  std::uint8_t partial_kind;
-  const char* phase_name;  // as error messages name the record kinds
-  const char* partial_name;
-  bool phase_has_ordered;  // serial phase records carry the `ordered` flag
-
-  [[nodiscard]] std::uint8_t kind(bool is_phase) const noexcept {
-    return is_phase ? phase_kind : partial_kind;
-  }
-  [[nodiscard]] const char* name(bool is_phase) const noexcept {
-    return is_phase ? phase_name : partial_name;
-  }
-};
-
-constexpr Family kSerial{kKindPhase, kKindPartial, "phase", "partial", true};
-constexpr Family kDelta{kKindPhaseDelta, kKindPartialDelta, "phase-delta",
-                        "partial-delta", false};
-
-[[nodiscard]] const Family& family_of(bool delta) noexcept {
-  return delta ? kDelta : kSerial;
+[[nodiscard]] std::uint8_t kind_of(bool is_phase) noexcept {
+  return is_phase ? kKindPhase : kKindPartial;
+}
+/// A record kind as error messages name it.
+[[nodiscard]] const char* name_of(bool is_phase) noexcept {
+  return is_phase ? "phase-delta" : "partial-delta";
 }
 
 /// The newest record of `phase`'s chain (its phase and partial records).
@@ -482,7 +450,6 @@ struct ChainRecord {
   util::ByteReader rest;  // the body after the cursor
   WorldCursor cursor;     // caches left empty: see `section`
   CacheSection section;   // resolved against the previous record's
-  bool ordered = false;
 };
 
 /// Walks `phase`'s records in journal order up to `target`, each cache
@@ -491,8 +458,7 @@ struct ChainRecord {
 /// their cache sections alone.
 [[nodiscard]] ChainRecord resolve_chain(const Journal& journal,
                                         const std::string& phase,
-                                        const Journal::Record& target,
-                                        const Family& family) {
+                                        const Journal::Record& target) {
   const std::string phase_k = phase_key(phase);
   const std::string partial_k = partial_key(phase);
   CacheSection base;
@@ -501,13 +467,12 @@ struct ChainRecord {
     const bool is_phase = record.key == phase_k;
     if (!is_phase && record.key != partial_k) continue;
     util::ByteReader r(record.body);
-    if (r.u8() != family.kind(is_phase))
-      throw util::CodecError(std::string(family.name(is_phase)) +
+    if (r.u8() != kind_of(is_phase))
+      throw util::CodecError(std::string(name_of(is_phase)) +
                              " record has wrong kind tag");
-    const bool ordered = is_phase && family.phase_has_ordered && r.boolean();
     WorldCursor cursor = decode_cursor(r, base, section);
     if (&record == &target)
-      return ChainRecord{r, std::move(cursor), std::move(section), ordered};
+      return ChainRecord{r, std::move(cursor), std::move(section)};
     std::swap(base, section);
   }
   throw std::logic_error("checkpoint: record is not in phase " + phase +
@@ -517,20 +482,17 @@ struct ChainRecord {
 }  // namespace
 
 std::optional<StudyCheckpoint::LoadedRecord> StudyCheckpoint::load(
-    const std::string& phase, bool is_phase, bool delta, bool* ordered) {
+    const std::string& phase, bool is_phase) {
   const Journal::Record* record =
       journal_.find_last(is_phase ? phase_key(phase) : partial_key(phase));
   if (record == nullptr) return std::nullopt;
-  const Family& family = family_of(delta);
   try {
-    ChainRecord resolved = resolve_chain(journal_, phase, *record, family);
+    ChainRecord resolved = resolve_chain(journal_, phase, *record);
     LoadedRecord loaded;
     loaded.cursor = std::move(resolved.cursor);
-    if (!delta) loaded.cursor.caches = export_section(resolved.section);
     loaded.metrics = decode_metrics(resolved.rest);
     loaded.state = resolved.rest.blob();
     resolved.rest.expect_done();
-    if (ordered != nullptr) *ordered = resolved.ordered;
     // A resumed in-flight phase encodes its next record against this one,
     // so one chain may span processes.
     if (!is_phase && record == chain_end(journal_, phase))
@@ -538,18 +500,16 @@ std::optional<StudyCheckpoint::LoadedRecord> StudyCheckpoint::load(
     loaded.caches = std::move(resolved.section);
     return loaded;
   } catch (const util::CodecError& e) {
-    throw JournalError(std::string("checkpoint: corrupt ") +
-                       family.name(is_phase) + " record (" + e.what() + ")");
+    throw JournalError(std::string("checkpoint: corrupt ") + name_of(is_phase) +
+                       " record (" + e.what() + ")");
   }
 }
 
 void StudyCheckpoint::append_cursor_record(const std::string& phase,
-                                          bool is_phase, bool delta,
+                                          bool is_phase,
                                           const WorldCursor& cursor,
                                           const obs::Snapshot& metrics,
-                                          const std::vector<std::uint8_t>& state,
-                                          bool ordered) {
-  const Family& family = family_of(delta);
+                                          const std::vector<std::uint8_t>& state) {
   auto [chain, fresh] = chains_.try_emplace(phase);
   if (fresh) {
     // The journal's last record of this phase is the base, even when this
@@ -557,7 +517,7 @@ void StudyCheckpoint::append_cursor_record(const std::string& phase,
     if (const Journal::Record* last = chain_end(journal_, phase)) {
       try {
         chain->second.sections.rebase(
-            resolve_chain(journal_, phase, *last, family).section);
+            resolve_chain(journal_, phase, *last).section);
       } catch (const util::CodecError& e) {
         chains_.erase(chain);
         throw JournalError("checkpoint: corrupt " + std::string(last->key) +
@@ -567,16 +527,12 @@ void StudyCheckpoint::append_cursor_record(const std::string& phase,
   }
   util::ByteWriter& w = chain->second.record;
   w.clear();
-  w.u8(family.kind(is_phase));
-  if (is_phase && family.phase_has_ordered) w.boolean(ordered);
+  w.u8(kind_of(is_phase));
   encode_cursor(w, cursor, chain->second.sections);
   encode_metrics(w, metrics);
   w.blob(state);
   journal_.append(is_phase ? phase_key(phase) : partial_key(phase), w.data());
-  if (is_phase) {
-    committed_.insert(phase);
-    chains_.erase(chain);
-  }
+  if (is_phase) chains_.erase(chain);
 }
 
 // ---------------------------------------------------------------------------
@@ -593,19 +549,17 @@ namespace {
 
 }  // namespace
 
-/// A phase's block-boundary hook, in either family. A delta record's
-/// metrics half is the phase's own delta instead of the global registry:
-/// load() re-applies it additively and save() snapshots the calling
-/// thread's PhaseTally, so overlapping phases never see each other's
-/// numbers.
+/// A phase's block-boundary hook. The metrics half of its records is the
+/// phase's own delta, never the global registry: load() re-applies it
+/// additively and save() snapshots the calling thread's PhaseTally, so
+/// overlapping phases never see each other's numbers.
 class PhaseHookImpl : public exec::CheckpointHook {
  public:
-  PhaseHookImpl(StudyCheckpoint* owner, std::string phase, bool delta,
+  PhaseHookImpl(StudyCheckpoint* owner, std::string phase,
                 const WorldCursor& pre, std::function<WorldCursor()> capture,
                 std::optional<StudyCheckpoint::LoadedRecord> resumed)
       : owner_(owner),
         phase_(std::move(phase)),
-        delta_(delta),
         pre_(platforms_of(pre)),
         capture_(std::move(capture)),
         resumed_(std::move(resumed)) {}
@@ -613,23 +567,18 @@ class PhaseHookImpl : public exec::CheckpointHook {
   std::optional<std::vector<std::uint8_t>> load() override {
     if (!resumed_) return std::nullopt;
     auto& registry = obs::MetricsRegistry::global();
-    if (!delta_) {
-      registry.restore(resumed_->metrics);
-    } else {
-      // The phase re-executed its prologue (e.g. the platform batch
-      // re-acquisition) before asking for the checkpoint — work the saved
-      // delta already accounts for. Serial mode wipes the duplicate with
-      // its absolute restore; the additive protocol retracts exactly what
-      // this phase recorded so far and restarts its tally from the delta.
-      if (obs::PhaseTally* tally = obs::current_tally()) {
-        registry.retract_delta(registry.delta_snapshot(*tally));
-        tally->clear();
-      }
-      // Additive restore: lands in the global registry *and* in the calling
-      // thread's current tally, so the resumed phase's final delta covers
-      // the killed run's committed blocks too.
-      registry.apply_delta(resumed_->metrics);
+    // The phase re-executed its prologue (e.g. the platform batch
+    // re-acquisition) before asking for the checkpoint — work the saved
+    // delta already accounts for. Retract exactly what this phase recorded
+    // so far and restart its tally from the delta.
+    if (obs::PhaseTally* tally = obs::current_tally()) {
+      registry.retract_delta(registry.delta_snapshot(*tally));
+      tally->clear();
     }
+    // Additive restore: lands in the global registry *and* in the calling
+    // thread's current tally, so the resumed phase's final delta covers the
+    // killed run's committed blocks too.
+    registry.apply_delta(resumed_->metrics);
     std::vector<std::uint8_t> state = std::move(resumed_->state);
     resumed_.reset();
     return state;
@@ -637,27 +586,24 @@ class PhaseHookImpl : public exec::CheckpointHook {
 
   void save(const std::vector<std::uint8_t>& state) override {
     // Hybrid cursor: recruitment rewinds to the phase start (the prologue
-    // re-runs on resume), but cache contents and tally are captured NOW —
-    // the blocks committed so far never re-run, so their cache stores must
-    // be part of what the resumed process restores.
+    // re-runs on resume), but cache contents are captured NOW — the blocks
+    // committed so far never re-run, so their cache stores must be part of
+    // what the resumed process restores.
     WorldCursor at_save = capture_();
     at_save.global_platform = pre_.global_platform;
     at_save.cn_platform = pre_.cn_platform;
     obs::Snapshot metrics;
-    if (!delta_)
-      metrics = obs::MetricsRegistry::global().snapshot();
-    else if (const obs::PhaseTally* tally = obs::current_tally())
+    if (const obs::PhaseTally* tally = obs::current_tally())
       metrics = obs::MetricsRegistry::global().delta_snapshot(*tally);
     std::lock_guard<std::mutex> guard(owner_->mutex_);
-    owner_->append_cursor_record(phase_, /*is_phase=*/false, delta_, at_save,
-                                 metrics, state);
+    owner_->append_cursor_record(phase_, /*is_phase=*/false, at_save, metrics,
+                                 state);
     owner_->journal_.commit();
   }
 
  private:
   StudyCheckpoint* owner_;
   std::string phase_;
-  bool delta_;
   WorldCursor pre_;
   std::function<WorldCursor()> capture_;
   std::optional<StudyCheckpoint::LoadedRecord> resumed_;
@@ -667,59 +613,12 @@ class PhaseHookImpl : public exec::CheckpointHook {
 
 StudyCheckpoint::StudyCheckpoint(std::string dir, std::uint64_t fingerprint,
                                  bool resume)
-    : journal_(std::move(dir), fingerprint, resume) {
-  for (const auto& record : journal_.records())
-    if (record.key.starts_with("phase:"))
-      committed_.emplace(record.key.substr(6));
-}
-
-std::optional<StudyCheckpoint::LoadedRecord> StudyCheckpoint::load_phase(
-    const std::string& phase) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  bool ordered = false;
-  auto loaded = load(phase, /*is_phase=*/true, /*delta=*/false, &ordered);
-  if (loaded && ordered) obs::MetricsRegistry::global().restore(loaded->metrics);
-  return loaded;
-}
-
-std::optional<StudyCheckpoint::LoadedRecord> StudyCheckpoint::load_partial(
-    const std::string& phase) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return load(phase, /*is_phase=*/false, /*delta=*/false);
-}
-
-void StudyCheckpoint::commit_phase(const std::string& phase,
-                                   const std::vector<std::uint8_t>& state,
-                                   const WorldCursor& cursor) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  bool ordered = true;
-  for (const auto& predecessor : canonical_phases()) {
-    if (predecessor == phase) break;
-    if (committed_.find(predecessor) == committed_.end()) {
-      ordered = false;
-      break;
-    }
-  }
-  append_cursor_record(phase, /*is_phase=*/true, /*delta=*/false, cursor,
-                       obs::MetricsRegistry::global().snapshot(), state,
-                       ordered);
-  journal_.commit();
-}
-
-std::unique_ptr<exec::CheckpointHook> StudyCheckpoint::phase_hook(
-    const std::string& phase, const WorldCursor& pre_cursor,
-    std::function<WorldCursor()> capture, std::optional<LoadedRecord> resumed) {
-  return std::make_unique<PhaseHookImpl>(this, phase, /*delta=*/false,
-                                         pre_cursor, std::move(capture),
-                                         std::move(resumed));
-}
-
-// --- task-graph (delta) protocol -------------------------------------------
+    : journal_(std::move(dir), fingerprint, resume) {}
 
 std::optional<StudyCheckpoint::LoadedRecord> StudyCheckpoint::load_phase_delta(
     const std::string& phase) {
   std::lock_guard<std::mutex> guard(mutex_);
-  return load(phase, /*is_phase=*/true, /*delta=*/true);
+  return load(phase, /*is_phase=*/true);
 }
 
 bool StudyCheckpoint::has_partial(const std::string& phase) const {
@@ -730,7 +629,7 @@ bool StudyCheckpoint::has_partial(const std::string& phase) const {
 std::optional<StudyCheckpoint::LoadedRecord>
 StudyCheckpoint::load_partial_delta(const std::string& phase) {
   std::lock_guard<std::mutex> guard(mutex_);
-  return load(phase, /*is_phase=*/false, /*delta=*/true);
+  return load(phase, /*is_phase=*/false);
 }
 
 void StudyCheckpoint::commit_phase_delta(const std::string& phase,
@@ -743,8 +642,7 @@ void StudyCheckpoint::commit_phase_delta(const std::string& phase,
   skeleton.u8(kKindSkeleton);
   encode_metrics(skeleton, obs::MetricsRegistry::global().snapshot());
   std::lock_guard<std::mutex> guard(mutex_);
-  append_cursor_record(phase, /*is_phase=*/true, /*delta=*/true, cursor, delta,
-                       state);
+  append_cursor_record(phase, /*is_phase=*/true, cursor, delta, state);
   journal_.append(kSkeletonKey, skeleton.take());
   journal_.commit();
 }
@@ -769,9 +667,8 @@ std::optional<obs::Snapshot> StudyCheckpoint::load_skeleton() {
 std::unique_ptr<exec::CheckpointHook> StudyCheckpoint::phase_delta_hook(
     const std::string& phase, const WorldCursor& pre_cursor,
     std::function<WorldCursor()> capture, std::optional<LoadedRecord> resumed) {
-  return std::make_unique<PhaseHookImpl>(this, phase, /*delta=*/true,
-                                         pre_cursor, std::move(capture),
-                                         std::move(resumed));
+  return std::make_unique<PhaseHookImpl>(this, phase, pre_cursor,
+                                         std::move(capture), std::move(resumed));
 }
 
 }  // namespace encdns::core

@@ -1,30 +1,22 @@
 // Study-level checkpointing over the write-ahead journal (DESIGN.md §13).
 //
-// Five record kinds. Two families of two kinds each carry a WorldCursor and
-// are keyed by phase name; a journal only ever holds one family (the config
-// fingerprint covers ENCDNS_DAG), and the kind tags fail closed across
-// families:
-//   serial family (ENCDNS_DAG=0)
-//     phase:<name>    (6) — the phase finished: post-phase WorldCursor, an
-//                     `ordered` flag, a metrics-registry snapshot taken at
-//                     commit time, and the serialized phase results.
-//     partial:<name>  (7) — the phase is mid-flight: pre-phase platform
-//                     cursors with cache contents as of the save, a
-//                     metrics snapshot, and the phase's own block state.
-//                     Later partials supersede earlier ones.
-//   delta family (task graph, DESIGN.md §15)
-//     phase:<name>    (8) and partial:<name> (9) — the same roles, but the
-//                     metrics half is the phase's own delta (attributed by
-//                     its obs::PhaseTally) and the cursor holds only the
-//                     proxy platform the phase itself advances: under
-//                     overlap a commit-time snapshot of the global registry
-//                     is a mixture of every phase in flight, and reading the
-//                     other platform would race with the node that owns it.
-//                     Delta records are position-independent: resume replays
-//                     them additively in canonical order.
-//   obs:skeleton      (5) — the registry's metric names (delta family only).
-// Kinds 1–4 are the retired whole-section layouts; a journal holding them
-// fails closed at its first cursor record.
+// Three record kinds. Two carry a WorldCursor and are keyed by phase name:
+//   phase:<name>    (10) — the phase finished: the proxy platform cursor it
+//                   owns, the resolver-cache entries it stored, its own
+//                   metrics delta (attributed by its obs::PhaseTally) and
+//                   its serialized results.
+//   partial:<name>  (11) — the phase is mid-flight: its pre-phase platform
+//                   cursor, the cache entries it stored up to the save, its
+//                   delta so far and its own block state. Later partials
+//                   supersede earlier ones.
+//   obs:skeleton    (5)  — the registry's metric names.
+// Phases overlap in the task graph, so no record holds a snapshot of the
+// global registry, the other platform or the cache as a whole: under
+// overlap those are a mixture of every phase in flight. Records are
+// position-independent, and resume replays their deltas additively in
+// canonical order. Retired kinds fail closed at a journal's first cursor
+// record: 1–4 (whole cache sections), 6–7 (the absolute records of the
+// deleted serial schedule) and 8–9 (cursors that carried a cache tally).
 //
 // A cursor's cache section is relative (DESIGN.md §13): it is encoded
 // against the resolved cache section of the previous record of the same
@@ -38,14 +30,9 @@
 // platforms' rng streams only in the serial acquire_batch prologue, and
 // every other random draw is derived from (seed, global index). Restoring
 // the pre-phase cursor therefore makes the rerun's recruitment identical to
-// the killed run's; the partial's metrics then restore the registry (serial:
-// absolutely, wiping the rerun's duplicate recruitment counters; delta:
-// additively, after retracting them), and the phase continues from the
-// first uncommitted block. The `ordered` flag records whether every
-// canonical predecessor phase had committed when a serial phase record was
-// written — only then is its metrics snapshot a valid absolute restore point
-// (the CLI always drives phases in canonical order when checkpointing, so in
-// practice it always is).
+// the killed run's; the hook then retracts the rerun's duplicate
+// recruitment metrics, applies the partial's delta, and the phase continues
+// from the first uncommitted block.
 #pragma once
 
 #include <functional>
@@ -53,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,17 +54,16 @@
 
 namespace encdns::core {
 
-/// Everything outside a phase's own results that must rewind with it: both
-/// proxy platforms' recruitment cursors, the cumulative resolver-cache
-/// tally, and the full contents of every recursive backend's record cache.
-/// Cache contents are NOT a behavioral no-op mid-phase: shared lookups
-/// (DoH bootstrap names, repeated diagnostic fetches) hit entries stored by
+/// Everything outside a phase's own results that must rewind with it: the
+/// recruitment cursor of the proxy platform it owns (a record leaves the
+/// other one default) and the resolver-cache entries it stored. Cache
+/// contents are NOT a behavioral no-op mid-phase: shared lookups (DoH
+/// bootstrap names, repeated diagnostic fetches) hit entries stored by
 /// earlier session blocks, and a hit answers faster than a miss — so a
 /// resumed run must see exactly the cache the killed run had.
 struct WorldCursor {
   proxy::ProxyCursor global_platform;
   proxy::ProxyCursor cn_platform;
-  world::World::ResolverCacheTally cache_tally;
   std::vector<std::vector<cache::ExportedEntry>> caches;  // per backend
 };
 
@@ -159,53 +144,19 @@ class StudyCheckpoint {
   StudyCheckpoint(std::string dir, std::uint64_t fingerprint, bool resume);
 
   /// A decoded cursor record: phase results (or block state for a partial),
-  /// its world cursor, and its metrics — the registry snapshot in the serial
-  /// family, the phase's own delta in the delta family.
+  /// its world cursor, and the phase's own metrics delta.
   struct LoadedRecord {
     std::vector<std::uint8_t> state;
-    WorldCursor cursor;
+    WorldCursor cursor;  // caches left empty: see `caches`
     /// The cursor's resolved cache section: views into the journal, valid
-    /// while this checkpoint lives. Serial-family loads also copy it out
-    /// into `cursor.caches` for their absolute restore; delta-family loads
-    /// leave that empty, so a caller copies entries out (export_section())
-    /// only if and when it merges them.
+    /// while this checkpoint lives. A caller copies entries out
+    /// (export_section()) only if and when it merges them.
     CacheSection caches;
     obs::Snapshot metrics;
   };
 
-  // --- serial family -------------------------------------------------------
-
-  /// Committed full-phase record, if the journal holds one. When the record
-  /// was written in canonical order, the metrics registry is restored to its
-  /// commit-time snapshot as a side effect.
-  [[nodiscard]] std::optional<LoadedRecord> load_phase(const std::string& phase);
-
-  /// Newest partial record for `phase`, if any. The caller rewinds the world
-  /// to its cursor before re-running the phase and hands the record to
-  /// phase_hook(), whose load() then returns its state.
-  [[nodiscard]] std::optional<LoadedRecord> load_partial(const std::string& phase);
-
-  /// Journal a completed phase (results + post-phase cursor + metrics).
-  void commit_phase(const std::string& phase, const std::vector<std::uint8_t>& state,
-                    const WorldCursor& cursor);
-
-  /// Block-boundary hook handed to the phase via its config. load() returns
-  /// the state of `resumed` (the record load_partial() decoded), restoring
-  /// its metrics snapshot; save() journals and durably commits a new
-  /// partial. A partial's cursor is a hybrid: platform cursors from
-  /// `pre_cursor` (the phase prologue re-runs recruitment on resume; only
-  /// its platform cursors are read) but cache contents and tally from
-  /// `capture` at save time (completed blocks never re-run, so their cache
-  /// stores must ride along).
-  [[nodiscard]] std::unique_ptr<exec::CheckpointHook> phase_hook(
-      const std::string& phase, const WorldCursor& pre_cursor,
-      std::function<WorldCursor()> capture,
-      std::optional<LoadedRecord> resumed = std::nullopt);
-
-  // --- task-graph (delta) family, DESIGN.md §15 ----------------------------
-
-  /// Committed full-phase delta record, if any. Pure decode — the caller
-  /// applies the delta (MetricsRegistry::apply_delta) and the cursor itself.
+  /// Committed full-phase record, if any. Pure decode — the caller applies
+  /// the delta (MetricsRegistry::apply_delta) and the cursor itself.
   [[nodiscard]] std::optional<LoadedRecord> load_phase_delta(
       const std::string& phase);
 
@@ -213,33 +164,38 @@ class StudyCheckpoint {
   /// the record is decoded (and fails closed) when the phase loads it.
   [[nodiscard]] bool has_partial(const std::string& phase) const;
 
-  /// Newest mid-flight delta partial for `phase`, if any. Its cursor is the
-  /// hybrid described at phase_hook(): pre-phase platform position, cache
-  /// contents as of the save.
+  /// Newest mid-flight partial for `phase`, if any. Its cursor is the
+  /// hybrid described at phase_delta_hook(): pre-phase platform position,
+  /// cache contents as of the save.
   [[nodiscard]] std::optional<LoadedRecord> load_partial_delta(
       const std::string& phase);
 
-  /// Journal a completed phase in the delta family. `delta` is the phase's
-  /// own attributed metrics delta; `cursor` carries only the platform the
-  /// phase owns. Called from the task-graph driver (merge slots run in
-  /// canonical order), possibly while other nodes are saving partials — all
-  /// journal access is serialized internally.
+  /// Journal a completed phase. `delta` is the phase's own attributed
+  /// metrics delta; `cursor` carries only the platform the phase owns.
+  /// Called from the task-graph driver (merge slots run in canonical order),
+  /// possibly while other nodes are saving partials — all journal access is
+  /// serialized internally.
   void commit_phase_delta(const std::string& phase,
                           const std::vector<std::uint8_t>& state,
                           const WorldCursor& cursor, const obs::Snapshot& delta);
 
-  /// Newest registry name skeleton, if any delta commit has been made: the
-  /// names / diagnostic flags / bucket bounds of every metric registered at
-  /// that commit. Values are a mid-run mixture — feed the result only to
-  /// MetricsRegistry::register_skeleton(), never restore().
+  /// Newest registry name skeleton, if any commit has been made: the names /
+  /// diagnostic flags / bucket bounds of every metric registered at that
+  /// commit. Values are a mid-run mixture — feed the result only to
+  /// MetricsRegistry::register_skeleton().
   [[nodiscard]] std::optional<obs::Snapshot> load_skeleton();
 
-  /// Delta-family block-boundary hook. load() *applies* the metrics delta of
-  /// `resumed` (the record load_partial_delta() decoded) additively,
-  /// attributed to the calling thread's current PhaseTally, so the resumed
-  /// phase's tally folds the killed run's progress in, and returns its
-  /// state; save() journals a new partial whose delta is the calling
-  /// thread's tally snapshot at that moment.
+  /// Block-boundary hook handed to the phase via its config. load()
+  /// *applies* the metrics delta of `resumed` (the record
+  /// load_partial_delta() decoded) additively, attributed to the calling
+  /// thread's current PhaseTally, so the resumed phase's tally folds the
+  /// killed run's progress in, and returns its state. save() journals and
+  /// durably commits a new partial whose delta is the calling thread's
+  /// tally snapshot at that moment. A partial's cursor is a hybrid: the
+  /// platform cursors of `pre_cursor` (the phase prologue re-runs
+  /// recruitment on resume) but the cache contents `capture` returns at
+  /// save time (completed blocks never re-run, so their cache stores must
+  /// ride along).
   [[nodiscard]] std::unique_ptr<exec::CheckpointHook> phase_delta_hook(
       const std::string& phase, const WorldCursor& pre_cursor,
       std::function<WorldCursor()> capture,
@@ -250,24 +206,20 @@ class StudyCheckpoint {
  private:
   friend class PhaseHookImpl;
 
-  /// Decodes `phase`'s newest phase (`is_phase`) or partial record of the
-  /// serial or `delta` family, resolving its cache section through the
-  /// phase's chain; `ordered` receives a serial phase record's flag. A
-  /// partial that ends the chain becomes the base of the phase's next record.
+  /// Decodes `phase`'s newest phase (`is_phase`) or partial record,
+  /// resolving its cache section through the phase's chain. A partial that
+  /// ends the chain becomes the base of the phase's next record.
   [[nodiscard]] std::optional<LoadedRecord> load(const std::string& phase,
-                                                 bool is_phase, bool delta,
-                                                 bool* ordered = nullptr);
+                                                 bool is_phase);
   /// Appends one cursor record of `phase` (uncommitted), its cache section
   /// continuing the phase's chain; a phase record ends the chain. Caller
   /// holds mutex_.
   void append_cursor_record(const std::string& phase, bool is_phase,
-                            bool delta, const WorldCursor& cursor,
+                            const WorldCursor& cursor,
                             const obs::Snapshot& metrics,
-                            const std::vector<std::uint8_t>& state,
-                            bool ordered = false);
+                            const std::vector<std::uint8_t>& state);
 
   Journal journal_;
-  std::set<std::string> committed_;  // phases with a full record
   /// Writer state of one in-flight phase, freed when its phase record
   /// commits: its chain of cache sections and the buffer its records are
   /// built in, reused across saves.
@@ -277,8 +229,7 @@ class StudyCheckpoint {
   };
   std::map<std::string, PhaseChain> chains_;
   /// Node threads save partials while the driver thread commits merges; the
-  /// journal, committed_ and chains_ must only ever see one writer.
-  /// Serial-mode callers take it too — uncontended, so effectively free.
+  /// journal and chains_ must only ever see one writer.
   mutable std::mutex mutex_;
 };
 

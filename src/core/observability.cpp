@@ -1,8 +1,6 @@
-// Study-level observability: drives the phase table — serially under one
-// PhaseProfiler, or as a dependency graph (exec::TaskGraph, DESIGN.md §15)
-// with per-phase PhaseTally deltas — and assembles the ObservabilityReport
-// (DESIGN.md §9). Both schedules produce byte-identical reports at quick
-// scale (DESIGN.md §15 on paper scale).
+// Study-level observability: drives the phase table as a dependency graph
+// (exec::TaskGraph, DESIGN.md §15) with per-phase PhaseTally deltas, resumes
+// it from the journal, and assembles the ObservabilityReport (DESIGN.md §9).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -18,8 +16,7 @@ namespace encdns::core {
 namespace {
 
 /// The phase table split into runs of rows that share a report group, in
-/// table order: the serial schedule's profiler brackets and the groups the
-/// task graph's node deltas fold into.
+/// table order: the groups the node deltas fold into.
 std::vector<std::span<const PhaseSpec>> report_groups() {
   std::vector<std::span<const PhaseSpec>> groups;
   const std::span<const PhaseSpec> table = phase_table();
@@ -38,7 +35,6 @@ std::vector<std::span<const PhaseSpec>> report_groups() {
 
 const ObservabilityReport& Study::observability_report() {
   if (obs_report_) return *obs_report_;
-  const bool dag = dag_enabled();
   // On a fresh Study the registry starts from zero so the report (and its
   // JSON) is a pure function of the config. If the caller already forced
   // experiments, their metrics must survive — skip the reset and leave those
@@ -50,17 +46,7 @@ const ObservabilityReport& Study::observability_report() {
     obs::MetricsRegistry::global().reset();
 
   ObservabilityReport report;
-  if (dag) {
-    report.phases = run_graph();
-  } else {
-    obs::PhaseProfiler profiler;
-    for (const auto group : report_groups()) {
-      profiler.begin(group.front().group);
-      for (const PhaseSpec& spec : group) run_phase(spec);
-      profiler.end();
-    }
-    report.phases = profiler.records();
-  }
+  report.phases = run_graph();
   report.metrics = obs::MetricsRegistry::global().snapshot();
   report.robustness = robustness_report();
   report.data_quality = data_quality_report();
@@ -71,20 +57,16 @@ const ObservabilityReport& Study::observability_report() {
 // --- task-graph schedule ----------------------------------------------------
 
 void Study::run_phase_node(const PhaseSpec& spec) {
-  // Dependencies are already done in the graph; a phase the resume prologue
-  // re-runs may meet one that has not run, which then runs first as its
-  // own node rather than inside this phase's tally.
-  for (const PhaseId dep : spec.deps) run_phase_node(phase_spec(dep));
   {
     std::lock_guard<std::mutex> lock(dag_mutex_);
     if (phase_deltas_.find(spec.name) != phase_deltas_.end())
-      return;  // loaded from the journal in the resume prologue
+      return;  // loaded from the journal, or run before
   }
   obs::PhaseTally tally;
   const auto start = std::chrono::steady_clock::now();
   {
     obs::ScopedTally scope(&tally);
-    run_phase(spec);
+    execute_phase(spec);
   }
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
@@ -112,7 +94,32 @@ void Study::commit_phase_node(const PhaseSpec& spec) {
                                   delta);
 }
 
-void Study::dag_resume_prologue() {
+bool Study::load_phase(const PhaseSpec& spec) {
+  {
+    std::lock_guard<std::mutex> lock(dag_mutex_);
+    if (phase_deltas_.find(spec.name) != phase_deltas_.end()) return true;
+  }
+  auto loaded = checkpoint_->load_phase_delta(spec.name);
+  if (!loaded) return false;
+  spec.decode(*this, loaded->state);
+  restore_owned_platform(spec.platform, loaded->cursor);
+  pending_caches_.push_back(std::move(loaded->caches));
+  // Additive replay — records are position-independent, so phases that
+  // committed out of canonical order at the kill still land exactly.
+  obs::MetricsRegistry::global().apply_delta(loaded->metrics);
+  carry_resolver_tally(loaded->metrics);
+  std::lock_guard<std::mutex> lock(dag_mutex_);
+  phase_deltas_[spec.name] = std::move(loaded->metrics);
+  return true;
+}
+
+void Study::run_node_in_order(const PhaseSpec& spec) {
+  for (const PhaseId dep : spec.deps) run_node_in_order(phase_spec(dep));
+  for (const PhaseId before : spec.after) run_node_in_order(phase_spec(before));
+  run_phase_node(spec);
+}
+
+void Study::resume_prologue() {
   // Re-register the killed run's metric names first: phases loaded below
   // never execute the code that registers their zero-valued metrics, and
   // delta records skip zeros, so without the skeleton those names would be
@@ -121,28 +128,18 @@ void Study::dag_resume_prologue() {
     obs::MetricsRegistry::global().register_skeleton(*skeleton);
   bool every_phase_loaded = true;
   for (const PhaseSpec& spec : phase_table()) {
-    if (!spec.journaled()) continue;
-    if (auto loaded = checkpoint_->load_phase_delta(spec.name)) {
-      spec.decode(*this, loaded->state);
-      restore_owned_platform(spec.platform, loaded->cursor);
-      pending_caches_.push_back(std::move(loaded->caches));
-      // Additive replay — records are position-independent, so phases that
-      // committed out of canonical order at the kill still land exactly.
-      obs::MetricsRegistry::global().apply_delta(loaded->metrics);
-      std::lock_guard<std::mutex> lock(dag_mutex_);
-      phase_deltas_[spec.name] = std::move(loaded->metrics);
-    } else {
-      every_phase_loaded = false;
-      if (checkpoint_->has_partial(spec.name)) {
-        // Mid-flight at the kill: finish it here, serially, before the
-        // graph starts — its cache restore must not interleave with live
-        // phases. It reads the caches its predecessors stored, so theirs
-        // are merged first. run_phase decodes the partial (a corrupt one
-        // fails closed there) and the delta hook resumes from it; the
-        // graph's merge slot journals the full record like any other phase.
-        restore_pending_caches();
-        run_phase_node(spec);
-      }
+    if (!spec.journaled() || load_phase(spec)) continue;
+    every_phase_loaded = false;
+    if (checkpoint_->has_partial(spec.name)) {
+      // Mid-flight at the kill: finish it here, serially, before the graph
+      // starts — its cache restore must not interleave with live phases.
+      // It reads the caches its predecessors stored, so theirs are merged
+      // first, and every row the graph orders it after runs before it, as
+      // in the uninterrupted graph. run_phase_node decodes the partial (a
+      // corrupt one fails closed there) and the hook resumes from it; the
+      // graph's merge slot journals the full record like any other phase.
+      restore_pending_caches();
+      run_node_in_order(spec);
     }
   }
   // Only phase bodies read resolver caches (the certs node reads the scan
@@ -155,8 +152,7 @@ void Study::dag_resume_prologue() {
 }
 
 std::vector<obs::PhaseRecord> Study::run_graph() {
-  graph_mode_ = true;
-  if (checkpoint_) dag_resume_prologue();
+  if (checkpoint_) resume_prologue();
 
   // One pool for every phase: ready nodes from different phases interleave
   // their shards in its queue (DESIGN.md §15).
@@ -164,13 +160,14 @@ std::vector<obs::PhaseRecord> Study::run_graph() {
   shared_pool_ = &pool;
 
   // Declaration order is canonical (merge/commit order); the edges are the
-  // table's dependencies.
+  // table's dependencies and ordering-only predecessors.
   exec::TaskGraph graph;
   std::vector<exec::TaskGraph::NodeId> nodes;
   for (const PhaseSpec& spec : phase_table()) {
     std::vector<exec::TaskGraph::NodeId> deps;
-    for (const PhaseId dep : spec.deps)
-      deps.push_back(nodes[static_cast<std::size_t>(dep)]);
+    for (const auto* edges : {&spec.deps, &spec.after})
+      for (const PhaseId dep : *edges)
+        deps.push_back(nodes[static_cast<std::size_t>(dep)]);
     std::function<void()> merge;
     if (spec.journaled()) merge = [this, &spec] { commit_phase_node(spec); };
     nodes.push_back(graph.add(
@@ -181,14 +178,12 @@ std::vector<obs::PhaseRecord> Study::run_graph() {
     graph.run();
   } catch (...) {
     shared_pool_ = nullptr;
-    graph_mode_ = false;
     throw;
   }
   shared_pool_ = nullptr;
-  graph_mode_ = false;
 
-  // Fold the node deltas into the serial schedule's phase records, in its
-  // order — the report is byte-identical either way.
+  // Fold the node deltas into one phase record per report group, in table
+  // order.
   std::vector<obs::PhaseRecord> phases;
   for (const auto group : report_groups()) {
     obs::Snapshot merged;

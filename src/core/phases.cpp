@@ -196,10 +196,18 @@ const std::vector<PhaseSpec>& phase_table() {
                   return run_reachability(s, s.config().reachability_cn, c);
                 },
                 reachability_coverage),
+      // The one phase that fills a resolver cache at paper scale (the
+      // Cloudflare backend's, DESIGN.md §15): it starts only after every
+      // other writer of that cache has finished, so its evictions do not
+      // depend on thread timing. reachability_cn is a dependency, as in the
+      // canonical order, so a lone accessor runs it first; the §3 writers
+      // are ordering-only edges, so a lone performance() runs no sweep.
       typed_row(
           {.id = kPerformance, .name = "performance", .group = "performance",
-           .deps = {kReachabilityGlobal}, .platform = kGlobal,
-           .budget = {"ENCDNS_DEADLINE_PERF"}, .partials = true},
+           .deps = {kReachabilityGlobal, kReachabilityCn},
+           .after = {kScanCampaign, kDohDiscovery, kDohScan},
+           .platform = kGlobal, .budget = {"ENCDNS_DEADLINE_PERF"},
+           .partials = true},
           &Study::performance_, measure::encode_performance,
           measure::decode_performance,
           [](const Study& s, Context c) {

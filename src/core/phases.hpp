@@ -1,9 +1,8 @@
 // The study's phase table (DESIGN.md §7): each measurement phase described
-// once. Study::run_phase produces every phase result from its row, whether
-// an accessor, a task-graph node, the serial loop or the resume prologue
-// forces it, and everything keyed by phase comes from the rows: graph nodes
-// and edges, report groups, journal keys, budget tokens, owned-cursor
-// capture and coverage.
+// once. Every phase result is produced from its row, whether an accessor, a
+// task-graph node or the resume prologue forces it, and everything keyed by
+// phase comes from the rows: graph nodes and edges, report groups, journal
+// keys, budget tokens, owned-cursor capture and coverage.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +72,12 @@ struct PhaseContext {
 struct PhaseSpec {
   PhaseId id;
   const char* name;   // journal key, graph node and coverage name
-  const char* group;  // serial profiler bracket and graph report group
-  std::vector<PhaseId> deps{};  // earlier phases it reads
+  const char* group;  // report group its node's delta folds into
+  std::vector<PhaseId> deps{};  // earlier phases it reads; accessors force them
+  /// Earlier phases the task graph finishes before this one although it
+  /// does not read them, so a lone accessor does not force them: they write
+  /// a resolver cache this phase fills (DESIGN.md §15).
+  std::vector<PhaseId> after{};
   OwnedPlatform platform = OwnedPlatform::kNone;
   PhaseBudget budget{};
   bool partials = false;  // saves partial records at block boundaries

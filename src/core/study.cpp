@@ -139,8 +139,6 @@ std::uint64_t Study::config_fingerprint() const {
   w.f64(tr.scale);
   w.i64(tr.hll_precision);
   w.boolean(tr.validate_exact);
-  w.u64(tr.batch_rows);
-  w.u64(tr.sample_rows);
   w.u32(static_cast<std::uint32_t>(tr.providers.size()));
   for (const auto& provider : tr.providers) {
     w.str(provider.name);
@@ -170,28 +168,14 @@ std::uint64_t Study::config_fingerprint() const {
   w.f64(pd.aggregate_coverage_factor);
   // The fault and cache environment overrides change World behavior at
   // construction, so their raw strings are part of the fingerprint.
-  // ENCDNS_DAG rides along too: serial and task-graph journals use different
-  // record families, so a journal written under one schedule must refuse to
-  // resume under the other.
   for (const char* name : {"ENCDNS_FAULTS", "ENCDNS_CACHE_ENTRIES",
                            "ENCDNS_CACHE_NEG_TTL", "ENCDNS_CACHE_SERVE_STALE",
-                           "ENCDNS_DAG", "ENCDNS_NETFLOW_SCALE",
-                           "ENCDNS_HLL_PRECISION"}) {
+                           "ENCDNS_NETFLOW_SCALE", "ENCDNS_HLL_PRECISION"}) {
     const auto value = util::env_string(name);
     w.boolean(value.has_value());
     w.str(value.value_or(""));
   }
   return util::fnv1a_bytes(w.data().data(), w.size(), util::kFnv1aBasis);
-}
-
-bool Study::dag_enabled() {
-  const auto value = util::env_string("ENCDNS_DAG");
-  if (!value || *value == "1" || *value == "on" || *value == "true")
-    return true;
-  if (*value == "0" || *value == "off" || *value == "false") return false;
-  throw util::EnvError("ENCDNS_DAG=\"" + *value +
-                       "\": expected 1/on/true (task graph) or 0/off/false "
-                       "(serial fallback)");
 }
 
 exec::CancelToken* Study::budget_token(const PhaseBudget& budget) {
@@ -233,46 +217,6 @@ exec::CancelToken* Study::budget_token(const PhaseBudget& budget) {
   return &token->second;
 }
 
-WorldCursor Study::capture_cursor() const {
-  return WorldCursor{global_platform_->cursor(), cn_platform_->cursor(),
-                     cumulative_cache_tally(),
-                     world_->export_resolver_caches()};
-}
-
-world::World::ResolverCacheTally Study::cumulative_cache_tally() const {
-  const auto live = world_->resolver_cache_tally();
-  world::World::ResolverCacheTally total;
-  total.hits = tally_baseline_.hits + live.hits;
-  total.misses = tally_baseline_.misses + live.misses;
-  total.stale_served = tally_baseline_.stale_served + live.stale_served;
-  total.upstream_faults = tally_baseline_.upstream_faults + live.upstream_faults;
-  total.evictions = tally_baseline_.evictions + live.evictions;
-  total.entries = tally_baseline_.entries + live.entries;
-  return total;
-}
-
-void Study::restore_cursor(const WorldCursor& cursor) {
-  global_platform_->restore_cursor(cursor.global_platform);
-  cn_platform_->restore_cursor(cursor.cn_platform);
-  // Cache contents first (they change the live `entries` reading), then
-  // rebase the cache-tally baseline so the cumulative tally equals the
-  // stored cursor right now and tracks the live increments from here on.
-  world_->restore_resolver_caches(cursor.caches);
-  const auto live = world_->resolver_cache_tally();
-  const auto rebase = [](std::uint64_t stored, std::uint64_t current) {
-    return stored >= current ? stored - current : 0;
-  };
-  tally_baseline_.hits = rebase(cursor.cache_tally.hits, live.hits);
-  tally_baseline_.misses = rebase(cursor.cache_tally.misses, live.misses);
-  tally_baseline_.stale_served =
-      rebase(cursor.cache_tally.stale_served, live.stale_served);
-  tally_baseline_.upstream_faults =
-      rebase(cursor.cache_tally.upstream_faults, live.upstream_faults);
-  tally_baseline_.evictions =
-      rebase(cursor.cache_tally.evictions, live.evictions);
-  tally_baseline_.entries = rebase(cursor.cache_tally.entries, live.entries);
-}
-
 Study::Owned Study::owned(OwnedPlatform platform) const {
   switch (platform) {
     case OwnedPlatform::kGlobal:
@@ -289,7 +233,6 @@ WorldCursor Study::capture_owned_cursor(OwnedPlatform platform) const {
   WorldCursor cursor;
   if (const auto [network, field] = owned(platform); network != nullptr)
     cursor.*field = network->cursor();
-  cursor.cache_tally = cumulative_cache_tally();
   // Only the entries this phase stored (attributed by its PhaseTally — the
   // phase runs under the node's ScopedTally): a full-contents capture under
   // overlap would carry concurrent phases' half-done stores, and replaying
@@ -306,8 +249,6 @@ void Study::restore_owned_platform(OwnedPlatform platform,
 }
 
 void Study::restore_pending_caches() {
-  // No tally rebase here: graph-mode robustness reads the resolver.upstream
-  // counters, which travel in the delta records instead of the cursor.
   // Merge, don't replace: a record carries only its phase's own stores,
   // and everything already in cache (bootstrap seeds, other loaded phases'
   // entries) must survive. Merging adds no metrics, so deferring it is
@@ -326,56 +267,60 @@ void Study::stash_commit(const PhaseSpec& spec,
   pending_commits_[spec.name] = std::move(pending);
 }
 
+void Study::carry_resolver_tally(const obs::Snapshot& delta) {
+  std::lock_guard<std::mutex> lock(dag_mutex_);
+  for (const auto& counter : delta.counters) {
+    if (counter.name == "resolver.upstream.fault")
+      carried_resolver_.injected += counter.value;
+    else if (counter.name == "resolver.upstream.stale_served")
+      carried_resolver_.recovered += counter.value;
+  }
+}
+
 std::unique_ptr<exec::CheckpointHook> Study::checkpoint_hook(
     const PhaseSpec& spec) {
-  // The newest partial is decoded once, here: its cursor rewinds the world
-  // before the phase's prologue runs, and the hook's load() hands the phase
-  // its state and metrics. Only the platform cursors of `pre` are kept.
+  // The newest partial is decoded once, here: its owned platform rewinds
+  // and its cache entries merge before the phase's prologue runs, and the
+  // hook's load() hands the phase its state and metrics. Only the platform
+  // cursors of `pre` are kept.
   WorldCursor pre;
-  if (graph_mode_) {
-    auto resumed = checkpoint_->load_partial_delta(spec.name);
-    if (resumed) {
-      restore_owned_platform(spec.platform, resumed->cursor);
-      world_->merge_resolver_caches(export_section(resumed->caches));
-      pre.global_platform = resumed->cursor.global_platform;
-      pre.cn_platform = resumed->cursor.cn_platform;
-      resumed->caches = {};
-    } else {
-      pre = capture_owned_cursor(spec.platform);
-    }
-    return checkpoint_->phase_delta_hook(
-        spec.name, pre,
-        [this, &spec] { return capture_owned_cursor(spec.platform); },
-        std::move(resumed));
-  }
-  auto resumed = checkpoint_->load_partial(spec.name);
+  auto resumed = checkpoint_->load_partial_delta(spec.name);
   if (resumed) {
-    restore_cursor(resumed->cursor);
+    restore_owned_platform(spec.platform, resumed->cursor);
+    world_->merge_resolver_caches(export_section(resumed->caches));
+    carry_resolver_tally(resumed->metrics);
     pre.global_platform = resumed->cursor.global_platform;
     pre.cn_platform = resumed->cursor.cn_platform;
-    resumed->cursor = {};
+    resumed->caches = {};
   } else {
-    pre.global_platform = global_platform_->cursor();
-    pre.cn_platform = cn_platform_->cursor();
+    pre = capture_owned_cursor(spec.platform);
   }
-  return checkpoint_->phase_hook(
-      spec.name, pre, [this] { return capture_cursor(); }, std::move(resumed));
+  return checkpoint_->phase_delta_hook(
+      spec.name, pre,
+      [this, &spec] { return capture_owned_cursor(spec.platform); },
+      std::move(resumed));
 }
 
 void Study::run_phase(const PhaseSpec& spec) {
   if (spec.cached && spec.cached(*this)) return;
   // A phase reads its dependencies' results and the platform and cache
-  // state they leave behind, so a lone accessor runs them first; in the
-  // graph and the serial loop they are already cached.
+  // state they leave behind, so a lone accessor runs them first.
   for (const PhaseId dep : spec.deps) run_phase(phase_spec(dep));
-  const bool journaled = checkpoint_ != nullptr && spec.journaled();
-  if (journaled && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase(spec.name)) {
-      spec.decode(*this, loaded->state);
-      restore_cursor(loaded->cursor);
-      return;
-    }
+  if (checkpoint_ == nullptr || !spec.journaled()) {
+    execute_phase(spec);
+    return;
   }
+  // Journaled, an accessor writes what a graph node writes: the phase runs
+  // under its own tally and its record commits at once.
+  if (load_phase(spec)) return;
+  restore_pending_caches();
+  run_phase_node(spec);
+  commit_phase_node(spec);
+}
+
+void Study::execute_phase(const PhaseSpec& spec) {
+  if (spec.cached && spec.cached(*this)) return;
+  const bool journaled = checkpoint_ != nullptr && spec.journaled();
   PhaseContext context{.pool = shared_pool_,
                        .cancel = budget_token(spec.budget),
                        .platform = owned(spec.platform).network};
@@ -385,11 +330,7 @@ void Study::run_phase(const PhaseSpec& spec) {
     context.checkpoint = hook.get();
   }
   spec.run(*this, context);
-  if (!journaled) return;
-  if (graph_mode_)
-    stash_commit(spec, spec.encode(*this));
-  else
-    checkpoint_->commit_phase(spec.name, spec.encode(*this), capture_cursor());
+  if (journaled) stash_commit(spec, spec.encode(*this));
 }
 
 const std::vector<scan::ScanSnapshot>& Study::scans() {
@@ -448,34 +389,14 @@ fault::RobustnessReport Study::robustness_report() {
   report.scanner += doh_discovery().faults;
   report.scanner += doh_scan().faults;
   // Resolver layer: upstream recursion faults drawn inside the backends,
-  // recovered when an RFC 8767 stale answer covered for the failure. After a
-  // task-graph run the resolver.upstream counters are the source of truth —
-  // they are 1:1 with the World tally on a live run and, unlike it, survive
-  // a delta-based resume (the deltas replay them; the World starts cold).
-  // The serial path keeps the cumulative tally, whose baseline the absolute
-  // cursor restore rebases.
-  bool delta_based;
-  {
-    std::lock_guard<std::mutex> lock(dag_mutex_);
-    delta_based = !phase_deltas_.empty();
-  }
-  if (delta_based) {
-    // counter_value, not counter(): these names are registered by the fault
-    // path only, and a get-or-create read here would leak zero-valued
-    // registrations into the next study's report in this process.
-    const auto& registry = obs::MetricsRegistry::global();
-    report.resolver.injected = registry.counter_value("resolver.upstream.fault");
-    report.resolver.recovered =
-        registry.counter_value("resolver.upstream.stale_served");
-    report.resolver.surfaced =
-        report.resolver.injected - report.resolver.recovered;
-  } else {
-    const auto cache_tally = cumulative_cache_tally();
-    report.resolver.injected = cache_tally.upstream_faults;
-    report.resolver.recovered = cache_tally.stale_served;
-    report.resolver.surfaced =
-        cache_tally.upstream_faults - cache_tally.stale_served;
-  }
+  // recovered when an RFC 8767 stale answer covered for the failure. The
+  // World's tally counts this process's work; after a resume, the records
+  // the journal loaded carry the killed process's.
+  const auto live = world_->resolver_cache_tally();
+  std::lock_guard<std::mutex> lock(dag_mutex_);
+  report.resolver.injected = live.upstream_faults + carried_resolver_.injected;
+  report.resolver.recovered = live.stale_served + carried_resolver_.recovered;
+  report.resolver.surfaced = report.resolver.injected - report.resolver.recovered;
   return report;
 }
 

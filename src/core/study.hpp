@@ -114,26 +114,20 @@ class Study {
   /// profile is disabled.
   [[nodiscard]] fault::RobustnessReport robustness_report();
 
-  /// Run (and cache) the full study under a PhaseProfiler and return the
-  /// observability report. When no experiment has been forced yet the global
-  /// MetricsRegistry is reset first, so a fresh Study yields a complete,
-  /// deterministic report; experiments forced earlier keep their cached
-  /// results and their metrics stay attributed to no phase.
+  /// Run (and cache) the full study and return the observability report.
+  /// When no experiment has been forced yet the global MetricsRegistry is
+  /// reset first, so a fresh Study yields a complete, deterministic report;
+  /// experiments forced earlier keep their cached results, and their
+  /// metrics stay attributed to no phase unless a journal had them run
+  /// under a tally of their own.
   ///
-  /// By default the phases run as a dependency graph (exec::TaskGraph,
-  /// DESIGN.md §15): independent phases overlap on one shared worker pool,
-  /// per-phase metrics come from obs::PhaseTally deltas, and checkpoint
-  /// records switch to the delta family. ENCDNS_DAG=0 keeps the serial
-  /// schedule. At quick scale both produce byte-identical reports and
-  /// golden output; at paper scale overlapping phases share the resolver
-  /// caches, whose evictions then depend on thread timing, so only the
-  /// serial schedule is deterministic and exactly resumable there
-  /// (ROADMAP item 1).
+  /// The phases run as a dependency graph (exec::TaskGraph, DESIGN.md §15):
+  /// independent phases overlap on one shared worker pool, per-phase
+  /// metrics come from obs::PhaseTally deltas, and the journal holds their
+  /// delta records. The graph orders every phase that writes the cache
+  /// performance fills before it, so the report is byte-identical for any
+  /// thread count at quick and at paper scale, and across kill and resume.
   [[nodiscard]] const ObservabilityReport& observability_report();
-
-  /// ENCDNS_DAG parse: unset/1/on/true → task-graph schedule, 0/off/false →
-  /// serial fallback, anything else → util::EnvError.
-  [[nodiscard]] static bool dag_enabled();
 
   /// Attach a write-ahead phase journal under `dir` (DESIGN.md §13). With
   /// `resume` false the directory must not hold a live journal; with `resume`
@@ -164,10 +158,10 @@ class Study {
   // The table binds each row to its result member below.
   friend const std::vector<PhaseSpec>& phase_table();
 
-  /// The one way a phase result is produced (DESIGN.md §7): return if it is
-  /// cached; force the row's dependencies; outside the graph, load a
-  /// committed serial-family record; otherwise run the phase under its
-  /// budget token and checkpoint hook and commit the result to the journal.
+  /// The accessor path (DESIGN.md §7): return if the phase is cached; run
+  /// the row's dependencies first; then, without a journal, run the phase
+  /// under the caller's attribution, and with one, load its committed
+  /// record or run it as a graph node would and commit it at once.
   void run_phase(const PhaseSpec& spec);
   /// run_phase, then the cached result.
   template <typename R>
@@ -175,23 +169,30 @@ class Study {
     run_phase(phase_spec(phase));
     return *result;
   }
-  [[nodiscard]] WorldCursor capture_cursor() const;
-  void restore_cursor(const WorldCursor& cursor);
-  // --- task-graph mode (DESIGN.md §15) ------------------------------------
+  /// Run the phase under its budget token and checkpoint hook and stash its
+  /// journal commit. No-op if it is cached.
+  void execute_phase(const PhaseSpec& spec);
+  // --- task graph (DESIGN.md §15) -----------------------------------------
   /// Run the phases as a task graph; the report's phase records.
   [[nodiscard]] std::vector<obs::PhaseRecord> run_graph();
-  /// Serial resume pass before the graph starts: committed delta records
-  /// load (results + owned platform + additive metrics; their cache
-  /// sections wait in pending_caches_), phases that were mid-flight at the
-  /// kill re-run to completion here — serially, so their cache restores
-  /// cannot interleave with live phases.
-  void dag_resume_prologue();
-  /// Node-body wrapper: run the phase under a fresh PhaseTally and record
-  /// its metrics delta and wall time. No-op if the phase already has a
-  /// delta (loaded from the journal, or run first as a dependency).
+  /// Serial resume pass before the graph starts: committed records load
+  /// (load_phase), and phases that were mid-flight at the kill re-run to
+  /// completion here, after every row the graph orders them after —
+  /// serially, so their cache restores cannot interleave with live phases.
+  void resume_prologue();
+  /// Load the phase's committed record, unless the phase already ran or
+  /// loaded: results, owned platform and additive metrics; its cache
+  /// section waits in pending_caches_. Whether the phase is now done.
+  bool load_phase(const PhaseSpec& spec);
+  /// Run the phase as a node after every row the graph orders it after
+  /// (resume prologue), each as its own node.
+  void run_node_in_order(const PhaseSpec& spec);
+  /// Node body: run the phase under a fresh PhaseTally and record its
+  /// metrics delta and wall time. No-op if the phase already has a delta
+  /// (loaded from the journal, or run before).
   void run_phase_node(const PhaseSpec& spec);
-  /// Node-merge wrapper: journal the phase's pending delta commit. Runs on
-  /// the driver thread, in canonical declaration order.
+  /// Node merge: journal the phase's pending commit. Runs on the driver
+  /// thread, in canonical declaration order.
   void commit_phase_node(const PhaseSpec& spec);
   /// The proxy platform `platform` names and its field of a WorldCursor
   /// (nulls for kNone).
@@ -200,29 +201,30 @@ class Study {
     proxy::ProxyCursor WorldCursor::*field;
   };
   [[nodiscard]] Owned owned(OwnedPlatform platform) const;
-  /// Cursor capture limited to the platform a phase itself advances (plus
-  /// its own cache entries and the tally), and the matching platform
-  /// restore: under overlap the other platform belongs to a concurrently
-  /// running node and must not be touched.
+  /// Cursor capture limited to the platform a phase itself advances and its
+  /// own cache entries, and the matching platform restore: under overlap
+  /// the other platform belongs to a concurrently running node and must not
+  /// be touched.
   [[nodiscard]] WorldCursor capture_owned_cursor(OwnedPlatform platform) const;
   void restore_owned_platform(OwnedPlatform platform,
                               const WorldCursor& cursor);
-  /// Merge the cache sections of the phases the resume prologue loaded, in
+  /// Merge the cache sections of the phases loaded from the journal, in
   /// canonical order. Deferred until a phase that can read them is about to
   /// run: when every phase loads, nothing reads them and they stay unmerged.
   void restore_pending_caches();
-  /// The checkpoint hook for a phase's block loop (either family). A
-  /// partial left by a killed run is decoded once, here: the world rewinds
-  /// to its cursor before the phase starts, and the hook hands the phase
-  /// its state.
+  /// The checkpoint hook for a phase's block loop. A partial left by a
+  /// killed run is decoded once, here: the owned platform rewinds to its
+  /// cursor and its cache entries merge before the phase starts, and the
+  /// hook hands the phase its state.
   [[nodiscard]] std::unique_ptr<exec::CheckpointHook> checkpoint_hook(
       const PhaseSpec& spec);
-  /// Stash a phase's serialized results + post-phase owned cursor for the
-  /// merge slot to journal (graph mode defers commits to merge order).
+  /// Count what a journal record carried into the resolver layer of
+  /// robustness_report(): upstream faults and stale answers of work the
+  /// live World never saw.
+  void carry_resolver_tally(const obs::Snapshot& delta);
+  /// Stash a phase's serialized results + post-phase owned cursor for its
+  /// commit (graph merges commit in canonical order).
   void stash_commit(const PhaseSpec& spec, std::vector<std::uint8_t> state);
-  /// Resolver-cache tally including activity from before the last resume
-  /// (the live World starts cold; the cursor carries the killed run's tally).
-  [[nodiscard]] world::World::ResolverCacheTally cumulative_cache_tally() const;
   /// The cancel token for `budget`, built on first use from its env
   /// variable ("<seconds>" wall or "sim:<ms>" deterministic) and chained to
   /// the study-wide deadline at every hand-out. Null when the phase has no
@@ -235,13 +237,13 @@ class Study {
   std::unique_ptr<proxy::ProxyNetwork> cn_platform_;
 
   std::unique_ptr<StudyCheckpoint> checkpoint_;
-  world::World::ResolverCacheTally tally_baseline_;
+  /// Resolver upstream faults (injected) and stale answers (recovered)
+  /// carried in by journal records: work of a killed process.
+  fault::LayerTally carried_resolver_;
 
-  // Task-graph run state. graph_mode_ flips run_phase's checkpoint
-  // branches to the delta protocol and shared_pool_ routes the phases'
-  // fan-out through the one pool the graph owns; dag_mutex_ guards the maps,
-  // which node threads fill concurrently.
-  bool graph_mode_ = false;
+  // Task-graph run state. shared_pool_ routes the phases' fan-out through
+  // the one pool the graph owns; dag_mutex_ guards the maps, which node
+  // threads fill concurrently.
   exec::WorkerPool* shared_pool_ = nullptr;
   std::mutex dag_mutex_;
   /// Cancel tokens by budget env variable, plus the study-wide deadline

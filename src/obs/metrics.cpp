@@ -213,21 +213,6 @@ void Histogram::reset() noexcept {
   max_us_.store(INT64_MIN, std::memory_order_relaxed);
 }
 
-void Histogram::restore(const HistogramSample& sample) {
-  if (sample.buckets.size() != bounds_ms_.size() + 1)
-    throw std::runtime_error("obs: histogram restore bucket-count mismatch");
-  for (std::size_t i = 0; i <= bounds_ms_.size(); ++i)
-    buckets_[i].store(sample.buckets[i], std::memory_order_relaxed);
-  count_.store(sample.count, std::memory_order_relaxed);
-  sum_us_.store(sample.sum_us, std::memory_order_relaxed);
-  // min_us()/max_us() report 0 for an empty histogram, so an empty sample
-  // restores the empty sentinels rather than literal zeros.
-  min_us_.store(sample.count == 0 ? INT64_MAX : sample.min_us,
-                std::memory_order_relaxed);
-  max_us_.store(sample.count == 0 ? INT64_MIN : sample.max_us,
-                std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 
@@ -243,12 +228,6 @@ Counter& MetricsRegistry::counter(std::string_view name, bool diagnostic) {
   return *counters_.emplace(std::string(name),
                             std::make_unique<Counter>(diagnostic))
               .first->second;
-}
-
-std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second->value();
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, bool diagnostic) {
@@ -287,20 +266,6 @@ void MetricsRegistry::reset() {
   for (auto& [name, gauge] : gauges_) gauge->reset();
   for (auto& [name, histogram] : histograms_) histogram->reset();
   for (auto& [name, span] : spans_) span->reset();
-}
-
-void MetricsRegistry::restore(const Snapshot& snap) {
-  reset();
-  for (const auto& c : snap.counters) counter(c.name, c.diagnostic).restore(c.value);
-  for (const auto& g : snap.gauges) gauge(g.name, g.diagnostic).restore(g.value);
-  for (const auto& h : snap.histograms)
-    histogram(h.name, h.bounds_ms, h.diagnostic).restore(h);
-  for (const auto& s : snap.spans) {
-    SpanStat& stat = span(s.name);
-    stat.count.store(s.count, std::memory_order_relaxed);
-    stat.sim_us.store(s.sim_us, std::memory_order_relaxed);
-    stat.wall_ns.store(s.wall_ns, std::memory_order_relaxed);
-  }
 }
 
 Snapshot MetricsRegistry::snapshot() const {

@@ -153,8 +153,8 @@ class Counter {
 
   /// As add(), but bypasses the enabled() gate: the checkpoint-resume path
   /// (MetricsRegistry::apply_delta) must land its increments even if a
-  /// caller disabled instrumentation, and unlike restore() it must stay
-  /// atomic because other phases may be incrementing concurrently.
+  /// caller disabled instrumentation, and it must stay atomic because other
+  /// phases may be incrementing concurrently.
   void accumulate(std::uint64_t n) noexcept {
     shards_[detail::thread_shard()].value.fetch_add(n,
                                                     std::memory_order_relaxed);
@@ -179,13 +179,6 @@ class Counter {
 
   void reset() noexcept {
     for (auto& shard : shards_) shard.value.store(0, std::memory_order_relaxed);
-  }
-
-  /// Set the merged total to an absolute value (checkpoint restore, serial
-  /// sections only): zeros every shard and stores the whole value in shard 0.
-  void restore(std::uint64_t v) noexcept {
-    reset();
-    shards_[0].value.store(v, std::memory_order_relaxed);
   }
 
   [[nodiscard]] bool diagnostic() const noexcept { return diagnostic_; }
@@ -227,10 +220,6 @@ class Gauge {
     return value_.load(std::memory_order_relaxed);
   }
   void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-  /// Absolute restore (checkpoint), ignoring the enabled() gate.
-  void restore(std::int64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
   [[nodiscard]] bool diagnostic() const noexcept { return diagnostic_; }
 
  private:
@@ -268,10 +257,6 @@ class Histogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
   void reset() noexcept;
-  /// Absolute restore from a snapshot sample (checkpoint, serial sections
-  /// only). The sample's bucket layout must match this histogram's bounds;
-  /// a mismatch throws (the journal fingerprint should have caught it).
-  void restore(const HistogramSample& sample);
   /// Fold a delta sample in on top of the current contents (checkpoint
   /// replay under the task graph): bucket/count/sum adds plus commutative
   /// min/max folds, all atomic — safe while other phases observe
@@ -380,14 +365,6 @@ class MetricsRegistry {
 
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Set the registry to exactly the state captured in `snap`: every value
-  /// is zeroed, then each sampled metric is re-registered (with the sample's
-  /// diagnostic flag and bucket bounds) and restored absolutely. Serial
-  /// sections only — this is the checkpoint-resume path (DESIGN.md §13),
-  /// which replays the metric state recorded at a journal commit so a
-  /// resumed run's observability report is byte-identical.
-  void restore(const Snapshot& snap);
-
   /// Name-sorted snapshot of everything attributed to `tally`: the per-phase
   /// view of the registry under the task graph. Zero-valued entries are
   /// skipped; histogram bucket vectors are padded to the registered bucket
@@ -396,32 +373,23 @@ class MetricsRegistry {
   [[nodiscard]] Snapshot delta_snapshot(const PhaseTally& tally) const;
 
   /// Add a delta snapshot on top of the current registry state (checkpoint
-  /// resume under the task graph, DESIGN.md §15). Unlike restore() this is
-  /// additive and atomic per metric, so it is safe while other phases run;
+  /// resume, DESIGN.md §15). Additive and atomic per metric, so it is safe
+  /// while other phases run;
   /// the increments are also mirrored into the calling thread's PhaseTally,
   /// which is how a resumed node's partial records keep accumulating.
   void apply_delta(const Snapshot& delta);
 
   /// Register every metric named in `snap` (with its diagnostic flag and
-  /// bucket bounds) without touching any value. Checkpoint resume under the
-  /// task graph: delta records skip zero-valued metrics, so a phase loaded
+  /// bucket bounds) without touching any value. Checkpoint resume: delta
+  /// records skip zero-valued metrics, so a phase loaded
   /// from the journal would otherwise leave the names its code registers
   /// but never increments missing from the final snapshot.
   void register_skeleton(const Snapshot& snap);
 
-  /// Read a counter's merged value WITHOUT registering the name; 0 when it
-  /// was never registered. Report assembly must use this for names only
-  /// fault paths create (e.g. resolver.upstream.*): a get-or-create read
-  /// would mint a zero-valued registration that leaks into every later
-  /// report in the same process, breaking report-is-a-pure-function-of-
-  /// config across sequential studies.
-  [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
-
   /// Subtract a delta previously recorded into the registry. Used by the
-  /// delta-family checkpoint hook: a resumed phase re-executes its prologue
-  /// (e.g. the platform batch re-acquisition) before load(), re-recording
-  /// work its saved delta already contains — serial mode wipes that with an
-  /// absolute restore; the additive protocol retracts it instead. Exact for
+  /// checkpoint hook: a resumed phase re-executes its prologue (e.g. the
+  /// platform batch re-acquisition) before load(), re-recording work its
+  /// saved delta already contains, which this retracts. Exact for
   /// counters, histogram buckets/count/sum and spans; histogram min/max
   /// folds are irreversible and left alone (prologues record none).
   void retract_delta(const Snapshot& delta);
@@ -438,7 +406,7 @@ class MetricsRegistry {
 
 /// Merge `from` into `into` (both name-sorted snapshots of deltas):
 /// counters/spans add, histograms add element-wise with min/max folds,
-/// gauges ignored. Used to assemble serial-equivalent phase groups from
+/// gauges ignored. Used to assemble the report's phase groups from
 /// per-node deltas without touching the registry.
 void merge_delta(Snapshot& into, const Snapshot& from);
 

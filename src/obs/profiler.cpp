@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <sstream>
-#include <unordered_map>
 
 namespace encdns::obs {
 namespace {
@@ -12,49 +11,6 @@ namespace {
 }
 
 }  // namespace
-
-void PhaseProfiler::begin(std::string name) {
-  if (open_) end();
-  open_ = true;
-  open_name_ = std::move(name);
-  before_ = registry_->snapshot();
-  wall_start_ = std::chrono::steady_clock::now();
-}
-
-void PhaseProfiler::end() {
-  if (!open_) return;
-  open_ = false;
-  const Snapshot after = registry_->snapshot();
-
-  PhaseRecord record;
-  record.name = std::move(open_name_);
-  record.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start_)
-          .count();
-
-  std::unordered_map<std::string, std::uint64_t> counters_before;
-  for (const auto& c : before_.counters) counters_before[c.name] = c.value;
-  for (const auto& c : after.counters) {
-    const auto it = counters_before.find(c.name);
-    const std::uint64_t delta =
-        c.value - (it == counters_before.end() ? 0 : it->second);
-    if (delta == 0) continue;
-    if (is_fault_counter(c.name)) record.faults += delta;
-    if (c.name == "exec.tasks") record.tasks = delta;
-    if (c.name == "exec.jobs") record.jobs = delta;
-    if (!c.diagnostic) record.counters.push_back({c.name, delta, false});
-  }
-
-  std::unordered_map<std::string, std::uint64_t> sim_before;
-  for (const auto& s : before_.spans) sim_before[s.name] = s.sim_us;
-  for (const auto& s : after.spans) {
-    const auto it = sim_before.find(s.name);
-    record.sim_us += s.sim_us - (it == sim_before.end() ? 0 : it->second);
-  }
-
-  records_.push_back(std::move(record));
-}
 
 PhaseRecord PhaseProfiler::from_delta(std::string name, const Snapshot& delta,
                                       double wall_ms) {

@@ -1,17 +1,15 @@
-// PhaseProfiler: bracketed snapshot deltas over the MetricsRegistry.
-//
-// begin("scan") snapshots the registry; end() diffs against the snapshot and
-// records one PhaseRecord: the phase's sim time (sum of span sim-time
-// deltas), its wall time (diagnostic), the exec task/job deltas, its fault
-// tally (delta of every counter whose name mentions faults), and the full
-// list of non-zero deterministic counter deltas. Study::observability_report
-// runs the six paper phases through one profiler.
+// PhaseProfiler: one PhaseRecord per report group, built from the group's
+// phase-attributed metrics delta (obs::PhaseTally, DESIGN.md §15): the
+// group's sim time (sum of span sim-time deltas), its wall time
+// (diagnostic), the exec task/job deltas, its fault tally (every counter
+// whose name mentions faults), and the full list of non-zero deterministic
+// counter deltas. Study::observability_report folds the task graph's node
+// deltas into the six paper groups.
 //
 // Everything except wall_ms is derived from deterministic metrics, so the
 // phase list participates in the byte-identical JSON export.
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -31,25 +29,12 @@ struct PhaseRecord {
 
 class PhaseProfiler {
  public:
-  explicit PhaseProfiler(MetricsRegistry& registry = MetricsRegistry::global())
-      : registry_(&registry) {}
+  PhaseProfiler() = delete;
 
-  /// Open a phase. A still-open phase is closed first.
-  void begin(std::string name);
-  /// Close the open phase and append its record. No-op when none is open.
-  void end();
-
-  [[nodiscard]] const std::vector<PhaseRecord>& records() const noexcept {
-    return records_;
-  }
-
-  /// Build one record from a phase-attributed delta snapshot instead of a
-  /// begin/end registry diff — the task-graph path (DESIGN.md §15), where
-  /// overlapping phases make bracketed diffs meaningless. Applies exactly
-  /// the end() rules (fault sum over every counter mentioning faults,
-  /// exec.tasks/exec.jobs extraction, non-diagnostic non-zero counters in
-  /// name order, sim_us as the span sim sum) so a record built either way
-  /// is byte-identical in the JSON export.
+  /// Build one record from a phase-attributed delta snapshot: the fault sum
+  /// over every counter mentioning faults, exec.tasks/exec.jobs extraction,
+  /// non-diagnostic non-zero counters in name order, sim_us as the span sim
+  /// sum.
   [[nodiscard]] static PhaseRecord from_delta(std::string name,
                                               const Snapshot& delta,
                                               double wall_ms);
@@ -60,14 +45,6 @@ class PhaseProfiler {
   /// Human-readable table of the records, wall time included.
   [[nodiscard]] static std::string to_text(
       const std::vector<PhaseRecord>& records);
-
- private:
-  MetricsRegistry* registry_;
-  std::vector<PhaseRecord> records_;
-  bool open_ = false;
-  std::string open_name_;
-  Snapshot before_;
-  std::chrono::steady_clock::time_point wall_start_{};
 };
 
 }  // namespace encdns::obs

@@ -81,8 +81,7 @@ class ShardRun {
         stop_after_tx_(config.cancel != nullptr && config.cancel_after_tx > 0
                            ? config.cancel_after_tx
                            : std::numeric_limits<std::uint64_t>::max()),
-        window_(config.window > 0 ? config.window
-                                  : EngineConfig::kDefaultWindow),
+        window_(config.window),
         partial_(&partial) {
     const auto* injector = world.network().fault_injector();
     injector_on_ = injector != nullptr && injector->enabled();

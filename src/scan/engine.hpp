@@ -36,9 +36,9 @@ struct EngineConfig {
   /// Total SYN attempts per address (1 + filtered retransmits).
   int max_attempts = 3;
   unsigned thread_count = 0;
-  /// In-flight window per shard (token-bucket credits); 0 selects the
-  /// default. Purely a flow bound: it never changes results, only internal
-  /// drain order.
+  /// In-flight window per shard (token-bucket credits; exec::CreditWindow
+  /// clamps 0 to one). Purely a flow bound: it never changes results, only
+  /// internal drain order.
   static constexpr std::size_t kDefaultWindow = 256;
   std::size_t window = kDefaultWindow;
   /// Cooperative cancellation, checked at shard pickup and once per

@@ -227,56 +227,6 @@ Hll decode_hll(util::ByteReader& r) {
   return sketch;
 }
 
-void encode_flow_batch(util::ByteWriter& w, const FlowBatch& batch) {
-  util::ByteWriter payload;
-  const auto n = static_cast<std::uint32_t>(batch.size());
-  payload.u32(n);
-  for (std::uint32_t i = 0; i < n; ++i) payload.u32(batch.src()[i]);
-  for (std::uint32_t i = 0; i < n; ++i) payload.u32(batch.dst()[i]);
-  for (std::uint32_t i = 0; i < n; ++i) payload.u16(batch.src_port()[i]);
-  for (std::uint32_t i = 0; i < n; ++i) payload.u16(batch.dst_port()[i]);
-  for (std::uint32_t i = 0; i < n; ++i) payload.u8(batch.protocol()[i]);
-  for (std::uint32_t i = 0; i < n; ++i) payload.u32(batch.packets()[i]);
-  for (std::uint32_t i = 0; i < n; ++i) payload.u64(batch.bytes()[i]);
-  for (std::uint32_t i = 0; i < n; ++i) payload.u8(batch.complete()[i]);
-  for (std::uint32_t i = 0; i < n; ++i)
-    payload.u32(static_cast<std::uint32_t>(batch.day()[i]));
-  write_envelope(w, kFlowBatchCodecVersion, std::move(payload));
-}
-
-FlowBatch decode_flow_batch(util::ByteReader& r) {
-  const auto bytes = read_envelope(r, kFlowBatchCodecVersion, "flow_batch");
-  util::ByteReader p(bytes);
-  // Column-major like the wire layout above; rebuilt row by row through the
-  // same push() the generators use.
-  const std::uint32_t n = p.count(27);  // bytes per row across all columns
-  std::vector<RawFlow> rows(n);
-  for (std::uint32_t i = 0; i < n; ++i) rows[i].src = util::Ipv4{p.u32()};
-  for (std::uint32_t i = 0; i < n; ++i) rows[i].dst = util::Ipv4{p.u32()};
-  for (std::uint32_t i = 0; i < n; ++i) rows[i].src_port = p.u16();
-  for (std::uint32_t i = 0; i < n; ++i) rows[i].dst_port = p.u16();
-  for (std::uint32_t i = 0; i < n; ++i) rows[i].protocol = p.u8();
-  for (std::uint32_t i = 0; i < n; ++i) rows[i].packets = p.u32();
-  for (std::uint32_t i = 0; i < n; ++i) rows[i].bytes = p.u64();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint8_t complete = p.u8();
-    if (complete > 1) {
-      throw util::CodecError("flow_batch: complete flag holds " +
-                             std::to_string(complete));
-    }
-    rows[i].complete_session = complete == 1;
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    rows[i].date =
-        util::Date::from_days(static_cast<std::int32_t>(p.u32()));
-  }
-  p.expect_done();
-  FlowBatch batch;
-  batch.reserve(n);
-  for (const RawFlow& row : rows) batch.push(row);
-  return batch;
-}
-
 namespace {
 
 void encode_event(util::ByteWriter& w, const AdoptionEvent& event) {
@@ -315,7 +265,6 @@ void encode_trend_results(util::ByteWriter& w,
   payload.u64(results.days_planned);
   payload.u64(results.days_processed);
   payload.u64(results.peak_tracked_bytes);
-  encode_flow_batch(payload, results.sample);
   payload.u32(static_cast<std::uint32_t>(results.events.size()));
   for (const auto& event : results.events) encode_event(payload, event);
   payload.u32(static_cast<std::uint32_t>(results.providers.size()));
@@ -347,7 +296,6 @@ TrendStudyResults decode_trend_results(util::ByteReader& r) {
   results.days_planned = static_cast<std::size_t>(p.u64());
   results.days_processed = static_cast<std::size_t>(p.u64());
   results.peak_tracked_bytes = p.u64();
-  results.sample = decode_flow_batch(p);
   const std::uint32_t n_events = p.count(27);
   results.events.reserve(n_events);
   for (std::uint32_t i = 0; i < n_events; ++i)

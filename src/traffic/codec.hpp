@@ -34,14 +34,10 @@ void encode_passive_dns(util::ByteWriter& w,
 // flipped bit, or version skew fails closed with CodecError instead of
 // resurrecting a silently different sketch or column (DESIGN.md §16).
 inline constexpr std::uint8_t kHllCodecVersion = 1;
-inline constexpr std::uint8_t kFlowBatchCodecVersion = 1;
-inline constexpr std::uint8_t kTrendCodecVersion = 1;
+inline constexpr std::uint8_t kTrendCodecVersion = 2;
 
 void encode_hll(util::ByteWriter& w, const Hll& sketch);
 [[nodiscard]] Hll decode_hll(util::ByteReader& r);
-
-void encode_flow_batch(util::ByteWriter& w, const FlowBatch& batch);
-[[nodiscard]] FlowBatch decode_flow_batch(util::ByteReader& r);
 
 void encode_trend_results(util::ByteWriter& w, const TrendStudyResults& results);
 [[nodiscard]] TrendStudyResults decode_trend_results(util::ByteReader& r);

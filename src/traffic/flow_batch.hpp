@@ -104,14 +104,6 @@ class FlowBatch {
            day_.capacity() * sizeof(std::int32_t);
   }
 
-  [[nodiscard]] bool operator==(const FlowBatch& other) const noexcept {
-    return src_ == other.src_ && dst_ == other.dst_ &&
-           src_port_ == other.src_port_ && dst_port_ == other.dst_port_ &&
-           protocol_ == other.protocol_ && packets_ == other.packets_ &&
-           bytes_ == other.bytes_ && complete_ == other.complete_ &&
-           day_ == other.day_;
-  }
-
  private:
   std::vector<std::uint32_t> src_;
   std::vector<std::uint32_t> dst_;

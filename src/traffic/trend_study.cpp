@@ -25,6 +25,9 @@ constexpr std::size_t kTrendShards = 16;
 constexpr std::size_t kGroupShards = 4;
 static_assert(kTrendShards % kGroupShards == 0);
 
+// Rows per generation chunk; bounds the columnar staging memory.
+constexpr std::size_t kBatchRows = 8192;
+
 // Fixed overhead charged per live month accumulator in the deterministic
 // memory accounting (counters + map node, excluding the sketch registers).
 constexpr std::uint64_t kMonthAggFixedBytes = 64;
@@ -236,14 +239,12 @@ TrendStudyResults TrendStudy::run() {
 
   // Persistent accumulator, folded group by group in canonical shard order.
   std::vector<MonthMap> provider_months(providers_.size());
-  FlowBatch sample;
   std::uint64_t total_records = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t peak_tracked = 0;
 
   struct ShardPartial {
     std::vector<MonthMap> months;
-    FlowBatch sample;
     std::uint64_t records = 0;
     std::uint64_t bytes = 0;
     std::uint64_t peak_tracked = 0;
@@ -268,7 +269,7 @@ TrendStudyResults TrendStudy::run() {
           // the batch's columns and the day sketch's registers are the only
           // per-record-scale state, and both are bounded.
           FlowBatch batch;
-          batch.reserve(std::min<std::size_t>(config_.batch_rows, 1024));
+          batch.reserve(std::min<std::size_t>(kBatchRows, 1024));
           Hll day_sketch(config_.hll_precision, sketch_seed);
           std::unordered_set<std::uint32_t> day_exact;
           for (std::size_t d = first; d < last; ++d) {
@@ -308,7 +309,7 @@ TrendStudyResults TrendStudy::run() {
               std::uint64_t day_bytes = 0;
               while (remaining > 0) {
                 const std::size_t chunk = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(remaining, config_.batch_rows));
+                    std::min<std::uint64_t>(remaining, kBatchRows));
                 batch.clear();
                 for (std::size_t j = 0; j < chunk; ++j) {
                   RawFlow flow;
@@ -337,12 +338,6 @@ TrendStudyResults TrendStudy::run() {
                 if (config_.validate_exact) {
                   for (const std::uint32_t src : batch.src())
                     day_exact.insert(src);
-                }
-                for (std::size_t i = 0;
-                     i < batch.size() &&
-                     partial.sample.size() < config_.sample_rows;
-                     ++i) {
-                  partial.sample.push(batch.row(i));
                 }
                 remaining -= chunk;
               }
@@ -387,11 +382,6 @@ TrendStudyResults TrendStudy::run() {
               agg.exact.merge(theirs.exact);
             }
           }
-          for (std::size_t i = 0;
-               i < partial.sample.size() && sample.size() < config_.sample_rows;
-               ++i) {
-            sample.push(partial.sample.row(i));
-          }
           const auto [first, last] =
               exec::shard_range(n_days, kTrendShards, group.first + s);
           results.days_processed += last - first;
@@ -406,7 +396,6 @@ TrendStudyResults TrendStudy::run() {
         w.u64(total_records);
         w.u64(total_bytes);
         w.u64(peak_tracked);
-        encode_flow_batch(w, sample);
         w.u32(static_cast<std::uint32_t>(providers_.size()));
         for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
           w.u32(static_cast<std::uint32_t>(provider_months[pi].size()));
@@ -429,7 +418,6 @@ TrendStudyResults TrendStudy::run() {
         total_records = r.u64();
         total_bytes = r.u64();
         peak_tracked = r.u64();
-        sample = decode_flow_batch(r);
         const std::uint32_t n_providers = r.count(4);
         if (n_providers != providers_.size()) {
           throw util::CodecError("trend checkpoint: provider count mismatch");
@@ -481,7 +469,6 @@ TrendStudyResults TrendStudy::run() {
   results.total_records = total_records;
   results.total_bytes = total_bytes;
   results.peak_tracked_bytes = peak_tracked;
-  results.sample = std::move(sample);
 
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("traffic.trend.records").add(results.total_records);

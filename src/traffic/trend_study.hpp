@@ -108,11 +108,6 @@ struct TrendStudyConfig {
   /// Track exact per-month client sets alongside the sketches (memory grows
   /// with cardinality — validation scale only). Fills clients_exact.
   bool validate_exact = false;
-  /// Rows per generation chunk; bounds the columnar staging memory.
-  std::size_t batch_rows = 8192;
-  /// Rows of the horizon-prefix exemplar kept in the results (the columnar
-  /// codec's production round-trip through the checkpoint path).
-  std::size_t sample_rows = 32;
   std::vector<TrendProvider> providers;  ///< empty = default_trend_providers()
   std::vector<AdoptionEvent> events;     ///< empty = default_adoption_events()
   /// Worker threads; 0 = auto. Results identical for every value.
@@ -142,8 +137,6 @@ struct TrendStudyResults {
   /// thread count; the soak tier and the netflow bench guard hold fixed
   /// ceilings against it to prove day retirement keeps memory flat.
   std::uint64_t peak_tracked_bytes = 0;
-  /// The first sample_rows generated records of the horizon.
-  FlowBatch sample;
 
   [[nodiscard]] const TrendProviderSeries* provider(
       const std::string& name) const;

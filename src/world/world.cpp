@@ -133,25 +133,6 @@ std::shared_ptr<resolver::RecursiveBackend> World::make_backend(
   return backend;
 }
 
-std::vector<std::vector<cache::ExportedEntry>> World::export_resolver_caches()
-    const {
-  std::vector<std::vector<cache::ExportedEntry>> caches;
-  caches.reserve(recursive_backends_.size());
-  for (const auto& backend : recursive_backends_)
-    caches.push_back(backend->cache().export_entries());
-  return caches;
-}
-
-void World::restore_resolver_caches(
-    const std::vector<std::vector<cache::ExportedEntry>>& caches) {
-  if (caches.size() != recursive_backends_.size())
-    throw std::runtime_error(
-        "resolver-cache restore: backend count mismatch (journal written "
-        "under a different world configuration)");
-  for (std::size_t i = 0; i < caches.size(); ++i)
-    recursive_backends_[i]->cache().restore_entries(caches[i]);
-}
-
 std::vector<std::vector<cache::ExportedEntry>> World::export_resolver_caches(
     const void* owner) const {
   std::vector<std::vector<cache::ExportedEntry>> caches;

@@ -259,21 +259,14 @@ class World {
   };
   [[nodiscard]] ResolverCacheTally resolver_cache_tally() const;
 
-  /// Checkpoint export/restore of every recursive backend's record cache,
-  /// keyed by backend construction order — stable across processes for one
-  /// config, which is what lets a resumed study rebuild the exact cache
-  /// state the killed process had (DESIGN.md §13). restore throws
-  /// std::runtime_error on a backend-count mismatch (foreign journal).
-  [[nodiscard]] std::vector<std::vector<cache::ExportedEntry>>
-  export_resolver_caches() const;
-  void restore_resolver_caches(
-      const std::vector<std::vector<cache::ExportedEntry>>& caches);
-
-  /// Task-graph variants (DESIGN.md §15): export only the entries the
+  /// Checkpoint export and merge of the recursive backends' record caches
+  /// (DESIGN.md §13, §15), keyed by backend construction order — stable
+  /// across processes for one config. Export only the entries the
   /// attribution token `owner` stored (a phase's obs::current_tally()
   /// pointer), and merge a capture additively instead of replacing — under
   /// phase overlap a record must carry and replay exactly its own phase's
-  /// stores, nothing a concurrent phase wrote.
+  /// stores, nothing a concurrent phase wrote. merge throws
+  /// std::runtime_error on a backend-count mismatch (foreign journal).
   [[nodiscard]] std::vector<std::vector<cache::ExportedEntry>>
   export_resolver_caches(const void* owner) const;
   void merge_resolver_caches(

@@ -66,21 +66,7 @@ class ReferenceCache {
       ++stats.rejected;
       return false;
     }
-    RefEntry entry{key, answer, now_s + real_.ttl_for(answer), owner};
-    Shard& shard = shard_for(key);
-    if (const auto it = shard.index.find(key); it != shard.index.end()) {
-      *it->second = std::move(entry);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      // Trim what a merge left past the slice, then evict the LRU tail.
-      while (shard.lru.size() >= real_.per_shard_capacity()) {
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
-        ++stats.evictions;
-      }
-      shard.lru.push_front(std::move(entry));
-      shard.index.emplace(key, shard.lru.begin());
-    }
+    stats.evictions += insert({key, answer, now_s + real_.ttl_for(answer), owner});
     ++stats.stores;
     return true;
   }
@@ -94,12 +80,10 @@ class ReferenceCache {
     return out;
   }
 
-  void restore(const std::vector<RefEntry>& entries) {
-    clear();
-    append(entries, nullptr);
-  }
+  /// Replays the capture's stores, oldest first, counting nothing.
   void merge(const std::vector<RefEntry>& entries, const void* owner) {
-    append(entries, owner);
+    for (auto in = entries.rbegin(); in != entries.rend(); ++in)
+      (void)insert({in->key, in->answer, in->expiry_s, owner});
   }
   void clear() {
     for (Shard& shard : shards_) {
@@ -125,19 +109,25 @@ class ReferenceCache {
     return shards_[util::fnv1a(key) & (shards_.size() - 1)];
   }
 
-  /// Existing keys refresh in place (LRU position kept); new keys append
-  /// at the least-recent end, with no capacity check.
-  void append(const std::vector<RefEntry>& entries, const void* owner) {
-    for (const RefEntry& in : entries) {
-      Shard& shard = shard_for(in.key);
-      RefEntry entry{in.key, in.answer, in.expiry_s, owner};
-      if (const auto it = shard.index.find(in.key); it != shard.index.end()) {
-        *it->second = std::move(entry);
-      } else {
-        shard.lru.push_back(std::move(entry));
-        shard.index.emplace(in.key, std::prev(shard.lru.end()));
-      }
+  /// A store's effect on the LRU: an existing key is refreshed and moved to
+  /// the front; a new one enters at the front after a full shard evicts
+  /// its tail. Returns the number evicted.
+  std::uint64_t insert(RefEntry entry) {
+    Shard& shard = shard_for(entry.key);
+    if (const auto it = shard.index.find(entry.key); it != shard.index.end()) {
+      *it->second = std::move(entry);
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      return 0;
     }
+    std::uint64_t evicted = 0;
+    if (shard.lru.size() >= real_.per_shard_capacity()) {
+      shard.index.erase(shard.lru.back().key);
+      shard.lru.pop_back();
+      evicted = 1;
+    }
+    shard.lru.push_front(std::move(entry));
+    shard.index.emplace(shard.lru.front().key, shard.lru.begin());
+    return evicted;
   }
 
   const DnsCache& real_;
@@ -340,8 +330,13 @@ void run_stream(std::size_t shards, std::size_t per_shard, std::uint64_t seed) {
                                               : std::nullopt);
       expect_same_export(saved_real, saved_ref);
     } else if (op < 89) {
-      real.restore_entries(saved_real);
-      ref.restore(saved_ref);
+      // A whole restore: merge the capture into an emptied cache, stored
+      // under no attribution.
+      const obs::ScopedTally unattributed(nullptr);
+      real.clear();
+      real.merge_entries(saved_real);
+      ref.clear();
+      ref.merge(saved_ref, nullptr);
     } else if (op < 97) {
       real.merge_entries(saved_real);
       ref.merge(saved_ref, owner);
@@ -364,10 +359,10 @@ TEST(DnsCacheDifferential, RandomStreamsMatchTheListAndMapModel) {
       }
 }
 
-// A merge may push a shard past its slice; the next insert into that shard
-// trims it back to the slice and then evicts the LRU tail, counting every
-// trimmed entry as an eviction.
-TEST(DnsCacheDifferential, MergePastTheSliceIsTrimmedByTheNextInsert) {
+// A merge replays the capture's stores oldest first without counting their
+// evictions: it never leaves a shard past its slice, the captured entries end
+// up most recent, and the next insert evicts exactly one entry.
+TEST(DnsCacheDifferential, MergeReplaysStoresWithoutCountingEvictions) {
   CacheConfig config;
   config.shards = 1;
   config.max_entries = 3;
@@ -389,17 +384,19 @@ TEST(DnsCacheDifferential, MergePastTheSliceIsTrimmedByTheNextInsert) {
 
   real.merge_entries(saved_real);
   ref.merge(saved_ref, nullptr);
-  EXPECT_EQ(real.size(), 6u);  // twice the 3-entry slice
+  EXPECT_EQ(real.size(), 3u);  // a, b and c pushed d, e and f out
+  EXPECT_EQ(real.stats().evictions, 0u);
   expect_same_state(real, ref);
+  expect_same_export(real.export_entries(), saved_ref);
 
   store("g.test");
-  // Three trimmed extras (a, b, c) plus the LRU victim d.
-  EXPECT_EQ(real.stats().evictions, 4u);
+  // Only the LRU victim a.
+  EXPECT_EQ(real.stats().evictions, 1u);
   EXPECT_EQ(real.size(), 3u);
   expect_same_state(real, ref);
-  for (const char* gone : {"a.test/1", "b.test/1", "c.test/1", "d.test/1"})
+  for (const char* gone : {"a.test/1", "d.test/1", "e.test/1", "f.test/1"})
     expect_same_lookup(real, ref, gone, 1);
-  for (const char* kept : {"e.test/1", "f.test/1", "g.test/1"})
+  for (const char* kept : {"b.test/1", "c.test/1", "g.test/1"})
     expect_same_lookup(real, ref, kept, 1);
   EXPECT_EQ(real.stats().hits, 3u);
 }

@@ -210,7 +210,6 @@ void write_cursor_head(util::ByteWriter& w) {
     w.boolean(false);
     w.u64(0);
   }
-  for (int field = 0; field < 6; ++field) w.u64(0);
 }
 
 void write_entry(util::ByteWriter& w, const std::string& key,
@@ -405,7 +404,6 @@ class CacheSectionJournalTest : public ::testing::Test {
 [[nodiscard]] WorldCursor cursor_at(int step) {
   WorldCursor cursor;
   cursor.global_platform.next_id = 11;
-  cursor.cache_tally.hits = static_cast<std::uint64_t>(step);
   cursor.caches.resize(2);
   for (int i = step; i < step + 5; ++i)
     cursor.caches[i % 2].push_back(
@@ -476,7 +474,7 @@ TEST_F(CacheSectionJournalTest, ChainJournalFailsClosedOnEveryPrefixAndByteFlip)
 [[nodiscard]] std::vector<std::uint8_t> partial_delta_body(
     const std::function<void(util::ByteWriter&)>& section) {
   util::ByteWriter w;
-  w.u8(9);  // partial-delta
+  w.u8(11);  // partial
   write_cursor_head(w);
   section(w);
   encode_metrics(w, obs::Snapshot{});
@@ -517,14 +515,18 @@ TEST_F(CacheSectionJournalTest, StructuredMutationsFailTheLoadClosed) {
       "malformed wire message", "malformed first record");
 }
 
-// Records in the layout the whole-section journal wrote (kinds 1–4, every
-// cache entry repeated in every record) fail closed at the kind check.
+// Records in a retired layout fail closed at the kind check: the
+// whole-section journal's kinds 1–4 (every cache entry repeated in every
+// record), the serial schedule's absolute kinds 6–7 (a phase record led by
+// an `ordered` flag) and kinds 8–9, whose cursors carried a resolver-cache
+// tally.
 TEST_F(CacheSectionJournalTest, WholeSectionRecordsFailClosed) {
   const auto whole_section_body = [](std::uint8_t kind, bool ordered_flag) {
     util::ByteWriter w;
     w.u8(kind);
     if (ordered_flag) w.boolean(true);
     write_cursor_head(w);
+    for (int field = 0; field < 6; ++field) w.u64(0);  // the retired tally
     const Caches caches = mutation_base();
     w.u32(static_cast<std::uint32_t>(caches.size()));
     for (const auto& backend : caches) {
@@ -541,15 +543,17 @@ TEST_F(CacheSectionJournalTest, WholeSectionRecordsFailClosed) {
     bool ordered_flag;
     std::function<void(StudyCheckpoint&)> load;
   };
+  const auto phase = [](StudyCheckpoint& c) {
+    (void)c.load_phase_delta("netflow");
+  };
+  const auto partial = [](StudyCheckpoint& c) {
+    (void)c.load_partial_delta("netflow");
+  };
   const Case cases[] = {
-      {"phase:netflow", 1, true,
-       [](StudyCheckpoint& c) { (void)c.load_phase("netflow"); }},
-      {"partial:netflow", 2, false,
-       [](StudyCheckpoint& c) { (void)c.load_partial("netflow"); }},
-      {"phase:netflow", 3, false,
-       [](StudyCheckpoint& c) { (void)c.load_phase_delta("netflow"); }},
-      {"partial:netflow", 4, false,
-       [](StudyCheckpoint& c) { (void)c.load_partial_delta("netflow"); }},
+      {"phase:netflow", 1, true, phase},    {"partial:netflow", 2, false, partial},
+      {"phase:netflow", 3, false, phase},   {"partial:netflow", 4, false, partial},
+      {"phase:netflow", 6, true, phase},    {"partial:netflow", 7, false, partial},
+      {"phase:netflow", 8, false, phase},   {"partial:netflow", 9, false, partial},
   };
   for (const Case& c : cases) {
     write_journal({{c.key, whole_section_body(c.kind, c.ordered_flag)}});

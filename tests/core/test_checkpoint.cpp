@@ -448,7 +448,6 @@ WorldCursor sample_cursor() {
   cursor.global_platform.next_id = 42;
   cursor.cn_platform.rng.words = {5, 6, 7, 8};
   cursor.cn_platform.next_id = 7;
-  cursor.cache_tally = {10, 20, 3, 1, 0, 16};
   cache::ExportedEntry entry;
   entry.key = "example.com|A|853";
   entry.expiry_s = 1234567;
@@ -467,7 +466,7 @@ TEST_F(CheckpointTest, CursorCodecRoundTripsByteIdentically) {
   const WorldCursor decoded = decode_cursor(r);
   r.expect_done();
   EXPECT_EQ(decoded.global_platform.next_id, 42u);
-  EXPECT_EQ(decoded.cache_tally.misses, 20u);
+  EXPECT_EQ(decoded.cn_platform.rng.words[3], 8u);
   ASSERT_EQ(decoded.caches.size(), 2u);
   ASSERT_EQ(decoded.caches[0].size(), 1u);
   EXPECT_EQ(decoded.caches[0][0].key, "example.com|A|853");
@@ -565,57 +564,74 @@ TEST_F(CheckpointTest, MalformedCacheBlobFailsClosed) {
   cursor.caches[0][0].wire = query.encode(false);
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
-    checkpoint.commit_phase("scan_campaign", {1}, cursor);
+    checkpoint.commit_phase_delta("scan_campaign", {1}, cursor, obs::Snapshot{});
   }
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-  EXPECT_THROW((void)checkpoint.load_phase("scan_campaign"), JournalError);
+  EXPECT_THROW((void)checkpoint.load_phase_delta("scan_campaign"), JournalError);
 }
 
 // --- StudyCheckpoint over the journal ---------------------------------------
+
+/// A phase's own metrics delta as a record carries it.
+obs::Snapshot sample_delta(std::uint64_t queries) {
+  obs::Snapshot delta;
+  delta.counters.push_back({"test.checkpoint.queries", queries, false});
+  return delta;
+}
 
 TEST_F(CheckpointTest, PhaseCommitRoundTripsStateAndCursor) {
   const std::vector<std::uint8_t> state = {0xDE, 0xAD, 0xBE, 0xEF};
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
-    checkpoint.commit_phase("scan_campaign", state, sample_cursor());
+    checkpoint.commit_phase_delta("scan_campaign", state, sample_cursor(),
+                                  sample_delta(5));
   }
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-  const auto loaded = checkpoint.load_phase("scan_campaign");
+  const auto loaded = checkpoint.load_phase_delta("scan_campaign");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->state, state);
   EXPECT_EQ(loaded->cursor.global_platform.next_id, 42u);
-  ASSERT_EQ(loaded->cursor.caches.size(), 2u);
-  EXPECT_EQ(loaded->cursor.caches[0][0].expiry_s, 1234567);
-  EXPECT_FALSE(checkpoint.load_phase("doh_discovery").has_value());
+  const auto caches = export_section(loaded->caches);
+  ASSERT_EQ(caches.size(), 2u);
+  ASSERT_EQ(caches[0].size(), 1u);
+  EXPECT_EQ(caches[0][0].expiry_s, 1234567);
+  ASSERT_EQ(loaded->metrics.counters.size(), 1u);
+  EXPECT_EQ(loaded->metrics.counters[0].value, 5u);
+  EXPECT_FALSE(checkpoint.load_phase_delta("doh_discovery").has_value());
 }
 
 TEST_F(CheckpointTest, PartialsSupersedeAndPhaseWinsOverPartial) {
   const auto capture = [] {
-    return sample_cursor();  // capture: cache/tally at save time
+    return sample_cursor();  // capture: cache contents at save time
   };
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
-    EXPECT_FALSE(checkpoint.load_partial("performance").has_value());
-    auto hook = checkpoint.phase_hook("performance", sample_cursor(), capture);
+    EXPECT_FALSE(checkpoint.load_partial_delta("performance").has_value());
+    EXPECT_FALSE(checkpoint.has_partial("performance"));
+    auto hook = checkpoint.phase_delta_hook("performance", sample_cursor(),
+                                            capture);
     EXPECT_FALSE(hook->load().has_value());
     hook->save({1});
     hook->save({2, 2});
     // Appends are write-only: the saves are read back after a reopen.
-    EXPECT_THROW((void)checkpoint.load_partial("performance"), std::logic_error);
+    EXPECT_THROW((void)checkpoint.load_partial_delta("performance"),
+                 std::logic_error);
   }
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-    auto resumed = checkpoint.load_partial("performance");
+    EXPECT_TRUE(checkpoint.has_partial("performance"));
+    auto resumed = checkpoint.load_partial_delta("performance");
     ASSERT_TRUE(resumed.has_value());
     // The hook hands over the record the caller decoded; it does not decode
     // the partial a second time.
-    auto hook = checkpoint.phase_hook("performance", resumed->cursor, capture,
-                                      std::move(resumed));
+    auto hook = checkpoint.phase_delta_hook("performance", resumed->cursor,
+                                            capture, std::move(resumed));
     EXPECT_EQ(hook->load().value(), (std::vector<std::uint8_t>{2, 2}));
-    checkpoint.commit_phase("performance", {3, 3, 3}, sample_cursor());
+    checkpoint.commit_phase_delta("performance", {3, 3, 3}, sample_cursor(),
+                                  obs::Snapshot{});
   }
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-  const auto loaded = checkpoint.load_phase("performance");
+  const auto loaded = checkpoint.load_phase_delta("performance");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->state, (std::vector<std::uint8_t>{3, 3, 3}));
 }
@@ -628,19 +644,19 @@ TEST_F(CheckpointTest, PartialPreCursorKeepsThePrePhasePlatformPosition) {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
     WorldCursor pre = sample_cursor();
     pre.global_platform.next_id = 100;
-    auto hook = checkpoint.phase_hook("netflow", pre, [&] {
+    auto hook = checkpoint.phase_delta_hook("netflow", pre, [&] {
       WorldCursor advanced = sample_cursor();
       advanced.global_platform.next_id = 999;  // platform moved mid-phase
-      advanced.cache_tally.hits = 77;          // cache state moved too
+      advanced.caches[0][0].expiry_s = 77;     // cache state moved too
       return advanced;
     });
     hook->save({1});
   }
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-  const auto rewound = checkpoint.load_partial("netflow");
+  const auto rewound = checkpoint.load_partial_delta("netflow");
   ASSERT_TRUE(rewound.has_value());
   EXPECT_EQ(rewound->cursor.global_platform.next_id, 100u);  // pre-phase, not 999
-  EXPECT_EQ(rewound->cursor.cache_tally.hits, 77u);          // at-save, not pre
+  EXPECT_EQ(export_section(rewound->caches)[0][0].expiry_s, 77);  // at-save
 }
 
 }  // namespace

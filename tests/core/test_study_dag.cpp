@@ -1,6 +1,6 @@
 // Study-level task-graph execution (DESIGN.md §15): kill-chaos resume under
-// overlapping phases, its serial-schedule twins, and the per-phase
-// deadline-token regressions.
+// overlapping phases, its twins for journaled accessors forced one at a
+// time, and the per-phase deadline-token regressions.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <stdlib.h>
@@ -23,32 +23,31 @@ class StudyDagTest : public ::testing::Test {
     char tmpl[] = "/tmp/encdns_dag_XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
     dir_ = tmpl;
-    // Pin the graph schedule and a small worker pool so phases genuinely
-    // overlap; results must not depend on either (that is the contract
-    // under test).
-    ::setenv("ENCDNS_DAG", "1", 1);
+    // Pin a small worker pool so phases genuinely overlap; results must not
+    // depend on it (that is the contract under test).
     ::setenv("ENCDNS_THREADS", "3", 1);
   }
 
   void TearDown() override {
-    ::unsetenv("ENCDNS_DAG");
     ::unsetenv("ENCDNS_THREADS");
     ::unsetenv("ENCDNS_DEADLINE_SCAN");
     ::unsetenv("ENCDNS_DEADLINE_DOH_SCAN");
+    ::unsetenv("ENCDNS_FAULTS");
     std::filesystem::remove_all(dir_);
   }
 
   std::string dir_;
 };
 
-// The same kill/resume contract under the serial schedule (ENCDNS_DAG=0) and
-// its absolute journal family: deterministic commit order, so each kill
-// point lands in a known phase.
+// The same kill/resume contract for a journal written by accessors forced
+// one at a time in canonical order: each commits its phase's delta record
+// at once, so the commit order is deterministic and each kill point lands
+// in a known phase. The final resume runs the task graph.
 class StudySerialTest : public StudyDagTest {
  protected:
-  void SetUp() override {
-    StudyDagTest::SetUp();
-    ::setenv("ENCDNS_DAG", "0", 1);
+  /// Every journaled phase through the accessor path, in canonical order.
+  static void force_in_canonical_order(Study& study) {
+    (void)study.data_quality_report();
   }
 };
 
@@ -152,6 +151,34 @@ TEST_F(StudyDagTest, ChainAcrossThreeProcessesMatchesUninterruptedReport) {
       << spanning << "'s chain spans three processes";
 }
 
+// The robustness report's resolver layer has one source — the World's tally
+// plus what journal records carried in — so a study that forced every phase
+// through accessors and one resumed from a late kill, whose committed
+// phases load instead of running, report the same upstream faults.
+TEST_F(StudyDagTest, ResolverTallyHoldsForAccessorsAndAfterResume) {
+  ::setenv("ENCDNS_FAULTS", "canonical", 1);
+  Study accessors(StudyConfig::quick());
+  (void)accessors.data_quality_report();  // forces every phase
+  const fault::LayerTally expected = accessors.robustness_report().resolver;
+  EXPECT_GT(expected.injected, 0u);
+
+  EXPECT_EXIT(
+      {
+        ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", "16", 1);
+        Study victim(StudyConfig::quick());
+        victim.enable_checkpoint(dir_, /*resume=*/false);
+        (void)victim.observability_report();
+        std::_Exit(0);  // unreachable: the fuse fires first
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
+  Study resumed(StudyConfig::quick());
+  resumed.enable_checkpoint(dir_, /*resume=*/true);
+  const fault::LayerTally after =
+      resumed.observability_report().robustness.resolver;
+  EXPECT_EQ(after.injected, expected.injected);
+  EXPECT_EQ(after.recovered, expected.recovered);
+}
+
 // The resume prologue only checks that a partial exists; the phase's own
 // accessor decodes it, so a partial with a valid record checksum but a
 // corrupt body still fails the resume closed, with the decoder's error.
@@ -159,7 +186,7 @@ TEST_F(StudyDagTest, CorruptPartialFailsResumeClosed) {
   Study study(StudyConfig::quick());
   {
     Journal journal(dir_, study.config_fingerprint(), /*resume=*/false);
-    journal.append("partial:scan_campaign", {4, 0xEE});  // delta kind, no cursor
+    journal.append("partial:scan_campaign", {11, 0xEE});  // partial, no cursor
     journal.commit();
   }
   study.enable_checkpoint(dir_, /*resume=*/true);
@@ -182,7 +209,7 @@ TEST_F(StudySerialTest, ResumeAfterMidRunKillMatchesUninterruptedReport) {
         ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", "10", 1);
         Study victim(StudyConfig::quick());
         victim.enable_checkpoint(dir_, /*resume=*/false);
-        (void)victim.observability_report();
+        force_in_canonical_order(victim);
         std::_Exit(0);  // unreachable: the fuse fires first
       },
       ::testing::KilledBySignal(SIGKILL), "");
@@ -195,7 +222,8 @@ TEST_F(StudySerialTest, ResumeAfterMidRunKillMatchesUninterruptedReport) {
   EXPECT_EQ(resumed.observability_report().to_json(), expected);
 }
 
-// The serial twin of the three-process chain: the first resume continues
+// The accessor twin of the three-process chain: the first resume, again
+// through accessors, loads the four committed phases, continues
 // reachability_global from the partial it loaded and dies right after its
 // next partial, so that phase's chain of cache sections spans three
 // processes.
@@ -216,7 +244,7 @@ TEST_F(StudySerialTest, ChainAcrossThreeProcessesMatchesUninterruptedReport) {
           ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", kill_after, 1);
           Study victim(StudyConfig::quick());
           victim.enable_checkpoint(dir_, resume);
-          (void)victim.observability_report();
+          force_in_canonical_order(victim);
           std::_Exit(0);  // unreachable: the fuse fires first
         },
         ::testing::KilledBySignal(SIGKILL), "");

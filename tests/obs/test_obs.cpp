@@ -208,24 +208,30 @@ TEST(Profiler, RecordsDeltasPerPhase) {
   auto& faults = registry.counter("test.phase.fault.injected");
   auto& span = registry.span("test.phase.span");
 
-  PhaseProfiler profiler(registry);
-  profiler.begin("alpha");
-  work.add(10);
-  faults.add(2);
+  PhaseTally alpha_tally;
   {
+    ScopedTally attribute(&alpha_tally);
+    work.add(10);
+    faults.add(2);
     SpanScope scope(span);
     scope.add_sim(sim::Millis{5.0});
   }
-  profiler.end();
-  profiler.begin("beta");
-  work.add(1);
-  profiler.end();
+  PhaseTally beta_tally;
+  {
+    ScopedTally attribute(&beta_tally);
+    work.add(1);
+  }
+  const std::vector<PhaseRecord> records = {
+      PhaseProfiler::from_delta("alpha", registry.delta_snapshot(alpha_tally),
+                                1.5),
+      PhaseProfiler::from_delta("beta", registry.delta_snapshot(beta_tally),
+                                0.5)};
 
-  ASSERT_EQ(profiler.records().size(), 2u);
-  const PhaseRecord& alpha = profiler.records()[0];
+  const PhaseRecord& alpha = records[0];
   EXPECT_EQ(alpha.name, "alpha");
   EXPECT_EQ(alpha.sim_us, 5000u);
   EXPECT_EQ(alpha.faults, 2u);
+  EXPECT_EQ(alpha.wall_ms, 1.5);
   bool saw_work = false;
   for (const auto& sample : alpha.counters)
     if (sample.name == "test.phase.work") {
@@ -233,15 +239,15 @@ TEST(Profiler, RecordsDeltasPerPhase) {
       EXPECT_EQ(sample.value, 10u);
     }
   EXPECT_TRUE(saw_work);
-  const PhaseRecord& beta = profiler.records()[1];
+  const PhaseRecord& beta = records[1];
   EXPECT_EQ(beta.name, "beta");
   EXPECT_EQ(beta.sim_us, 0u);
   EXPECT_EQ(beta.faults, 0u);
 
-  const std::string json = PhaseProfiler::to_json(profiler.records());
+  const std::string json = PhaseProfiler::to_json(records);
   EXPECT_NE(json.find("\"alpha\""), std::string::npos);
   EXPECT_EQ(json.find("wall"), std::string::npos);
-  EXPECT_FALSE(PhaseProfiler::to_text(profiler.records()).empty());
+  EXPECT_FALSE(PhaseProfiler::to_text(records).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ TEST(Montgomery, MatchesA128BitReference) {
 
 struct CutCase {
   bool faults;
-  std::size_t window;  // 0 = the default 256 credits
+  std::size_t window;
   std::uint64_t cancel_after_tx;
   std::uint64_t transmitted;
   std::uint64_t probed;
@@ -152,14 +152,15 @@ std::uint64_t digest(const std::vector<util::Ipv4>& hosts) {
 // sides of the old 4096-transmission poll stride.
 TEST(ScanEngine, TestHookCutsAfterTheSameTransmission) {
   constexpr std::uint64_t kNoOpens = 0xCBF29CE484222325ULL;
+  constexpr std::size_t kWide = EngineConfig::kDefaultWindow;
   const CutCase cases[] = {
       // Fault-free, nothing is classified before the cut: the ~1% open
       // background hosts still sit in the 256-credit window and are
       // dropped by the cancelled drain.
-      {false, 0, 1, 1, 1, 0, kNoOpens},
-      {false, 0, 1000, 1000, 1000, 0, kNoOpens},
-      {false, 0, 4096, 4096, 4096, 0, kNoOpens},
-      {false, 0, 4097, 4097, 4097, 0, kNoOpens},
+      {false, kWide, 1, 1, 1, 0, kNoOpens},
+      {false, kWide, 1000, 1000, 1000, 0, kNoOpens},
+      {false, kWide, 4096, 4096, 4096, 0, kNoOpens},
+      {false, kWide, 4097, 4097, 4097, 0, kNoOpens},
       // A one-credit window classifies each open host as the next arrives.
       {false, 1, 1, 1, 1, 0, kNoOpens},
       {false, 1, 1000, 1000, 1000, 5, 0xFE4774060DD236D4ULL},
@@ -167,10 +168,10 @@ TEST(ScanEngine, TestHookCutsAfterTheSameTransmission) {
       {false, 1, 4097, 4097, 4097, 41, 0xDDF887E8D92A327EULL},
       // Faults on: retransmits land inside an address's transmission, so
       // the cut can overshoot the hook by one (4097 -> 4098).
-      {true, 0, 1, 1, 1, 0, kNoOpens},
-      {true, 0, 1000, 1000, 998, 3, 0xD6D30575FD7745F5ULL},
-      {true, 0, 4096, 4096, 4087, 29, 0x26D0CE2BA21B3381ULL},
-      {true, 0, 4097, 4098, 4088, 29, 0x26D0CE2BA21B3381ULL},
+      {true, kWide, 1, 1, 1, 0, kNoOpens},
+      {true, kWide, 1000, 1000, 998, 3, 0xD6D30575FD7745F5ULL},
+      {true, kWide, 4096, 4096, 4087, 29, 0x26D0CE2BA21B3381ULL},
+      {true, kWide, 4097, 4098, 4088, 29, 0x26D0CE2BA21B3381ULL},
   };
   for (const CutCase& expected : cases) {
     world::WorldConfig world_config;

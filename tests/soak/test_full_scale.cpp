@@ -9,7 +9,8 @@
 //  - Table 2 country growth ranking across the full 10-scan campaign
 //  - Table 4 / Finding 21 reachability ordering (Do53 worst, DoH best)
 //  - §3.1 local-resolver DoT probe rate band (~0.3%)
-//  - a serial-schedule SIGKILL/resume reproducing the obs JSON exactly
+//  - the task graph's obs JSON equal at one and four threads, and SIGKILLs
+//    mid reachability_global and inside performance resuming to it exactly
 //
 // The full study takes tens of seconds on one core, so the suite is opt-in:
 // each test GTEST_SKIPs unless ENCDNS_SOAK is set in the environment. CTest
@@ -20,6 +21,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint/journal.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
 #include "traffic/trend_study.hpp"
@@ -254,42 +257,100 @@ TEST(SoakReport, EveryPaperClaimReproducesAtFullScale) {
   EXPECT_EQ(failed_count(checks), 0u);
 }
 
-// --- Serial-schedule kill/resume at paper scale --------------------------------
+// --- The one schedule at paper scale ------------------------------------------
 
-// The serial schedule is the one schedule whose paper-scale output is
-// deterministic and exactly resumable (ROADMAP item 1: under the task graph
-// overlapping phases share evicting resolver caches). A run SIGKILLed at
-// journal commit 40 — mid reachability_global — resumes to the
-// uninterrupted run's obs JSON byte for byte. Writes ~515 MB under the
-// temp directory ($TMPDIR, else /tmp).
-TEST(SoakResume, SerialKillMidReachabilityResumesToTheUninterruptedReport) {
-  ENCDNS_REQUIRE_SOAK();
-  ::setenv("ENCDNS_DAG", "0", 1);
+// DESIGN.md §15: the task graph orders every writer of the resolver cache
+// performance fills before performance, so the full study's stable obs JSON
+// is a function of the config alone: equal at any thread count, and after
+// a SIGKILL anywhere followed by a resume. A full-scale journal ends at
+// ~117 MB; the resume legs write it under the temp directory ($TMPDIR,
+// else /tmp).
+
+/// The full study's stable obs JSON at `threads` worker threads, journaled
+/// into `dir` when one is given.
+std::string full_report(const char* threads, const std::string& dir = "",
+                        bool resume = false) {
+  ::setenv("ENCDNS_THREADS", threads, 1);
+  Study study(StudyConfig::full());
+  if (!dir.empty()) study.enable_checkpoint(dir, resume);
+  std::string json = study.observability_report().to_json();
+  ::unsetenv("ENCDNS_THREADS");
+  return json;
+}
+
+std::string make_temp_dir() {
   std::string dir = (std::filesystem::temp_directory_path() /
                      "encdns_soak_resume_XXXXXX")
                         .string();
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  return ::mkdtemp(dir.data()) == nullptr ? std::string() : dir;
+}
+
+/// A full journaled run into `dir` at `threads`, SIGKILLed at `commit`.
+void run_until_killed(const std::string& dir, const char* threads,
+                      int commit) {
   EXPECT_EXIT(
       {
-        ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", "40", 1);
-        Study victim(StudyConfig::full());
-        victim.enable_checkpoint(dir, /*resume=*/false);
-        (void)victim.observability_report();
+        ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", std::to_string(commit).c_str(),
+                 1);
+        (void)full_report(threads, dir);
         std::_Exit(0);  // unreachable: the fuse fires first
       },
       ::testing::KilledBySignal(SIGKILL), "");
-  std::string expected;
-  {
-    Study reference(StudyConfig::full());
-    expected = reference.observability_report().to_json();
-  }
-  {
-    Study resumed(StudyConfig::full());
-    resumed.enable_checkpoint(dir, /*resume=*/true);
-    EXPECT_EQ(resumed.observability_report().to_json(), expected);
-  }
+}
+
+TEST(SoakDeterminism, GraphReportIsEqualAtOneAndFourThreads) {
+  ENCDNS_REQUIRE_SOAK();
+  EXPECT_EQ(full_report("1"), full_report("4"));
+}
+
+// Commit 40 lands mid reachability_global.
+TEST(SoakResume, GraphKillMidReachabilityResumesToTheUninterruptedReport) {
+  ENCDNS_REQUIRE_SOAK();
+  const std::string dir = make_temp_dir();
+  ASSERT_FALSE(dir.empty());
+  run_until_killed(dir, "2", 40);
+  const std::string expected = full_report("4");
+  EXPECT_EQ(full_report("8", dir, /*resume=*/true), expected);
   std::filesystem::remove_all(dir);
-  ::unsetenv("ENCDNS_DAG");
+}
+
+// The kill point is the commit of performance's middle partial in an
+// uninterrupted journal's key order. Other phases' partials interleave with
+// performance's, so the same commit of a killed run still lands inside it.
+TEST(SoakResume, GraphKillInsidePerformanceResumesToTheUninterruptedReport) {
+  ENCDNS_REQUIRE_SOAK();
+  const std::string dir = make_temp_dir();
+  ASSERT_FALSE(dir.empty());
+  const std::uint64_t fingerprint = Study(StudyConfig::full()).config_fingerprint();
+  const auto keys = [&] {
+    std::vector<std::string> out;
+    const Journal journal(dir, fingerprint, /*resume=*/true);
+    for (const auto& record : journal.records()) out.emplace_back(record.key);
+    return out;
+  };
+  (void)full_report("4", dir);
+  // A phase record and its name skeleton share one commit.
+  std::vector<int> performance_partials;
+  int commit = 0;
+  for (const std::string& key : keys()) {
+    if (key == "obs:skeleton") continue;
+    ++commit;
+    if (key == "partial:performance") performance_partials.push_back(commit);
+  }
+  ASSERT_GE(performance_partials.size(), 3u);
+  const int kill_at = performance_partials[performance_partials.size() / 2];
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+
+  run_until_killed(dir, "8", kill_at);
+  const auto killed = keys();
+  EXPECT_NE(std::find(killed.begin(), killed.end(), "partial:performance"),
+            killed.end());
+  EXPECT_EQ(std::find(killed.begin(), killed.end(), "phase:performance"),
+            killed.end());
+  const std::string expected = full_report("4");
+  EXPECT_EQ(full_report("1", dir, /*resume=*/true), expected);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -143,7 +143,6 @@ TEST(TrendStudy, MonthlySeriesShowsLaunchGrowthDipAndFlip) {
   EXPECT_GT(max_month, 0u);
   EXPECT_GE(cloudflare->clients_estimated, max_month / 2);
   EXPECT_GT(results.clients_estimated_total(), 0u);
-  EXPECT_EQ(results.sample.size(), quick_config().sample_rows);
 }
 
 TEST(TrendStudy, HllTracksExactClientCountsAtValidationScale) {
@@ -163,7 +162,7 @@ TEST(TrendStudy, HllTracksExactClientCountsAtValidationScale) {
 
 TEST(TrendStudy, NetflowThreadCountInvariance) {
   // The determinism contract: ENCDNS_THREADS must not leak into any result
-  // byte — counters, month series, sample rows, or sketch registers.
+  // byte — counters, month series, or sketch registers.
   std::optional<std::vector<std::uint8_t>> reference;
   for (const char* threads : {"1", "2", "8"}) {
     setenv("ENCDNS_THREADS", threads, 1);

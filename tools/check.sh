@@ -74,13 +74,11 @@ run_throughput_guard() {
 }
 
 run_chaos() {
-  # The DESIGN.md §13 resume contract, proven the hard way under each
-  # schedule and its journal family (the task graph, then the serial
-  # ENCDNS_DAG=0): a reference run at 2 threads, then a checkpointed run
-  # SIGKILLed at three different journal commits (via
-  # ENCDNS_CHECKPOINT_KILL_AFTER) and resumed each time at a different
-  # thread count. The survivors' golden corpus and stable obs JSON must be
-  # byte-identical to the reference.
+  # The DESIGN.md §13 resume contract, proven the hard way: a reference run
+  # at 2 threads, then a checkpointed run SIGKILLed at three different
+  # journal commits (via ENCDNS_CHECKPOINT_KILL_AFTER) and resumed each time
+  # at a different thread count. The survivor's golden corpus and stable obs
+  # JSON must be byte-identical to the reference.
   echo "=== checkpoint kill/resume chaos ==="
   local tmp
   tmp="$(mktemp -d)"
@@ -90,50 +88,47 @@ run_chaos() {
 
   # Kill counters are per process, so each resume gets a fresh count; the
   # three points land in different phases of the journal's commit sequence.
-  local kill_points=(3 10 7) threads=(2 8 4) dag i rc
-  for dag in 1 0; do
-    rm -rf "${tmp}/ckpt" "${tmp}/out" "${tmp}/out.json"
-    for i in 0 1 2; do
-      rc=0
-      ENCDNS_DAG="${dag}" ENCDNS_THREADS="${threads[$i]}" \
-        ENCDNS_CHECKPOINT_KILL_AFTER="${kill_points[$i]}" \
-        ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
-        $([ "$i" -gt 0 ] && echo --resume) \
-        --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" \
-        >/dev/null 2>&1 || rc=$?
-      if [ "${rc}" -ne 137 ]; then
-        echo "chaos (ENCDNS_DAG=${dag}): expected SIGKILL (137) at commit ${kill_points[$i]}, got ${rc}" >&2
-        return 1
-      fi
-    done
-    ENCDNS_DAG="${dag}" ENCDNS_THREADS=1 ./build/tools/encdns_study \
-      --checkpoint-dir "${tmp}/ckpt" --resume \
-      --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null
-    diff -r "${tmp}/ref" "${tmp}/out"
-    cmp "${tmp}/ref.json" "${tmp}/out.json"
+  local kill_points=(3 10 7) threads=(2 8 4) i rc
+  for i in 0 1 2; do
+    rc=0
+    ENCDNS_THREADS="${threads[$i]}" \
+      ENCDNS_CHECKPOINT_KILL_AFTER="${kill_points[$i]}" \
+      ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
+      $([ "$i" -gt 0 ] && echo --resume) \
+      --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" \
+      >/dev/null 2>&1 || rc=$?
+    if [ "${rc}" -ne 137 ]; then
+      echo "chaos: expected SIGKILL (137) at commit ${kill_points[$i]}, got ${rc}" >&2
+      return 1
+    fi
   done
-  echo "kill+resume runs under both schedules are byte-identical to the uninterrupted reference."
+  ENCDNS_THREADS=1 ./build/tools/encdns_study \
+    --checkpoint-dir "${tmp}/ckpt" --resume \
+    --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null
+  diff -r "${tmp}/ref" "${tmp}/out"
+  cmp "${tmp}/ref.json" "${tmp}/out.json"
+  echo "kill+resume runs are byte-identical to the uninterrupted reference."
 }
 
 run_dag_guard() {
-  # DESIGN.md §15: the task-graph schedule must be invisible in the output.
-  # A serial (ENCDNS_DAG=0) reference run writes the golden corpus and the
-  # stable obs JSON; task-graph runs at 1, 2 and 8 threads must reproduce
-  # both byte for byte. bench_macro_study --dag-guard re-checks the report
-  # identity in-process and holds the critical-path wall-clock floor on
-  # multi-core machines. Finally a checkpointed task-graph run is SIGKILLed
-  # mid-flight — overlapping phases and all — and resumed at a different
-  # thread count; the survivor must still match the serial reference.
+  # DESIGN.md §15: the task graph's thread count must be invisible in the
+  # output. A one-thread run writes the reference golden corpus and stable
+  # obs JSON; runs at 2 and 8 threads must reproduce both byte for byte.
+  # bench_macro_study --dag-guard re-checks the report identity in-process
+  # and holds the critical-path wall-clock floor on multi-core machines.
+  # Finally a checkpointed run is SIGKILLed mid-flight — overlapping phases
+  # and all — and resumed at a different thread count; the survivor must
+  # still match the one-thread reference.
   echo "=== task-graph schedule guard ==="
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
-  ENCDNS_DAG=0 ./build/tools/encdns_study \
+  ENCDNS_THREADS=1 ./build/tools/encdns_study \
     --golden-dir "${tmp}/ref" --obs-json "${tmp}/ref.json" >/dev/null
 
   local t
-  for t in 1 2 8; do
-    ENCDNS_DAG=1 ENCDNS_THREADS="${t}" ./build/tools/encdns_study \
+  for t in 2 8; do
+    ENCDNS_THREADS="${t}" ./build/tools/encdns_study \
       --golden-dir "${tmp}/dag" --obs-json "${tmp}/dag.json" >/dev/null
     diff -r "${tmp}/ref" "${tmp}/dag"
     cmp "${tmp}/ref.json" "${tmp}/dag.json"
@@ -143,19 +138,19 @@ run_dag_guard() {
   ./build/bench/bench_macro_study --dag-guard
 
   local rc=0
-  ENCDNS_DAG=1 ENCDNS_THREADS=2 ENCDNS_CHECKPOINT_KILL_AFTER=5 \
+  ENCDNS_THREADS=2 ENCDNS_CHECKPOINT_KILL_AFTER=5 \
     ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
     --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null 2>&1 || rc=$?
   if [ "${rc}" -ne 137 ]; then
     echo "dag-guard: expected SIGKILL (137) at commit 5, got ${rc}" >&2
     return 1
   fi
-  ENCDNS_DAG=1 ENCDNS_THREADS=8 ./build/tools/encdns_study \
+  ENCDNS_THREADS=8 ./build/tools/encdns_study \
     --checkpoint-dir "${tmp}/ckpt" --resume \
     --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null
   diff -r "${tmp}/ref" "${tmp}/out"
   cmp "${tmp}/ref.json" "${tmp}/out.json"
-  echo "task-graph runs are byte-identical to serial, including kill/resume."
+  echo "task-graph runs match the one-thread reference, including kill/resume."
 }
 
 run_checkpoint_guard() {

@@ -121,14 +121,12 @@ int main(int argc, char** argv) {
     if (!checkpoint_dir.empty()) study.enable_checkpoint(checkpoint_dir, resume);
     if (deadline > 0.0) study.set_deadline(deadline);
 
-    // Checkpointing requires the canonical phase order (the journal's metrics
-    // snapshots are absolute restore points only when every predecessor had
-    // committed), so drive the full study up front; the experiment tables
-    // below then read cached results. Golden snapshots do the same when the
-    // task graph is on, so the corpus is produced by the overlapping
-    // schedule — which the DAG guard then compares against ENCDNS_DAG=0.
+    // A journal records the task graph's phases, so a checkpointed run
+    // drives the full study up front and the experiment tables below read
+    // cached results. Golden snapshots do the same, so the corpus is what
+    // the task graph produces.
     if (!checkpoint_dir.empty() || obs_text || !obs_json.empty() ||
-        (!golden_dir.empty() && core::Study::dag_enabled())) {
+        !golden_dir.empty()) {
       const auto& obs_report = study.observability_report();
       if (obs_text) std::printf("%s\n", obs_report.to_text().c_str());
       if (!obs_json.empty()) {

@@ -316,10 +316,10 @@ BaselineRow find_baseline_row(const std::string& text, const std::string& name) 
 /// measurements plus ~20% headroom: the measurement fan-out phases with flat
 /// wire-form names (45.95 / 38.59 / 19.36 per unit at 4 threads), and the
 /// two rows whose unit costs far less than one allocation — 0.0356 per SYN
-/// probe and 0.0150 per raw flow, at 1 and 4 threads — where the relative
-/// bound's +2 per unit would let the phase allocate 50-200x its count. Full
-/// scale only — the quick-scale phases amortise fixed setup over far fewer
-/// work units.
+/// probe and, since the fused traffic pass, 0.00320 per raw flow, at 1 and
+/// 4 threads — where the relative bound's +2 per unit would let the phase
+/// allocate 50-600x its count. Full scale only — the quick-scale phases
+/// amortise fixed setup over far fewer work units.
 struct AllocCeiling {
   const char* name;
   double allocs_per_unit;
@@ -329,7 +329,7 @@ constexpr AllocCeiling kPhaseAllocCeilings[] = {
     {"reachability_global", 55.0},
     {"reachability_cn", 46.5},
     {"doh_discovery", 23.5},
-    {"netflow", 0.018},
+    {"netflow", 0.0038},
 };
 
 bool check_alloc_ceilings(const std::vector<Row>& rows) {

@@ -101,9 +101,8 @@ class Study {
   [[nodiscard]] const traffic::NetflowStudyResults& netflow();
   [[nodiscard]] const traffic::PassiveDnsStudyResults& passive_dns();
 
-  /// The multi-year adoption trend engine (DESIGN.md §16): streaming
-  /// columnar aggregation at 100×+ the §5.2 corpus with HLL distinct-client
-  /// sketches. Scaled by ENCDNS_NETFLOW_SCALE; sketch precision via
+  /// The multi-year adoption trend engine (DESIGN.md §16): one fused pass
+  /// per day at 100×+ the §5.2 corpus with HLL distinct-client sketches. Scaled by ENCDNS_NETFLOW_SCALE; sketch precision via
   /// ENCDNS_HLL_PRECISION.
   [[nodiscard]] const traffic::TrendStudyResults& netflow_trend();
 

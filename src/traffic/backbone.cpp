@@ -44,9 +44,18 @@ double AdoptionCurve::daily_raw_flows(const std::string& resolver,
   return 0.0;
 }
 
-BackboneModel::BackboneModel(BackboneConfig config) : config_(config),
-                                                      adoption_(config.seed) {
+BackboneModel::BackboneModel(BackboneConfig config)
+    : config_(config),
+      adoption_(config.seed),
+      targets_{{{"cloudflare",
+                  {world::addrs::kCloudflarePrimary,
+                   world::addrs::kCloudflareSecondary},
+                  2},
+                 {"quad9", {world::addrs::kQuad9Primary}, 1}}} {
   build_netblocks();
+  active_.reserve(netblocks_.size());
+  for (const NetblockInfo& nb : netblocks_)
+    active_.push_back({nb.active_from.to_days(), nb.active_to.to_days()});
 }
 
 void BackboneModel::build_netblocks() {
@@ -101,67 +110,6 @@ void BackboneModel::build_netblocks() {
   // Scanner sources live outside the client space.
   scanner_sources_ = {util::Ipv4{162, 142, 125, 7}, util::Ipv4{74, 120, 14, 33},
                       util::Ipv4{167, 94, 138, 2}};
-}
-
-void BackboneModel::generate_day_into(const util::Date& day,
-                                      FlowBatch& batch) const {
-  // Per-day rng stream: each day's flows are a pure function of (seed, day),
-  // independent of every other day — the property day-sharded parallel
-  // aggregation relies on.
-  util::Rng rng(util::mix64(config_.seed ^ 0xF10A7ULL ^
-                            static_cast<std::uint64_t>(day.to_days())));
-  static const std::vector<std::pair<std::string, std::vector<util::Ipv4>>>
-      resolvers = {
-          {"cloudflare",
-           {world::addrs::kCloudflarePrimary, world::addrs::kCloudflareSecondary}},
-          {"quad9", {world::addrs::kQuad9Primary}},
-      };
-
-  // Active blocks and their weight mass today.
-  double mass = 0.0;
-  for (const auto& nb : netblocks_)
-    if (day.in_window(nb.active_from, nb.active_to)) mass += nb.weight;
-  if (mass <= 0.0) return;
-
-  for (const auto& [resolver, addresses] : resolvers) {
-    const double daily = adoption_.daily_raw_flows(resolver, day);
-    if (daily <= 0.0) continue;
-    for (const auto& nb : netblocks_) {
-      if (!day.in_window(nb.active_from, nb.active_to)) continue;
-      const auto flows = rng.poisson(daily * nb.weight / mass);
-      for (std::uint64_t f = 0; f < flows; ++f) {
-        RawFlow flow;
-        flow.src = util::Ipv4{nb.slash24.value() |
-                              static_cast<std::uint32_t>(1 + rng.below(254))};
-        flow.dst = addresses[rng.below(addresses.size())];
-        flow.src_port = static_cast<std::uint16_t>(20000 + rng.below(40000));
-        flow.dst_port = 853;
-        flow.protocol = kProtoTcp;
-        flow.packets = static_cast<std::uint32_t>(
-            std::clamp(rng.lognormal(18.0, 0.5), 4.0, 120.0));
-        flow.bytes = static_cast<std::uint64_t>(flow.packets) * 110;
-        flow.complete_session = true;
-        flow.date = day;
-        batch.push(flow);
-      }
-    }
-  }
-
-  // Port-853 scanner probes: lone SYNs toward random destinations.
-  const auto probes = rng.poisson(config_.scanner_probes_per_day);
-  for (std::uint64_t p = 0; p < probes; ++p) {
-    RawFlow probe;
-    probe.src = scanner_sources_[rng.below(scanner_sources_.size())];
-    probe.dst = util::Ipv4{static_cast<std::uint32_t>(rng.next())};
-    probe.src_port = static_cast<std::uint16_t>(40000 + rng.below(20000));
-    probe.dst_port = 853;
-    probe.protocol = kProtoTcp;
-    probe.packets = 1;
-    probe.bytes = 60;
-    probe.complete_session = false;
-    probe.date = day;
-    batch.push(probe);
-  }
 }
 
 }  // namespace encdns::traffic

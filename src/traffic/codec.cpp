@@ -18,7 +18,12 @@ std::map<util::Date, std::uint64_t> decode_monthly(util::ByteReader& r) {
   const std::uint32_t n = r.count(16);
   for (std::uint32_t i = 0; i < n; ++i) {
     const util::Date month = util::Date::from_days(r.i64());
-    monthly[month] = r.u64();
+    if (month.day != 1)
+      throw util::CodecError("monthly: key " + month.to_string() +
+                             " is not a month start");
+    if (!monthly.empty() && !(monthly.rbegin()->first < month))
+      throw util::CodecError("monthly: keys not strictly ascending");
+    monthly.emplace_hint(monthly.end(), month, r.u64());
   }
   return monthly;
 }
@@ -99,12 +104,27 @@ void decode_detector(util::ByteReader& r, ScanDetector& detector) {
   for (std::uint32_t i = 0; i < n; ++i) {
     ScanDetector::ExportedSource source;
     source.src = r.u32();
+    if (!sources.empty() && source.src <= sources.back().src)
+      throw util::CodecError("detector: sources not strictly ascending");
     source.flows = r.u64();
     source.incomplete = r.u64();
-    source.state = static_cast<ScanDetector::State>(r.u8());
+    if (source.incomplete > source.flows)
+      throw util::CodecError("detector: more incomplete flows than flows");
+    const std::uint8_t state = r.u8();
+    if (state > static_cast<std::uint8_t>(ScanDetector::State::kScanner))
+      throw util::CodecError("detector: unknown state " + std::to_string(state));
+    source.state = static_cast<ScanDetector::State>(state);
     const std::uint32_t n_dsts = r.count(4);
+    if (n_dsts > ScanDetector::kDstSetCap)
+      throw util::CodecError("detector: destination list over the cap");
     source.dsts.reserve(n_dsts);
-    for (std::uint32_t j = 0; j < n_dsts; ++j) source.dsts.push_back(r.u32());
+    for (std::uint32_t j = 0; j < n_dsts; ++j) {
+      const std::uint32_t dst = r.u32();
+      if (!source.dsts.empty() && dst <= source.dsts.back())
+        throw util::CodecError(
+            "detector: destinations not strictly ascending");
+      source.dsts.push_back(dst);
+    }
     sources.push_back(std::move(source));
   }
   detector.restore_sources(sources);

@@ -3,7 +3,6 @@
 // passive-DNS stores.
 #pragma once
 
-#include "traffic/flow_batch.hpp"
 #include "traffic/hll.hpp"
 #include "traffic/netflow_study.hpp"
 #include "traffic/passive_dns.hpp"
@@ -13,6 +12,8 @@
 
 namespace encdns::traffic {
 
+/// A monthly series; decoding rejects keys that are not month starts or not
+/// strictly ascending.
 void encode_monthly(util::ByteWriter& w,
                     const std::map<util::Date, std::uint64_t>& monthly);
 [[nodiscard]] std::map<util::Date, std::uint64_t> decode_monthly(
@@ -22,6 +23,9 @@ void encode_netflow_results(util::ByteWriter& w,
                             const NetflowStudyResults& results);
 [[nodiscard]] NetflowStudyResults decode_netflow_results(util::ByteReader& r);
 
+/// A scan detector's sources. Decoding rejects sources out of ascending
+/// order, a state above kScanner, more incomplete flows than flows, and
+/// destination lists that are unsorted, duplicated or over the cap.
 void encode_detector(util::ByteWriter& w, const ScanDetector& detector);
 void decode_detector(util::ByteReader& r, ScanDetector& detector);
 

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/rng.hpp"
-
 namespace encdns::traffic {
 namespace {
 
@@ -18,18 +16,6 @@ double alpha_for(std::size_t m) noexcept {
   return 0.7213 / (1.0 + 1.079 / static_cast<double>(m));
 }
 
-int rank_of(std::uint64_t bits, int width) noexcept {
-  // Position of the leftmost set bit within `width` bits, 1-based; width+1
-  // when all of them are zero.
-  int rank = 1;
-  std::uint64_t mask = 1ULL << (width - 1);
-  while (mask != 0 && (bits & mask) == 0) {
-    ++rank;
-    mask >>= 1;
-  }
-  return rank;
-}
-
 }  // namespace
 
 Hll::Hll(int precision, std::uint64_t seed)
@@ -39,18 +25,6 @@ Hll::Hll(int precision, std::uint64_t seed)
                                 std::to_string(precision));
   }
   registers_.assign(std::size_t{1} << precision, 0);
-}
-
-void Hll::add(std::uint64_t value) noexcept {
-  // Double mixing decorrelates the seed from structured inputs (sequential
-  // client addresses differ in a handful of low bits).
-  const std::uint64_t hash = util::mix64(util::mix64(value) ^ seed_);
-  const std::size_t index =
-      static_cast<std::size_t>(hash >> (64 - precision_));
-  const int width = 64 - precision_;
-  const std::uint64_t rest = hash << precision_ >> precision_;
-  const auto rank = static_cast<std::uint8_t>(rank_of(rest, width));
-  if (rank > registers_[index]) registers_[index] = rank;
 }
 
 double Hll::estimate() const noexcept {
@@ -81,11 +55,8 @@ void Hll::merge(const Hll& other) {
   if (seed_ != other.seed_) {
     throw std::invalid_argument("Hll merge: hash seed mismatch");
   }
-  for (std::size_t i = 0; i < registers_.size(); ++i) {
-    if (other.registers_[i] > registers_[i]) {
-      registers_[i] = other.registers_[i];
-    }
-  }
+  for (std::size_t i = 0; i < registers_.size(); ++i)
+    registers_[i] = std::max(registers_[i], other.registers_[i]);
 }
 
 void Hll::clear() noexcept {

@@ -16,9 +16,12 @@
 //    change a reported count.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace encdns::traffic {
 
@@ -38,7 +41,20 @@ class Hll {
 
   /// Fold one value into the sketch. Adding the same value twice is a no-op
   /// on the registers (rank max), which is what makes self-merge idempotent.
-  void add(std::uint64_t value) noexcept;
+  /// Inline: the trend pass adds every generated record.
+  void add(std::uint64_t value) noexcept {
+    // Double mixing decorrelates the seed from structured inputs (sequential
+    // client addresses differ in a handful of low bits).
+    const std::uint64_t hash = util::mix64(util::mix64(value) ^ seed_);
+    const std::size_t index =
+        static_cast<std::size_t>(hash >> (64 - precision_));
+    // The rank is the 1-based position of the leftmost set bit among the
+    // 64 - p bits below the index, and 64 - p + 1 when they are all zero.
+    const std::uint64_t rest = hash << precision_ >> precision_;
+    const auto rank =
+        static_cast<std::uint8_t>(std::countl_zero(rest) - precision_ + 1);
+    if (rank > registers_[index]) registers_[index] = rank;
+  }
 
   /// Bias-corrected cardinality estimate.
   [[nodiscard]] double estimate() const noexcept;

@@ -1,57 +1,18 @@
 #include "traffic/netflow.hpp"
 
+#include <cmath>
+
 namespace encdns::traffic {
 
-std::optional<FlowRecord> NetflowCollector::observe(const RawFlow& flow) {
-  return observe(flow, rng_);
-}
-
-std::optional<FlowRecord> NetflowCollector::observe(const RawFlow& flow,
-                                                    util::Rng& rng) {
-  ++seen_;
-  if (flow.packets == 0) return std::nullopt;
-
-  // First (SYN) and last (FIN) packets are sampled individually; the middle
-  // of the flow is approximated with a Poisson draw at the sampling rate.
-  const bool syn_sampled = flow.protocol == kProtoTcp && rng.chance(rate_);
-  const bool fin_sampled = flow.protocol == kProtoTcp && flow.complete_session &&
-                           flow.packets > 1 && rng.chance(rate_);
-  const std::uint32_t middle =
-      flow.packets > 2 ? flow.packets - 2 : 0;
-  const auto middle_sampled =
-      static_cast<std::uint32_t>(rng.poisson(static_cast<double>(middle) * rate_));
-
-  std::uint32_t sampled = middle_sampled + (syn_sampled ? 1 : 0) +
-                          (fin_sampled ? 1 : 0);
-  if (flow.packets == 1 && flow.protocol == kProtoUdp)
-    sampled = rng.chance(rate_) ? 1 : 0;
-  if (sampled == 0) return std::nullopt;
-
-  FlowRecord record;
-  record.src = flow.src;
-  record.dst = flow.dst;
-  record.src_port = flow.src_port;
-  record.dst_port = flow.dst_port;
-  record.protocol = flow.protocol;
-  record.packets = sampled;
-  record.bytes = flow.bytes * sampled / flow.packets;
-  record.date = flow.date;
-  if (flow.protocol == kProtoTcp) {
-    if (syn_sampled) record.tcp_flags |= tcpflags::kSyn;
-    if (!flow.complete_session) {
-      // A lone SYN probe never elicits data packets.
-      record.tcp_flags = tcpflags::kSyn;
-      record.packets = syn_sampled ? 1 : 0;
-      if (record.packets == 0) return std::nullopt;
-    } else {
-      if (middle_sampled > 0)
-        record.tcp_flags |= tcpflags::kAck | tcpflags::kPsh;
-      if (fin_sampled) record.tcp_flags |= tcpflags::kFin | tcpflags::kAck;
-      if (record.tcp_flags == 0) record.tcp_flags = tcpflags::kAck;
-    }
+NetflowCollector::NetflowCollector(double sampling_rate)
+    : rate_(sampling_rate) {
+  for (std::uint32_t m = 1; m < kPoissonTable; ++m) {
+    // The same expression Rng::poisson evaluates for lambda = m * rate.
+    const double lambda = static_cast<double>(m) * rate_;
+    if (!(lambda > 0.0 && lambda <= 64.0)) break;
+    limit_[m] = std::exp(-lambda);
+    tabled_ = m;
   }
-  ++exported_;
-  return record;
 }
 
 }  // namespace encdns::traffic

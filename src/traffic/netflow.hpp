@@ -4,9 +4,8 @@
 // idle flows after 15 seconds.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "util/date.hpp"
 #include "util/ipv4.hpp"
@@ -26,8 +25,9 @@ inline constexpr std::uint8_t kAck = 0x10;
 inline constexpr std::uint8_t kProtoTcp = 6;
 inline constexpr std::uint8_t kProtoUdp = 17;
 
-/// Ground-truth traffic: one transport flow as it crossed the backbone.
-struct RawFlow {
+/// Ground-truth traffic: one transport flow as it crossed the backbone. The
+/// pass that generates a flow knows its day, so the header carries none.
+struct FlowHeader {
   util::Ipv4 src;
   util::Ipv4 dst;
   std::uint16_t src_port = 0;
@@ -36,10 +36,26 @@ struct RawFlow {
   std::uint32_t packets = 1;   // client->server direction
   std::uint64_t bytes = 64;
   bool complete_session = true;  // SYN..ACK/PSH..FIN exchange (false: lone SYN)
-  util::Date date;
 };
 
-/// One exported (sampled) record.
+/// What packet sampling exported of one flow: a record exists when
+/// `packets` > 0, and it carries the flow's addresses and ports.
+struct FlowSample {
+  std::uint32_t packets = 0;  // sampled packet count
+  std::uint64_t bytes = 0;
+  std::uint8_t tcp_flags = 0;  // union over sampled packets (TCP only)
+
+  [[nodiscard]] explicit operator bool() const noexcept { return packets != 0; }
+
+  /// §5.2 exclusion rule: a record whose only flag content is one SYN is an
+  /// incomplete handshake and cannot carry DoT queries. Only TCP samples
+  /// carry flags, so the rule needs no protocol check.
+  [[nodiscard]] bool single_syn() const noexcept {
+    return tcp_flags == tcpflags::kSyn && packets <= 1;
+  }
+};
+
+/// One exported (sampled) record, as the NetFlow v5 codec carries it.
 struct FlowRecord {
   util::Ipv4 src;
   util::Ipv4 dst;
@@ -51,8 +67,7 @@ struct FlowRecord {
   std::uint8_t tcp_flags = 0;  // union over sampled packets
   util::Date date;
 
-  /// §5.2 exclusion rule: a record whose only flag content is one SYN is an
-  /// incomplete handshake and cannot carry DoT queries.
+  /// The FlowSample::single_syn rule for a record of any protocol.
   [[nodiscard]] bool single_syn() const noexcept {
     return protocol == kProtoTcp && tcp_flags == tcpflags::kSyn && packets <= 1;
   }
@@ -60,38 +75,84 @@ struct FlowRecord {
 
 class NetflowCollector {
  public:
-  explicit NetflowCollector(double sampling_rate = 1.0 / 3000.0,
-                            std::uint64_t seed = 0x5EEDF10ULL)
-      : rate_(sampling_rate), rng_(util::mix64(seed)) {}
+  /// Middle-packet counts below this have their Poisson limit tabled.
+  static constexpr std::uint32_t kPoissonTable = 128;
 
-  /// Run one raw flow through packet sampling; a record is exported only if
-  /// at least one of its packets was sampled. Flag union reflects *which*
-  /// packets were sampled: the SYN appears only if the first packet was hit,
-  /// the FIN only if the last one was.
-  [[nodiscard]] std::optional<FlowRecord> observe(const RawFlow& flow);
+  explicit NetflowCollector(double sampling_rate = 1.0 / 3000.0);
 
-  /// As above, but drawing sampling decisions from a caller-supplied rng
-  /// instead of the collector's own stream. Parallel aggregation uses this
-  /// with a per-day rng so sampling is independent of processing order.
-  [[nodiscard]] std::optional<FlowRecord> observe(const RawFlow& flow,
-                                                  util::Rng& rng);
+  /// Run one raw flow through packet sampling, drawing every decision from
+  /// `rng` — the pass's per-day sampling stream, so sampling is independent
+  /// of processing order. A record is exported only if at least one of the
+  /// flow's packets was sampled. The flag union reflects *which* packets
+  /// were sampled: the SYN appears only if the first packet was hit, the FIN
+  /// only if the last one was.
+  [[nodiscard]] FlowSample observe(const FlowHeader& flow,
+                                   util::Rng& rng) const noexcept;
 
-  /// Fold another collector's tallies into this one (canonical-order merge of
-  /// per-shard collectors).
-  void merge(const NetflowCollector& other) noexcept {
-    seen_ += other.seen_;
-    exported_ += other.exported_;
-  }
-
-  [[nodiscard]] double sampling_rate() const noexcept { return rate_; }
-  [[nodiscard]] std::uint64_t flows_seen() const noexcept { return seen_; }
-  [[nodiscard]] std::uint64_t records_exported() const noexcept { return exported_; }
+  /// Rng::poisson(packets * the sampling rate), value for value and draw for
+  /// draw: Knuth's loop against the tabled limit where Rng::poisson would
+  /// run it, Rng::poisson itself everywhere else.
+  [[nodiscard]] std::uint64_t poisson(std::uint32_t packets,
+                                      util::Rng& rng) const noexcept;
 
  private:
   double rate_;
-  util::Rng rng_;
-  std::uint64_t seen_ = 0;
-  std::uint64_t exported_ = 0;
+  // limit_[m] = exp(-(m * rate)) for 1 <= m <= tabled_: the m for which
+  // 0 < m * rate <= 64, where Rng::poisson runs Knuth's loop.
+  std::uint32_t tabled_ = 0;
+  std::array<double, kPoissonTable> limit_{};
 };
+
+inline std::uint64_t NetflowCollector::poisson(std::uint32_t packets,
+                                               util::Rng& rng) const noexcept {
+  if (packets == 0 || packets > tabled_)
+    return rng.poisson(static_cast<double>(packets) * rate_);
+  const double limit = limit_[packets];
+  std::uint64_t k = 0;
+  double p = 1.0;
+  do {
+    ++k;
+    p *= rng.uniform();
+  } while (p > limit);
+  return k - 1;
+}
+
+inline FlowSample NetflowCollector::observe(const FlowHeader& flow,
+                                            util::Rng& rng) const noexcept {
+  if (flow.packets == 0) return {};
+  const bool tcp = flow.protocol == kProtoTcp;
+  // First (SYN) and last (FIN) packets are sampled individually; the middle
+  // of the flow is approximated with a Poisson draw at the sampling rate.
+  const bool syn_sampled = tcp && rng.chance(rate_);
+  const bool fin_sampled =
+      tcp && flow.complete_session && flow.packets > 1 && rng.chance(rate_);
+  const std::uint32_t middle = flow.packets > 2 ? flow.packets - 2 : 0;
+  const auto middle_sampled = static_cast<std::uint32_t>(poisson(middle, rng));
+
+  std::uint32_t sampled = middle_sampled + (syn_sampled ? 1 : 0) +
+                          (fin_sampled ? 1 : 0);
+  if (flow.packets == 1 && flow.protocol == kProtoUdp)
+    sampled = rng.chance(rate_) ? 1 : 0;
+  if (sampled == 0) return {};
+
+  FlowSample sample;
+  sample.packets = sampled;
+  sample.bytes = flow.bytes * sampled / flow.packets;
+  if (tcp) {
+    if (!flow.complete_session) {
+      // A lone SYN probe never elicits data packets.
+      if (!syn_sampled) return {};
+      sample.tcp_flags = tcpflags::kSyn;
+      sample.packets = 1;
+    } else {
+      if (syn_sampled) sample.tcp_flags |= tcpflags::kSyn;
+      if (middle_sampled > 0)
+        sample.tcp_flags |= tcpflags::kAck | tcpflags::kPsh;
+      if (fin_sampled) sample.tcp_flags |= tcpflags::kFin | tcpflags::kAck;
+      if (sample.tcp_flags == 0) sample.tcp_flags = tcpflags::kAck;
+    }
+  }
+  return sample;
+}
 
 }  // namespace encdns::traffic

@@ -1,6 +1,7 @@
 #include "traffic/netflow_study.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "exec/blocked_pass.hpp"
@@ -55,26 +56,60 @@ std::unordered_map<std::uint32_t, std::string> big_resolver_address_list() {
 NetflowStudy::NetflowStudy(
     NetflowStudyConfig config,
     std::unordered_map<std::uint32_t, std::string> resolver_addresses)
-    : config_(std::move(config)), resolvers_(std::move(resolver_addresses)) {}
+    : config_(std::move(config)) {
+  for (const auto& [addr, label] : resolver_addresses) {
+    resolver_labels_[addr] = label == "cloudflare" ? kCloudflare
+                             : label == "quad9"    ? kQuad9
+                                                   : kOtherLabel;
+  }
+}
 
 NetflowStudyResults NetflowStudy::run() {
   OBS_SPAN("traffic.netflow");
   NetflowStudyResults results;
   BackboneModel model(config_.backbone);
+  const NetflowCollector collector(config_.sampling_rate);
+
+  const std::int64_t start_day = config_.backbone.start.to_days();
+  const std::int64_t total_days =
+      util::days_between(config_.backbone.start, config_.backbone.end);
+  const auto n_days =
+      static_cast<std::size_t>(total_days > 0 ? total_days : 0);
+  results.days_planned = n_days;
+  // Active days are bits over the window: window day d is bit d % 64 of
+  // word d / 64.
+  const std::size_t n_words = (n_days + 63) / 64;
+
+  // The day -> month table: window day d falls in months[month_of[d]].
+  // Days stay integers from here on.
+  std::vector<util::Date> months;
+  for (util::Date month = config_.backbone.start.month_start();
+       month < config_.backbone.end; month = month.next_month())
+    months.push_back(month);
+  std::vector<std::uint32_t> month_of(n_days);
+  for (std::size_t d = 0; d < n_days; ++d)
+    month_of[d] = static_cast<std::uint32_t>(util::months_between(
+        months.front(),
+        config_.backbone.start.plus_days(static_cast<std::int64_t>(d))));
+  const std::size_t n_months = months.size();
+  // Figure 11's series, flat: monthly[label * n_months + month].
+  constexpr std::size_t kSeries = kOtherLabel;
 
   struct BlockAccumulator {
     std::uint64_t records = 0;
-    std::unordered_set<std::int64_t> days;
-    util::Date first, last;
+    std::int64_t first = 0;  // day numbers
+    std::int64_t last = 0;
+    std::vector<std::uint64_t> days;  // n_words of active-day bits
   };
 
   // The 18-month period is partitioned into a fixed number of contiguous
-  // day-range shards. Each shard generates its days (per-day rng streams),
-  // samples them with a per-day sampling rng, and fills its own accumulators;
-  // the partials are then folded in ascending shard order, which reproduces
-  // the serial day-by-day pass exactly.
+  // day-range shards. Each shard runs one fused pass per day: the backbone
+  // hands every generated flow straight to the scan detector and to the
+  // collector (a per-day sampling rng), and a sampled DoT record goes
+  // straight into the shard's accumulators. The partials are then folded in
+  // ascending shard order, which reproduces the serial day-by-day pass
+  // exactly.
   struct ShardPartial {
-    NetflowCollector collector;
     ScanDetector detector;
     // Per-flow tallies stay in the shard partial (the backbone emits millions
     // of flows) and reach the counters once, at the serial merge.
@@ -83,30 +118,41 @@ NetflowStudyResults NetflowStudy::run() {
     std::uint64_t excluded_single_syn = 0;
     std::uint64_t unmatched_853_records = 0;
     std::uint64_t total_dot_records = 0;
-    std::map<util::Date, std::uint64_t> cloudflare_monthly;
-    std::map<util::Date, std::uint64_t> quad9_monthly;
+    std::vector<std::uint64_t> monthly;
     std::unordered_map<std::uint32_t, BlockAccumulator> blocks;
     // Distinct client /24s as a sketch: register-max merge makes the shard
     // layout invisible in the estimate (DESIGN.md §16).
     Hll block_sketch;
-
-    explicit ShardPartial(double rate) : collector(rate) {}
   };
 
-  const std::int64_t total_days =
-      util::days_between(config_.backbone.start, config_.backbone.end);
-  const auto n_days =
-      static_cast<std::size_t>(total_days > 0 ? total_days : 0);
-  results.days_planned = n_days;
-
   // Persistent accumulator, folded group by group. Ascending shard order =
-  // ascending day order, so first/last seen dates fold exactly as the serial
+  // ascending day order, so first/last seen days fold exactly as the serial
   // day-by-day pass would set them.
   ScanDetector detector;
+  std::vector<std::uint64_t> monthly(kSeries * n_months, 0);
   std::unordered_map<std::uint32_t, BlockAccumulator> blocks;
   Hll block_sketch;
   std::uint64_t flows_observed = 0;
   std::uint64_t records_sampled = 0;
+
+  // A series as Figure 11 keys it: months with at least one record.
+  const auto series = [&](Label label) {
+    std::map<util::Date, std::uint64_t> out;
+    for (std::size_t m = 0; m < n_months; ++m)
+      if (const std::uint64_t count = monthly[label * n_months + m]; count > 0)
+        out.emplace(months[m], count);
+    return out;
+  };
+  const auto restore_series = [&](Label label, util::ByteReader& r) {
+    for (const auto& [month, count] : decode_monthly(r)) {
+      const auto it = std::lower_bound(months.begin(), months.end(), month);
+      if (it == months.end() || *it != month)
+        throw util::CodecError("netflow checkpoint: month " +
+                               month.to_string() + " outside the window");
+      monthly[label * n_months +
+              static_cast<std::size_t>(it - months.begin())] = count;
+    }
+  };
 
   // The 16 shards run as a blocked pass (exec/blocked_pass.hpp) in groups
   // of four: group boundaries are where checkpoints land and cancellation
@@ -121,60 +167,53 @@ NetflowStudyResults NetflowStudy::run() {
       .pool = config_.pool, .thread_count = config_.thread_count,
       .cancel = config_.cancel, .checkpoint = config_.checkpoint,
       .run = [&](const exec::Block& group) {
-        partials = std::vector<ShardPartial>(
-            group.count, ShardPartial(config_.sampling_rate));
+        partials = std::vector<ShardPartial>(group.count);
         return group.run_shards([&](std::size_t s) {
           const std::size_t shard = group.first + s;
           const auto [first, last] =
               exec::shard_range(n_days, kNetflowShards, shard);
           ShardPartial& partial = partials[s];
-          // One columnar batch per shard, cleared and refilled day after day
-          // (capacity survives the clear): steady-state generation allocates
-          // nothing, and a completed day leaves no per-record state behind —
-          // only the bounded accumulators above.
-          FlowBatch batch;
+          partial.monthly.assign(kSeries * n_months, 0);
+          // A completed day leaves no per-flow state behind — only the
+          // bounded accumulators above.
           for (std::size_t d = first; d < last; ++d) {
-            const util::Date day =
-                config_.backbone.start.plus_days(static_cast<std::int64_t>(d));
+            const std::int64_t day = start_day + static_cast<std::int64_t>(d);
             // Sampling decisions are a pure function of (seed, day):
             // independent of both the shard layout and the processing order.
-            util::Rng day_rng(
-                util::mix64(config_.seed ^ 0x5A3DULL ^
-                            static_cast<std::uint64_t>(day.to_days())));
-            batch.clear();
-            model.generate_day_into(day, batch);
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-              const RawFlow flow = batch.row(i);
-              ++partial.flows_observed;
+            util::Rng day_rng(util::mix64(config_.seed ^ 0x5A3DULL ^
+                                          static_cast<std::uint64_t>(day)));
+            const auto visit = [&](const FlowHeader& flow) {
               partial.detector.observe(flow);
-              const auto record = partial.collector.observe(flow, day_rng);
-              if (!record) continue;
+              const FlowSample sample = collector.observe(flow, day_rng);
+              if (!sample) return;
               ++partial.records_sampled;
-              if (record->protocol != kProtoTcp || record->dst_port != 853)
-                continue;
-              if (record->single_syn()) {
+              if (flow.protocol != kProtoTcp || flow.dst_port != 853) return;
+              if (sample.single_syn()) {
                 ++partial.excluded_single_syn;
-                continue;
+                return;
               }
-              const auto it = resolvers_.find(record->dst.value());
-              if (it == resolvers_.end()) {
+              const auto it = resolver_labels_.find(flow.dst.value());
+              if (it == resolver_labels_.end()) {
                 ++partial.unmatched_853_records;
-                continue;
+                return;
               }
               ++partial.total_dot_records;
-              const util::Date month = record->date.month_start();
-              if (it->second == "cloudflare") ++partial.cloudflare_monthly[month];
-              else if (it->second == "quad9") ++partial.quad9_monthly[month];
+              if (it->second < kSeries)
+                ++partial.monthly[it->second * n_months + month_of[d]];
 
               // Ethics: keep only the /24 of the client address from here on.
-              const util::Ipv4 block = record->src.slash24();
-              partial.block_sketch.add(block.value());
-              auto& acc = partial.blocks[block.value()];
-              if (acc.records == 0) acc.first = record->date;
-              acc.last = record->date;
+              const std::uint32_t block = flow.src.slash24().value();
+              partial.block_sketch.add(block);
+              auto& acc = partial.blocks[block];
+              if (acc.records == 0) {
+                acc.first = day;
+                acc.days.assign(n_words, 0);
+              }
+              acc.last = day;
               ++acc.records;
-              acc.days.insert(record->date.to_days());
-            }
+              acc.days[d / 64] |= std::uint64_t{1} << (d % 64);
+            };
+            partial.flows_observed += model.generate_day(day, visit);
           }
         });
       },
@@ -187,16 +226,15 @@ NetflowStudyResults NetflowStudy::run() {
           results.excluded_single_syn += partial.excluded_single_syn;
           results.unmatched_853_records += partial.unmatched_853_records;
           results.total_dot_records += partial.total_dot_records;
-          for (const auto& [month, count] : partial.cloudflare_monthly)
-            results.cloudflare_monthly[month] += count;
-          for (const auto& [month, count] : partial.quad9_monthly)
-            results.quad9_monthly[month] += count;
+          for (std::size_t i = 0; i < monthly.size(); ++i)
+            monthly[i] += partial.monthly[i];
           for (auto& [addr, theirs] : partial.blocks) {
             auto& acc = blocks[addr];
+            if (acc.days.empty()) acc.days.assign(n_words, 0);
             if (acc.records == 0) acc.first = theirs.first;
             acc.last = theirs.last;
             acc.records += theirs.records;
-            acc.days.merge(theirs.days);
+            for (std::size_t w = 0; w < n_words; ++w) acc.days[w] |= theirs.days[w];
           }
           block_sketch.merge(partial.block_sketch);
           const auto [first, last] =
@@ -205,6 +243,7 @@ NetflowStudyResults NetflowStudy::run() {
         }
         return sim::Millis{0.0};
       },
+      // The saved state lists each block's active days in ascending order.
       .encode = [&](util::ByteWriter& w, std::size_t done) {
         w.u64(done / kGroupShards);
         w.u64(results.days_processed);
@@ -213,8 +252,8 @@ NetflowStudyResults NetflowStudy::run() {
         w.u64(results.excluded_single_syn);
         w.u64(results.unmatched_853_records);
         w.u64(results.total_dot_records);
-        encode_monthly(w, results.cloudflare_monthly);
-        encode_monthly(w, results.quad9_monthly);
+        encode_monthly(w, series(kCloudflare));
+        encode_monthly(w, series(kQuad9));
         std::vector<std::uint32_t> sorted_blocks;
         sorted_blocks.reserve(blocks.size());
         for (const auto& [addr, acc] : blocks) sorted_blocks.push_back(addr);
@@ -224,12 +263,17 @@ NetflowStudyResults NetflowStudy::run() {
           const auto& acc = blocks.at(addr);
           w.u32(addr);
           w.u64(acc.records);
-          w.i64(acc.first.to_days());
-          w.i64(acc.last.to_days());
-          std::vector<std::int64_t> active(acc.days.begin(), acc.days.end());
-          std::sort(active.begin(), active.end());
-          w.u32(static_cast<std::uint32_t>(active.size()));
-          for (const std::int64_t day : active) w.i64(day);
+          w.i64(acc.first);
+          w.i64(acc.last);
+          std::uint32_t active = 0;
+          for (const std::uint64_t word : acc.days)
+            active += static_cast<std::uint32_t>(std::popcount(word));
+          w.u32(active);
+          for (std::size_t i = 0; i < n_words; ++i) {
+            for (std::uint64_t word = acc.days[i]; word != 0; word &= word - 1)
+              w.i64(start_day + static_cast<std::int64_t>(
+                                    i * 64 + std::countr_zero(word)));
+          }
         }
         encode_hll(w, block_sketch);
         encode_detector(w, detector);
@@ -242,16 +286,40 @@ NetflowStudyResults NetflowStudy::run() {
         results.excluded_single_syn = r.u64();
         results.unmatched_853_records = r.u64();
         results.total_dot_records = r.u64();
-        results.cloudflare_monthly = decode_monthly(r);
-        results.quad9_monthly = decode_monthly(r);
+        restore_series(kCloudflare, r);
+        restore_series(kQuad9, r);
         const std::uint32_t n_blocks = r.count(24);
+        std::uint32_t previous = 0;
         for (std::uint32_t i = 0; i < n_blocks; ++i) {
-          auto& acc = blocks[r.u32()];
+          const std::uint32_t addr = r.u32();
+          if (i > 0 && addr <= previous)
+            throw util::CodecError(
+                "netflow checkpoint: blocks not in ascending order");
+          previous = addr;
+          auto& acc = blocks[addr];
           acc.records = r.u64();
-          acc.first = util::Date::from_days(r.i64());
-          acc.last = util::Date::from_days(r.i64());
+          acc.first = r.i64();
+          acc.last = r.i64();
+          if (acc.first > acc.last)
+            throw util::CodecError("netflow checkpoint: first seen after last");
           const std::uint32_t n_active = r.count(8);
-          for (std::uint32_t d = 0; d < n_active; ++d) acc.days.insert(r.i64());
+          if (n_active > n_days)
+            throw util::CodecError(
+                "netflow checkpoint: more active days than the window");
+          acc.days.assign(n_words, 0);
+          std::int64_t prior = start_day - 1;
+          for (std::uint32_t j = 0; j < n_active; ++j) {
+            const std::int64_t day = r.i64();
+            if (day < start_day || day >= start_day + total_days)
+              throw util::CodecError(
+                  "netflow checkpoint: active day outside the window");
+            if (day <= prior)
+              throw util::CodecError(
+                  "netflow checkpoint: active days not strictly ascending");
+            prior = day;
+            const auto d = static_cast<std::size_t>(day - start_day);
+            acc.days[d / 64] |= std::uint64_t{1} << (d % 64);
+          }
         }
         block_sketch = decode_hll(r);
         decode_detector(r, detector);
@@ -267,13 +335,16 @@ NetflowStudyResults NetflowStudy::run() {
   registry.counter("traffic.netflow.unmatched_853")
       .add(results.unmatched_853_records);
 
+  results.cloudflare_monthly = series(kCloudflare);
+  results.quad9_monthly = series(kQuad9);
   for (const auto& [addr, acc] : blocks) {
     NetblockStat stat;
     stat.slash24 = util::Ipv4{addr};
     stat.records = acc.records;
-    stat.active_days = static_cast<int>(acc.days.size());
-    stat.first_seen = acc.first;
-    stat.last_seen = acc.last;
+    for (const std::uint64_t word : acc.days)
+      stat.active_days += std::popcount(word);
+    stat.first_seen = util::Date::from_days(acc.first);
+    stat.last_seen = util::Date::from_days(acc.last);
     results.netblocks.push_back(stat);
   }
   std::sort(results.netblocks.begin(), results.netblocks.end(),

@@ -8,7 +8,6 @@
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/cancel.hpp"
@@ -98,7 +97,10 @@ class NetflowStudy {
 
  private:
   NetflowStudyConfig config_;
-  std::unordered_map<std::uint32_t, std::string> resolvers_;
+  // Resolver address -> label id: kCloudflare and kQuad9 feed Figure 11's
+  // monthly series; any other label counts as DoT but has no series.
+  enum Label : std::uint8_t { kCloudflare, kQuad9, kOtherLabel };
+  std::unordered_map<std::uint32_t, Label> resolver_labels_;
 };
 
 /// Convenience: the resolver list for the two big DoT targets.

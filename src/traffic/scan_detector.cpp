@@ -1,71 +1,43 @@
 #include "traffic/scan_detector.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <iterator>
 
 namespace encdns::traffic {
-namespace {
-constexpr std::size_t kDstSetCap = 4096;
-}
 
-void ScanDetector::observe(const RawFlow& flow) {
-  auto& stats = sources_[flow.src.slash24().value()];
-  ++stats.flows;
-  if (!flow.complete_session) ++stats.incomplete;
-  if (stats.dsts.size() < kDstSetCap) stats.dsts.insert(flow.dst.value());
-  update_state(stats);
+std::uint32_t ScanDetector::row_index(std::uint32_t src) {
+  const auto [it, inserted] =
+      row_of_.try_emplace(src, static_cast<std::uint32_t>(rows_.size()));
+  if (inserted) rows_.emplace_back().src = src;
+  return it->second;
 }
 
 void ScanDetector::merge(const ScanDetector& other) {
-  for (const auto& [addr, theirs] : other.sources_) {
-    auto& ours = sources_[addr];
+  for (const SourceStats& theirs : other.rows_) {
+    SourceStats& ours = rows_[row_index(theirs.src)];
     ours.flows += theirs.flows;
     ours.incomplete += theirs.incomplete;
-    // Deterministic union under the cap: merge the two sets in sorted value
-    // order so the survivors don't depend on which shard inserted first.
+    // Deterministic union under the cap: merge the two sorted sets so the
+    // survivors don't depend on which shard inserted first.
     if (ours.dsts.size() < kDstSetCap && !theirs.dsts.empty()) {
-      std::vector<std::uint32_t> merged(ours.dsts.begin(), ours.dsts.end());
-      merged.insert(merged.end(), theirs.dsts.begin(), theirs.dsts.end());
-      std::sort(merged.begin(), merged.end());
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+      std::vector<std::uint32_t> merged;
+      merged.reserve(ours.dsts.size() + theirs.dsts.size());
+      std::set_union(ours.dsts.begin(), ours.dsts.end(), theirs.dsts.begin(),
+                     theirs.dsts.end(), std::back_inserter(merged));
       if (merged.size() > kDstSetCap) merged.resize(kDstSetCap);
-      ours.dsts = std::unordered_set<std::uint32_t>(merged.begin(), merged.end());
+      ours.dsts = std::move(merged);
     }
     ours.state = std::max(ours.state, theirs.state);
     update_state(ours);
   }
 }
 
-void ScanDetector::update_state(SourceStats& stats) const {
-  if (stats.flows < config_.min_flows) return;
-  const double incomplete_ratio =
-      static_cast<double>(stats.incomplete) / static_cast<double>(stats.flows);
-  const bool fanout = stats.dsts.size() >= config_.distinct_dst_threshold;
-  // Benign -> Suspicious on fan-out; Suspicious -> Scanner once the flows
-  // are also overwhelmingly handshake-less.
-  if (!fanout) return;
-  if (stats.state == State::kBenign) stats.state = State::kSuspicious;
-  if (incomplete_ratio >= config_.syn_only_threshold) stats.state = State::kScanner;
-}
-
 ScanDetector::State ScanDetector::state_of(util::Ipv4 src_slash24) const {
-  const auto it = sources_.find(src_slash24.slash24().value());
-  return it == sources_.end() ? State::kBenign : it->second.state;
+  const auto it = row_of_.find(src_slash24.slash24().value());
+  return it == row_of_.end() ? State::kBenign : rows_[it->second].state;
 }
 
 std::vector<ScanDetector::ExportedSource> ScanDetector::export_sources() const {
-  std::vector<ExportedSource> out;
-  out.reserve(sources_.size());
-  for (const auto& [addr, stats] : sources_) {
-    ExportedSource source;
-    source.src = addr;
-    source.flows = stats.flows;
-    source.incomplete = stats.incomplete;
-    source.state = stats.state;
-    source.dsts.assign(stats.dsts.begin(), stats.dsts.end());
-    std::sort(source.dsts.begin(), source.dsts.end());
-    out.push_back(std::move(source));
-  }
+  std::vector<ExportedSource> out = rows_;
   std::sort(out.begin(), out.end(),
             [](const ExportedSource& a, const ExportedSource& b) {
               return a.src < b.src;
@@ -74,21 +46,16 @@ std::vector<ScanDetector::ExportedSource> ScanDetector::export_sources() const {
 }
 
 void ScanDetector::restore_sources(const std::vector<ExportedSource>& sources) {
-  sources_.clear();
-  for (const auto& source : sources) {
-    auto& stats = sources_[source.src];
-    stats.flows = source.flows;
-    stats.incomplete = source.incomplete;
-    stats.state = source.state;
-    stats.dsts =
-        std::unordered_set<std::uint32_t>(source.dsts.begin(), source.dsts.end());
-  }
+  rows_.clear();
+  row_of_.clear();
+  last_src_ = kNoSource;
+  for (const auto& source : sources) rows_[row_index(source.src)] = source;
 }
 
 std::vector<util::Ipv4> ScanDetector::scanners() const {
   std::vector<util::Ipv4> out;
-  for (const auto& [addr, stats] : sources_)
-    if (stats.state == State::kScanner) out.push_back(util::Ipv4{addr});
+  for (const SourceStats& stats : rows_)
+    if (stats.state == State::kScanner) out.push_back(util::Ipv4{stats.src});
   std::sort(out.begin(), out.end());
   return out;
 }

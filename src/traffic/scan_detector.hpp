@@ -4,9 +4,9 @@
 // that observed DoT client networks are not measurement scanners.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "traffic/netflow.hpp"
@@ -22,11 +22,17 @@ struct ScanDetectorConfig {
 
 class ScanDetector {
  public:
+  /// Distinct destinations remembered per source: the first this many.
+  static constexpr std::size_t kDstSetCap = 4096;
+
   explicit ScanDetector(ScanDetectorConfig config = {}) : config_(config) {}
 
   enum class State { kBenign, kSuspicious, kScanner };
 
-  void observe(const RawFlow& flow);
+  /// Count one raw flow against its source /24. Inline: the §5.2 pass calls
+  /// it for every generated flow, and consecutive flows mostly share a
+  /// source, so the last source's row is remembered.
+  void observe(const FlowHeader& flow);
 
   /// Fold another detector's per-source tallies into this one. Destination
   /// sets are united in sorted order before re-applying the cap, so the merge
@@ -57,17 +63,48 @@ class ScanDetector {
   void restore_sources(const std::vector<ExportedSource>& sources);
 
  private:
-  struct SourceStats {
-    std::unordered_set<std::uint32_t> dsts;  // capped
-    std::uint64_t flows = 0;
-    std::uint64_t incomplete = 0;
-    State state = State::kBenign;
-  };
+  // No /24 ends in 0xFF, so this never names a source.
+  static constexpr std::uint32_t kNoSource = 0xFFFFFFFFu;
+
+  using SourceStats = ExportedSource;  // dsts: sorted, capped
 
   ScanDetectorConfig config_;
-  std::unordered_map<std::uint32_t, SourceStats> sources_;
+  std::vector<SourceStats> rows_;
+  std::unordered_map<std::uint32_t, std::uint32_t> row_of_;  // src -> row
+  std::uint32_t last_src_ = kNoSource;
+  std::uint32_t last_row_ = 0;
 
-  void update_state(SourceStats& stats) const;
+  /// The row of `src`, appended (empty) if the source is new.
+  [[nodiscard]] std::uint32_t row_index(std::uint32_t src);
+  void update_state(SourceStats& stats) const {
+    // Benign -> Suspicious on fan-out; Suspicious -> Scanner once the flows
+    // are also overwhelmingly handshake-less.
+    if (stats.flows < config_.min_flows ||
+        stats.dsts.size() < config_.distinct_dst_threshold)
+      return;
+    if (stats.state == State::kBenign) stats.state = State::kSuspicious;
+    if (static_cast<double>(stats.incomplete) /
+            static_cast<double>(stats.flows) >=
+        config_.syn_only_threshold)
+      stats.state = State::kScanner;
+  }
 };
+
+inline void ScanDetector::observe(const FlowHeader& flow) {
+  const std::uint32_t src = flow.src.slash24().value();
+  if (src != last_src_) {
+    last_row_ = row_index(src);
+    last_src_ = src;
+  }
+  SourceStats& stats = rows_[last_row_];
+  ++stats.flows;
+  if (!flow.complete_session) ++stats.incomplete;
+  if (stats.dsts.size() < kDstSetCap) {
+    const std::uint32_t dst = flow.dst.value();
+    const auto it = std::lower_bound(stats.dsts.begin(), stats.dsts.end(), dst);
+    if (it == stats.dsts.end() || *it != dst) stats.dsts.insert(it, dst);
+  }
+  update_state(stats);
+}
 
 }  // namespace encdns::traffic

@@ -9,7 +9,6 @@
 #include "exec/blocked_pass.hpp"
 #include "obs/span.hpp"
 #include "traffic/codec.hpp"
-#include "traffic/netflow.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -24,9 +23,6 @@ namespace {
 constexpr std::size_t kTrendShards = 16;
 constexpr std::size_t kGroupShards = 4;
 static_assert(kTrendShards % kGroupShards == 0);
-
-// Rows per generation chunk; bounds the columnar staging memory.
-constexpr std::size_t kBatchRows = 8192;
 
 // Fixed overhead charged per live month accumulator in the deterministic
 // memory accounting (counters + map node, excluding the sketch registers).
@@ -265,11 +261,9 @@ TrendStudyResults TrendStudy::run() {
               exec::shard_range(n_days, kTrendShards, shard);
           ShardPartial& partial = partials[s];
           partial.months.resize(providers_.size());
-          // Shard-local staging, reused for every (day, provider) chunk:
-          // the batch's columns and the day sketch's registers are the only
-          // per-record-scale state, and both are bounded.
-          FlowBatch batch;
-          batch.reserve(std::min<std::size_t>(kBatchRows, 1024));
+          // Shard-local day state, reused for every (day, provider): the
+          // day sketch's registers are the only per-record-scale state, and
+          // they are bounded.
           Hll day_sketch(config_.hll_precision, sketch_seed);
           std::unordered_set<std::uint32_t> day_exact;
           for (std::size_t d = first; d < last; ++d) {
@@ -284,8 +278,8 @@ TrendStudyResults TrendStudy::run() {
               const TrendProvider& provider = providers_[pi];
               const double rate = daily_rate(provider, day);
               if (rate <= 0.0) continue;
-              std::uint64_t remaining = day_rng.poisson(rate);
-              if (remaining == 0) continue;
+              const std::uint64_t day_records = day_rng.poisson(rate);
+              if (day_records == 0) continue;
               // Active-client window: width follows today's rate, position
               // slides with churn, bounded by the provider's address pool —
               // multi-year distinct clients without per-client state.
@@ -305,41 +299,18 @@ TrendStudyResults TrendStudy::run() {
                   static_cast<std::uint64_t>(slide), max_offset));
               day_sketch.clear();
               day_exact.clear();
-              std::uint64_t day_records = 0;
+              // Each record folds into the day as it is drawn: its client
+              // into the sketch, its bytes into the day's total.
               std::uint64_t day_bytes = 0;
-              while (remaining > 0) {
-                const std::size_t chunk = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(remaining, kBatchRows));
-                batch.clear();
-                for (std::size_t j = 0; j < chunk; ++j) {
-                  RawFlow flow;
-                  flow.src = util::Ipv4{
-                      provider.address_base + offset +
-                      static_cast<std::uint32_t>(day_rng.below(active))};
-                  flow.dst = provider.resolver;
-                  flow.src_port =
-                      static_cast<std::uint16_t>(20000 + day_rng.below(40000));
-                  flow.dst_port = provider.dst_port;
-                  flow.protocol = kProtoTcp;
-                  flow.packets =
-                      static_cast<std::uint32_t>(6 + day_rng.below(50));
-                  flow.bytes = static_cast<std::uint64_t>(flow.packets) *
-                               (100 + day_rng.below(40));
-                  flow.complete_session = true;
-                  flow.date = day;
-                  batch.push(flow);
-                }
-                // Columnar fold: the aggregation reads only the columns it
-                // needs; no per-record object survives the chunk.
-                day_records += batch.size();
-                for (const std::uint64_t b : batch.bytes()) day_bytes += b;
-                for (const std::uint32_t src : batch.src())
-                  day_sketch.add(src);
-                if (config_.validate_exact) {
-                  for (const std::uint32_t src : batch.src())
-                    day_exact.insert(src);
-                }
-                remaining -= chunk;
+              for (std::uint64_t j = 0; j < day_records; ++j) {
+                const std::uint32_t src =
+                    provider.address_base + offset +
+                    static_cast<std::uint32_t>(day_rng.below(active));
+                (void)day_rng.below(40000);  // the source port, unused
+                const std::uint64_t packets = 6 + day_rng.below(50);
+                day_bytes += packets * (100 + day_rng.below(40));
+                day_sketch.add(src);
+                if (config_.validate_exact) day_exact.insert(src);
               }
               // Retire the provider-day into its month and forget it.
               MonthAgg& agg =
@@ -355,10 +326,10 @@ TrendStudyResults TrendStudy::run() {
               partial.bytes += day_bytes;
             }
             // Deterministic live-state high-water mark, taken at day
-            // boundaries: staging columns at capacity + the day sketch +
-            // every live month accumulator on this shard.
+            // boundaries: the day sketch + every live month accumulator on
+            // this shard.
             const std::uint64_t tracked =
-                batch.capacity_bytes() + day_sketch.memory_bytes() +
+                day_sketch.memory_bytes() +
                 static_cast<std::uint64_t>(day_exact.size()) * 16 +
                 months_tracked_bytes(partial.months);
             partial.peak_tracked = std::max(partial.peak_tracked, tracked);

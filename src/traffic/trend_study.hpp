@@ -8,11 +8,12 @@
 //  - an adoption-dynamics generator emits *sampled* flow records per
 //    provider-day — provider launches, browser default flips and censorship
 //    windows are dated rate multipliers (AdoptionEvent);
-//  - generation is columnar (FlowBatch), in bounded chunks that are folded
-//    into per-day accumulators and discarded — no per-record heap state;
+//  - one fused pass per day: each record folds into its provider-day as it
+//    is drawn — its client into the day sketch, its bytes into the day's
+//    total — so no record is staged and there is no per-record heap state;
 //  - a completed day retires into its month: counters add, the day's
 //    distinct-client sketch register-maxes into the month sketch, and the
-//    day accumulator resets. Live state is one batch plus one bounded
+//    day accumulator resets. Live state is one day sketch plus one bounded
 //    month table per provider, regardless of horizon or flow volume;
 //  - distinct clients are HyperLogLog sketches (traffic/hll.hpp), exact
 //    std::set tracking exists only behind `validate_exact` for the
@@ -33,7 +34,6 @@
 #include "exec/cancel.hpp"
 #include "exec/checkpoint_hook.hpp"
 #include "exec/executor.hpp"
-#include "traffic/flow_batch.hpp"
 #include "traffic/hll.hpp"
 #include "util/date.hpp"
 #include "util/ipv4.hpp"
@@ -132,10 +132,10 @@ struct TrendStudyResults {
   int hll_precision = Hll::kDefaultPrecision;
   std::size_t days_planned = 0;
   std::size_t days_processed = 0;
-  /// Deterministic upper bound on live aggregation state (columns at their
-  /// high-water capacity + day/month accumulators), identical at every
-  /// thread count; the soak tier and the netflow bench guard hold fixed
-  /// ceilings against it to prove day retirement keeps memory flat.
+  /// Deterministic upper bound on live aggregation state (the day sketch +
+  /// day/month accumulators), identical at every thread count; the soak
+  /// tier and the netflow bench guard hold fixed ceilings against it to
+  /// prove day retirement keeps memory flat.
   std::uint64_t peak_tracked_bytes = 0;
 
   [[nodiscard]] const TrendProviderSeries* provider(

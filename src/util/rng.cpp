@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <bit>
 #include <cmath>
 
 namespace encdns::util {
@@ -18,52 +17,13 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : state_) word = splitmix64(seed);
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = std::rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  if (bound == 0) return 0;
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(below(span));
 }
 
-double Rng::uniform() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::normal() noexcept {

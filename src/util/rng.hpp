@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -57,23 +58,58 @@ class Rng {
   }
 
   result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  // next/below/uniform/chance are inline: the traffic passes draw several
+  // per generated flow.
+  result_type next() noexcept {
+    const std::uint64_t result =
+        std::rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
   /// bound == 0 returns 0.
-  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;
+  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept {
+    if (bound == 0) return 0;
+    // Lemire's nearly-divisionless method.
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   [[nodiscard]] std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() noexcept;
+  [[nodiscard]] double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  [[nodiscard]] bool chance(double p) noexcept;
+  /// Bernoulli trial with success probability p (clamped to [0,1]); draws
+  /// nothing when p <= 0 or p >= 1.
+  [[nodiscard]] bool chance(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Standard normal deviate (Box-Muller, cached second value).
   [[nodiscard]] double normal() noexcept;

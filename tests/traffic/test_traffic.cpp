@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "traffic/backbone.hpp"
 #include "traffic/netflow.hpp"
 #include "traffic/netflow_study.hpp"
@@ -9,9 +12,8 @@
 namespace encdns::traffic {
 namespace {
 
-RawFlow dot_flow(util::Ipv4 src, util::Ipv4 dst, std::uint32_t packets,
-                 util::Date date = {2018, 8, 1}) {
-  RawFlow flow;
+FlowHeader dot_flow(util::Ipv4 src, util::Ipv4 dst, std::uint32_t packets) {
+  FlowHeader flow;
   flow.src = src;
   flow.dst = dst;
   flow.src_port = 40000;
@@ -19,68 +21,108 @@ RawFlow dot_flow(util::Ipv4 src, util::Ipv4 dst, std::uint32_t packets,
   flow.packets = packets;
   flow.bytes = packets * 110ULL;
   flow.complete_session = true;
-  flow.date = date;
   return flow;
 }
 
 TEST(NetflowCollector, SamplingRateApproximatelyHonored) {
-  NetflowCollector collector(1.0 / 100.0, 1);
+  const NetflowCollector collector(1.0 / 100.0);
+  util::Rng rng(util::mix64(1));
   int exported = 0;
   const int flows = 20000;
   for (int i = 0; i < flows; ++i) {
     if (collector.observe(dot_flow(util::Ipv4{114, 0, 0, 1},
-                                   util::Ipv4{1, 1, 1, 1}, 20)))
+                                   util::Ipv4{1, 1, 1, 1}, 20),
+                          rng))
       ++exported;
   }
   // P(export) ~= 1 - (1-rate)^packets ~= 18%.
   EXPECT_NEAR(exported / static_cast<double>(flows), 0.18, 0.03);
-  EXPECT_EQ(collector.flows_seen(), static_cast<std::uint64_t>(flows));
 }
 
 TEST(NetflowCollector, FullSamplingExportsEverything) {
-  NetflowCollector collector(1.0, 2);
+  const NetflowCollector collector(1.0);
+  util::Rng rng(util::mix64(2));
   const auto record = collector.observe(
-      dot_flow(util::Ipv4{114, 0, 0, 1}, util::Ipv4{1, 1, 1, 1}, 10));
+      dot_flow(util::Ipv4{114, 0, 0, 1}, util::Ipv4{1, 1, 1, 1}, 10), rng);
   ASSERT_TRUE(record);
-  EXPECT_EQ(record->dst_port, 853);
-  EXPECT_TRUE(record->tcp_flags & tcpflags::kSyn);
-  EXPECT_TRUE(record->tcp_flags & tcpflags::kAck);
-  EXPECT_TRUE(record->tcp_flags & tcpflags::kFin);
-  EXPECT_FALSE(record->single_syn());
+  EXPECT_TRUE(record.tcp_flags & tcpflags::kSyn);
+  EXPECT_TRUE(record.tcp_flags & tcpflags::kAck);
+  EXPECT_TRUE(record.tcp_flags & tcpflags::kFin);
+  EXPECT_FALSE(record.single_syn());
 }
 
 TEST(NetflowCollector, LoneSynProbeExportsAsSingleSyn) {
-  NetflowCollector collector(1.0, 3);
-  RawFlow probe = dot_flow(util::Ipv4{162, 142, 125, 7}, util::Ipv4{1, 1, 1, 1}, 1);
+  const NetflowCollector collector(1.0);
+  util::Rng rng(util::mix64(3));
+  FlowHeader probe =
+      dot_flow(util::Ipv4{162, 142, 125, 7}, util::Ipv4{1, 1, 1, 1}, 1);
   probe.complete_session = false;
-  const auto record = collector.observe(probe);
+  const auto record = collector.observe(probe, rng);
   ASSERT_TRUE(record);
-  EXPECT_TRUE(record->single_syn());
-  EXPECT_EQ(record->tcp_flags, tcpflags::kSyn);
+  EXPECT_TRUE(record.single_syn());
+  EXPECT_EQ(record.tcp_flags, tcpflags::kSyn);
 }
 
 TEST(NetflowCollector, SampledBytesScale) {
-  NetflowCollector collector(1.0, 4);
+  const NetflowCollector collector(1.0);
+  util::Rng rng(util::mix64(4));
   const auto record = collector.observe(
-      dot_flow(util::Ipv4{114, 0, 0, 1}, util::Ipv4{1, 1, 1, 1}, 20));
+      dot_flow(util::Ipv4{114, 0, 0, 1}, util::Ipv4{1, 1, 1, 1}, 20), rng);
   ASSERT_TRUE(record);
-  EXPECT_EQ(record->bytes, 20 * 110ULL * record->packets / 20);
+  EXPECT_EQ(record.bytes, 20 * 110ULL * record.packets / 20);
 }
 
 TEST(NetflowCollector, UdpSinglePacket) {
-  NetflowCollector collector(1.0, 5);
-  RawFlow udp;
+  const NetflowCollector collector(1.0);
+  util::Rng rng(util::mix64(5));
+  FlowHeader udp;
   udp.src = util::Ipv4{114, 0, 0, 2};
   udp.dst = util::Ipv4{8, 8, 8, 8};
   udp.dst_port = 53;
   udp.protocol = kProtoUdp;
   udp.packets = 1;
   udp.bytes = 80;
-  udp.date = {2018, 8, 1};
-  const auto record = collector.observe(udp);
+  const auto record = collector.observe(udp, rng);
   ASSERT_TRUE(record);
-  EXPECT_EQ(record->tcp_flags, 0);
-  EXPECT_FALSE(record->single_syn());  // UDP is never a SYN probe
+  EXPECT_EQ(record.tcp_flags, 0);
+  EXPECT_FALSE(record.single_syn());  // UDP is never a SYN probe
+}
+
+// The collector's tabled Poisson draw is Rng::poisson(m * rate) value for
+// value, and leaves its rng where Rng::poisson leaves it, for every middle
+// packet count in the table and past it (where it falls back), at the §5.2
+// rate, a dense rate, and a rate of one (half the table past lambda = 64).
+TEST(NetflowCollector, TabledPoissonDrawsWhatRngPoissonDraws) {
+  for (const double rate : {1.0 / 3000.0, 1.0 / 100.0, 1.0}) {
+    const NetflowCollector collector(rate);
+    for (std::uint32_t m = 0; m < NetflowCollector::kPoissonTable + 8; ++m) {
+      util::Rng tabled(util::mix64(m ^ 0x9015ULL));
+      util::Rng direct = tabled;
+      for (int draw = 0; draw < 64; ++draw) {
+        ASSERT_EQ(collector.poisson(m, tabled),
+                  direct.poisson(static_cast<double>(m) * rate))
+            << "rate " << rate << " m " << m << " draw " << draw;
+      }
+      const util::RngState a = tabled.state();
+      const util::RngState b = direct.state();
+      EXPECT_EQ(a.words, b.words) << "rate " << rate << " m " << m;
+      EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
+      EXPECT_EQ(a.cached_normal, b.cached_normal);
+    }
+  }
+}
+
+// A rate of one or more samples every flag packet without drawing: chance()
+// draws nothing there, so only the middle packets consume the rng.
+TEST(NetflowCollector, FullRateFlagPacketsDrawNothing) {
+  const NetflowCollector collector(1.0);
+  util::Rng rng(util::mix64(6));
+  util::Rng untouched = rng;
+  FlowHeader probe =
+      dot_flow(util::Ipv4{162, 142, 125, 7}, util::Ipv4{1, 1, 1, 1}, 1);
+  probe.complete_session = false;
+  ASSERT_TRUE(collector.observe(probe, rng));
+  EXPECT_EQ(rng.state().words, untouched.state().words);
 }
 
 TEST(AdoptionCurve, CloudflareGrowsQuad9Fluctuates) {
@@ -124,8 +166,8 @@ TEST(ScanDetector, FlagsScannersNotClients) {
   // A scanner: lone SYNs to many destinations.
   const util::Ipv4 scanner{162, 142, 125, 7};
   for (int i = 0; i < 500; ++i) {
-    RawFlow probe = dot_flow(scanner,
-                             util::Ipv4{static_cast<std::uint32_t>(rng.next())}, 1);
+    FlowHeader probe = dot_flow(
+        scanner, util::Ipv4{static_cast<std::uint32_t>(rng.next())}, 1);
     probe.complete_session = false;
     detector.observe(probe);
   }
@@ -142,6 +184,30 @@ TEST(ScanDetector, FanoutAloneIsOnlySuspicious) {
                               20));
   EXPECT_EQ(detector.state_of(cdn), ScanDetector::State::kSuspicious);
   EXPECT_FALSE(detector.is_scanner(cdn));
+}
+
+// The destination set keeps the first kDstSetCap distinct destinations a
+// source was seen with, in any order of arrival, repeats included.
+TEST(ScanDetector, KeepsTheFirstDistinctDestinationsUpToTheCap) {
+  ScanDetector detector;
+  util::Rng rng(13);
+  const util::Ipv4 scanner{162, 142, 125, 7};
+  std::vector<std::uint32_t> first_distinct;
+  while (first_distinct.size() < ScanDetector::kDstSetCap + 500) {
+    const auto dst = static_cast<std::uint32_t>(rng.below(6000));
+    FlowHeader probe = dot_flow(scanner, util::Ipv4{dst}, 1);
+    probe.complete_session = false;
+    detector.observe(probe);
+    if (std::find(first_distinct.begin(), first_distinct.end(), dst) ==
+        first_distinct.end())
+      first_distinct.push_back(dst);
+  }
+  first_distinct.resize(ScanDetector::kDstSetCap);
+  std::sort(first_distinct.begin(), first_distinct.end());
+  const auto sources = detector.export_sources();
+  ASSERT_EQ(sources.size(), 1u);
+  EXPECT_EQ(sources[0].dsts, first_distinct);
+  EXPECT_EQ(sources[0].state, ScanDetector::State::kScanner);
 }
 
 struct NetflowStudyFixture : ::testing::Test {

@@ -3,15 +3,20 @@
 // version byte, FNV-1a payload checksum, payload blob — must make EVERY
 // truncation, EVERY single-byte corruption, and any version skew throw
 // util::CodecError rather than resurrect an almost-right sketch or series. The fuzz loops literally enumerate all of them.
+// The unenveloped traffic state decoders (the scan detector, monthly series)
+// get structured mutations instead: one well-framed input per semantic check.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/fail_closed.hpp"
 #include "traffic/codec.hpp"
 #include "traffic/hll.hpp"
+#include "traffic/scan_detector.hpp"
 #include "traffic/trend_study.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -155,6 +160,166 @@ TEST(TrafficCodec, HllDecodeRejectsImpossibleRegisterRank) {
   const auto bytes = w.take();
   ByteReader r(bytes);
   EXPECT_THROW((void)decode_hll(r), CodecError);
+}
+
+// Structured mutations of the traffic state decoders: each input is well
+// framed and differs from a valid record in exactly one checked property, so
+// only that property's check can reject it, and the error must name it.
+template <typename Decode>
+void expect_rejected(const std::vector<std::uint8_t>& bytes, Decode decode,
+                     const std::string& check) {
+  ByteReader r(bytes);
+  try {
+    decode(r);
+    ADD_FAILURE() << "decoded; expected a CodecError naming \"" << check << "\"";
+  } catch (const CodecError& e) {
+    EXPECT_NE(std::string(e.what()).find(check), std::string::npos)
+        << "error \"" << e.what() << "\" does not name \"" << check << "\"";
+  }
+}
+
+using Source = ScanDetector::ExportedSource;
+
+// Written field by field in encode_detector's layout, so a test can write
+// what encode_detector never would.
+std::vector<std::uint8_t> detector_bytes(const std::vector<Source>& sources,
+                                         std::uint8_t state_override = 0xFF) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(sources.size()));
+  for (const Source& source : sources) {
+    w.u32(source.src);
+    w.u64(source.flows);
+    w.u64(source.incomplete);
+    w.u8(state_override != 0xFF ? state_override
+                                : static_cast<std::uint8_t>(source.state));
+    w.u32(static_cast<std::uint32_t>(source.dsts.size()));
+    for (const std::uint32_t dst : source.dsts) w.u32(dst);
+  }
+  return w.take();
+}
+
+std::vector<Source> valid_sources() {
+  Source client;
+  client.src = util::Ipv4{114, 0, 0, 0}.value();
+  client.flows = 40;
+  client.incomplete = 0;
+  client.dsts = {util::Ipv4{1, 0, 0, 1}.value(), util::Ipv4{1, 1, 1, 1}.value()};
+  Source scanner;
+  scanner.src = util::Ipv4{162, 142, 125, 0}.value();
+  scanner.flows = 5000;
+  scanner.incomplete = 5000;
+  scanner.state = ScanDetector::State::kScanner;
+  for (std::uint32_t i = 0; i < ScanDetector::kDstSetCap; ++i)
+    scanner.dsts.push_back(i * 7);
+  return {client, scanner};
+}
+
+void decode_into_detector(ByteReader& r) {
+  ScanDetector detector;
+  decode_detector(r, detector);
+  r.expect_done();
+}
+
+TEST(TrafficCodec, DetectorAtTheCapRoundTrips) {
+  const auto bytes = detector_bytes(valid_sources());
+  ByteReader r(bytes);
+  ScanDetector detector;
+  decode_detector(r, detector);
+  EXPECT_TRUE(r.done());
+  const auto exported = detector.export_sources();
+  ASSERT_EQ(exported.size(), 2u);
+  EXPECT_EQ(exported[1].dsts.size(), ScanDetector::kDstSetCap);
+  EXPECT_TRUE(detector.is_scanner(util::Ipv4{162, 142, 125, 0}));
+  ByteWriter w;
+  encode_detector(w, detector);
+  EXPECT_EQ(w.take(), bytes);
+}
+
+TEST(TrafficCodec, DetectorDecodeRejectsAStateAboveScanner) {
+  for (const std::uint8_t state : {3, 7, 254})
+    expect_rejected(detector_bytes(valid_sources(), state),
+                    decode_into_detector, "unknown state");
+}
+
+TEST(TrafficCodec, DetectorDecodeRejectsMoreIncompleteThanFlows) {
+  auto sources = valid_sources();
+  sources[0].incomplete = sources[0].flows + 1;
+  expect_rejected(detector_bytes(sources), decode_into_detector,
+                  "more incomplete flows than flows");
+}
+
+TEST(TrafficCodec, DetectorDecodeRejectsUnsortedDestinations) {
+  auto sources = valid_sources();
+  std::swap(sources[0].dsts[0], sources[0].dsts[1]);
+  expect_rejected(detector_bytes(sources), decode_into_detector,
+                  "destinations not strictly ascending");
+}
+
+TEST(TrafficCodec, DetectorDecodeRejectsDuplicatedDestinations) {
+  auto sources = valid_sources();
+  sources[0].dsts[1] = sources[0].dsts[0];
+  expect_rejected(detector_bytes(sources), decode_into_detector,
+                  "destinations not strictly ascending");
+}
+
+TEST(TrafficCodec, DetectorDecodeRejectsDestinationsOverTheCap) {
+  auto sources = valid_sources();
+  sources[1].dsts.push_back(sources[1].dsts.back() + 1);
+  expect_rejected(detector_bytes(sources), decode_into_detector,
+                  "destination list over the cap");
+}
+
+TEST(TrafficCodec, DetectorDecodeRejectsSourcesOutOfOrder) {
+  auto sources = valid_sources();
+  std::swap(sources[0], sources[1]);
+  expect_rejected(detector_bytes(sources), decode_into_detector,
+                  "sources not strictly ascending");
+  sources = valid_sources();
+  sources[1].src = sources[0].src;
+  expect_rejected(detector_bytes(sources), decode_into_detector,
+                  "sources not strictly ascending");
+}
+
+std::vector<std::uint8_t> monthly_bytes(
+    const std::vector<std::pair<util::Date, std::uint64_t>>& entries) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [month, count] : entries) {
+    w.i64(month.to_days());
+    w.u64(count);
+  }
+  return w.take();
+}
+
+void decode_monthly_to_end(ByteReader& r) {
+  (void)decode_monthly(r);
+  r.expect_done();
+}
+
+TEST(TrafficCodec, MonthlyRoundTrips) {
+  const std::map<util::Date, std::uint64_t> monthly = {
+      {util::Date{2018, 7, 1}, 12}, {util::Date{2018, 8, 1}, 40}};
+  ByteWriter w;
+  encode_monthly(w, monthly);
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  EXPECT_EQ(decode_monthly(r), monthly);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(TrafficCodec, MonthlyDecodeRejectsAKeyThatIsNotAMonthStart) {
+  expect_rejected(monthly_bytes({{util::Date{2018, 7, 1}, 12},
+                                 {util::Date{2018, 8, 2}, 40}}),
+                  decode_monthly_to_end, "is not a month start");
+}
+
+TEST(TrafficCodec, MonthlyDecodeRejectsKeysOutOfOrder) {
+  expect_rejected(monthly_bytes({{util::Date{2018, 8, 1}, 40},
+                                 {util::Date{2018, 7, 1}, 12}}),
+                  decode_monthly_to_end, "keys not strictly ascending");
+  expect_rejected(monthly_bytes({{util::Date{2018, 7, 1}, 12},
+                                 {util::Date{2018, 7, 1}, 40}}),
+                  decode_monthly_to_end, "keys not strictly ascending");
 }
 
 }  // namespace

@@ -236,7 +236,7 @@ TEST(TrendStudy, CorruptCheckpointFailsClosed) {
 }
 
 TEST(TrendStudy, PeakTrackedBytesStaysFlatAsScaleGrows) {
-  // Day retirement bounds live state by the staging batch plus the month
+  // Day retirement bounds live state by the day sketch plus the month
   // tables: quadrupling the flow volume must not move the high-water mark
   // by more than the sketch/accumulator slack.
   TrendStudyConfig small = quick_config();

@@ -276,13 +276,23 @@ void append_rows(std::string& out, const char* key,
     std::snprintf(buf, sizeof(buf),
                   "    {\"name\": \"%s\", \"unit\": \"%s\", \"queries\": %llu, "
                   "\"seconds\": %.3f, \"qps\": %.1f, "
-                  "\"allocs_per_query\": %.2f}%s\n",
+                  "\"allocs_per_query\": %.4g}%s\n",
                   row.name.c_str(), row.unit.c_str(), row.queries, row.seconds,
                   row.qps, row.allocs_per_query,
                   i + 1 < rows.size() ? "," : "");
     out += buf;
   }
   out += "  ]";
+}
+
+/// The text table: one line per row. Allocations per unit keep four
+/// significant digits, so rows that cost far less than one allocation per
+/// unit (a raw flow, a SYN probe) still show their value.
+void print_rows(const std::vector<Row>& rows) {
+  for (const Row& row : rows)
+    std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %10.4g allocs/q\n",
+                row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
+                row.qps, row.allocs_per_query);
 }
 
 struct BaselineRow {
@@ -888,10 +898,7 @@ int main(int argc, char** argv) {
   if (!checkpoint_guard_dir.empty()) {
     bool ok = false;
     const std::vector<Row> rows = run_checkpoint_guard(checkpoint_guard_dir, ok);
-    for (const Row& row : rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+    print_rows(rows);
     std::printf("checkpoint-guard: %s\n", ok ? "met" : "NOT met");
     return ok ? 0 : 1;
   }
@@ -901,10 +908,7 @@ int main(int argc, char** argv) {
   if (dag_guard) {
     bool ok = false;
     const std::vector<Row> rows = run_dag_guard(ok);
-    for (const Row& row : rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+    print_rows(rows);
     std::printf("dag-guard: %s\n", ok ? "met" : "NOT met");
     return ok ? 0 : 1;
   }
@@ -914,10 +918,7 @@ int main(int argc, char** argv) {
   if (!netflow_guard_baseline.empty()) {
     bool ok = false;
     const std::vector<Row> rows = run_netflow_guard(netflow_guard_baseline, ok);
-    for (const Row& row : rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+    print_rows(rows);
     std::string json = "{\n  \"experiment\": \"netflow_trend_guard\",\n";
     append_rows(json, "rows", rows);
     json += ",\n  \"guard\": \"records >= 100x corpus, tracked < 64MiB, rss "
@@ -942,10 +943,7 @@ int main(int argc, char** argv) {
   if (scan_guard) {
     bool ok = false;
     const std::vector<Row> rows = run_scan_guard(ok);
-    for (const Row& row : rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+    print_rows(rows);
     std::printf("scan-guard: %s\n", ok ? "met" : "NOT met");
     return ok ? 0 : 1;
   }
@@ -954,11 +952,7 @@ int main(int argc, char** argv) {
       skip_transports ? std::vector<Row>{} : run_transports();
   const std::vector<Row> phases = run_phases(scale, phase_filter);
 
-  for (const auto& rows : {&transports, &phases})
-    for (const Row& row : *rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+  for (const auto& rows : {&transports, &phases}) print_rows(*rows);
 
   bool guard_met = true;
   if (!guard_path.empty()) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "dns/message.hpp"
+#include "util/fields.hpp"
 
 namespace encdns::core {
 namespace {
@@ -14,9 +15,10 @@ namespace {
 // Phase and partial records: kind, owned-platform cursor, the phase's own
 // metrics delta, state blob. Retired kinds, each failing the kind check:
 // 1–4 (whole cache sections), 6–7 (absolute records of the serial
-// schedule), 8–9 (cursors carrying a resolver-cache tally).
-constexpr std::uint8_t kKindPhase = 10;
-constexpr std::uint8_t kKindPartial = 11;
+// schedule), 8–9 (cursors carrying a resolver-cache tally), 10–11 (cursors
+// carrying both platforms).
+constexpr std::uint8_t kKindPhase = 12;
+constexpr std::uint8_t kKindPartial = 13;
 // Registry name skeleton refreshed at every phase commit: names, diagnostic
 // flags and bucket bounds of everything registered so far. Values are a
 // mid-run mixture across overlapping phases and are ignored on load — the
@@ -30,22 +32,6 @@ constexpr std::uint8_t kOpCopy = 0;     // u32 start, u32 len: base entries
 constexpr std::uint8_t kOpLiteral = 1;  // u32 len, then len entries
 // The smallest encoded entry: key length, expiry, wire length.
 constexpr std::size_t kMinEntryBytes = 16;
-
-void encode_proxy_cursor(util::ByteWriter& w, const proxy::ProxyCursor& c) {
-  for (const std::uint64_t word : c.rng.words) w.u64(word);
-  w.f64(c.rng.cached_normal);
-  w.boolean(c.rng.has_cached_normal);
-  w.u64(c.next_id);
-}
-
-[[nodiscard]] proxy::ProxyCursor decode_proxy_cursor(util::ByteReader& r) {
-  proxy::ProxyCursor c;
-  for (auto& word : c.rng.words) word = r.u64();
-  c.rng.cached_normal = r.f64();
-  c.rng.has_cached_normal = r.boolean();
-  c.next_id = r.u64();
-  return c;
-}
 
 [[nodiscard]] std::string phase_key(const std::string& phase) {
   return "phase:" + phase;
@@ -302,8 +288,7 @@ namespace {
 /// A cursor whose cache section continues `chain`.
 void encode_cursor(util::ByteWriter& w, const WorldCursor& cursor,
                    CacheSectionEncoder& chain) {
-  encode_proxy_cursor(w, cursor.global_platform);
-  encode_proxy_cursor(w, cursor.cn_platform);
+  util::write(w, cursor.platform);
   // Cached answers travel as the wire bytes their cache slots hold
   // (cache::encode_answer(): an RFC 1035 message with the rcode in the
   // header and the records in the answer section), copied through as is.
@@ -316,8 +301,7 @@ void encode_cursor(util::ByteWriter& w, const WorldCursor& cursor,
                                         const CacheSection& base,
                                         CacheSection& section) {
   WorldCursor cursor;
-  cursor.global_platform = decode_proxy_cursor(r);
-  cursor.cn_platform = decode_proxy_cursor(r);
+  util::read(r, cursor.platform);
   decode_cache_section(r, base, section);
   return cursor;
 }
@@ -334,92 +318,6 @@ WorldCursor decode_cursor(util::ByteReader& r) {
   WorldCursor cursor = decode_cursor(r, CacheSection{}, section);
   cursor.caches = export_section(section);
   return cursor;
-}
-
-void encode_metrics(util::ByteWriter& w, const obs::Snapshot& snap) {
-  w.u32(static_cast<std::uint32_t>(snap.counters.size()));
-  for (const auto& c : snap.counters) {
-    w.str(c.name);
-    w.u64(c.value);
-    w.boolean(c.diagnostic);
-  }
-  w.u32(static_cast<std::uint32_t>(snap.gauges.size()));
-  for (const auto& g : snap.gauges) {
-    w.str(g.name);
-    w.i64(g.value);
-    w.boolean(g.diagnostic);
-  }
-  w.u32(static_cast<std::uint32_t>(snap.histograms.size()));
-  for (const auto& h : snap.histograms) {
-    w.str(h.name);
-    w.u32(static_cast<std::uint32_t>(h.bounds_ms.size()));
-    for (const double edge : h.bounds_ms) w.f64(edge);
-    w.u32(static_cast<std::uint32_t>(h.buckets.size()));
-    for (const std::uint64_t bucket : h.buckets) w.u64(bucket);
-    w.u64(h.count);
-    w.u64(h.sum_us);
-    w.i64(h.min_us);
-    w.i64(h.max_us);
-    w.boolean(h.diagnostic);
-  }
-  w.u32(static_cast<std::uint32_t>(snap.spans.size()));
-  for (const auto& s : snap.spans) {
-    w.str(s.name);
-    w.u64(s.count);
-    w.u64(s.sim_us);
-    w.u64(s.wall_ns);
-  }
-}
-
-obs::Snapshot decode_metrics(util::ByteReader& r) {
-  obs::Snapshot snap;
-  const std::uint32_t n_counters = r.count(6);
-  snap.counters.reserve(n_counters);
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    obs::CounterSample c;
-    c.name = r.str();
-    c.value = r.u64();
-    c.diagnostic = r.boolean();
-    snap.counters.push_back(std::move(c));
-  }
-  const std::uint32_t n_gauges = r.count(6);
-  snap.gauges.reserve(n_gauges);
-  for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    obs::GaugeSample g;
-    g.name = r.str();
-    g.value = r.i64();
-    g.diagnostic = r.boolean();
-    snap.gauges.push_back(std::move(g));
-  }
-  const std::uint32_t n_histograms = r.count(8);
-  snap.histograms.reserve(n_histograms);
-  for (std::uint32_t i = 0; i < n_histograms; ++i) {
-    obs::HistogramSample h;
-    h.name = r.str();
-    const std::uint32_t n_bounds = r.count(8);
-    h.bounds_ms.reserve(n_bounds);
-    for (std::uint32_t b = 0; b < n_bounds; ++b) h.bounds_ms.push_back(r.f64());
-    const std::uint32_t n_buckets = r.count(8);
-    h.buckets.reserve(n_buckets);
-    for (std::uint32_t b = 0; b < n_buckets; ++b) h.buckets.push_back(r.u64());
-    h.count = r.u64();
-    h.sum_us = r.u64();
-    h.min_us = r.i64();
-    h.max_us = r.i64();
-    h.diagnostic = r.boolean();
-    snap.histograms.push_back(std::move(h));
-  }
-  const std::uint32_t n_spans = r.count(8);
-  snap.spans.reserve(n_spans);
-  for (std::uint32_t i = 0; i < n_spans; ++i) {
-    obs::SpanSample s;
-    s.name = r.str();
-    s.count = r.u64();
-    s.sim_us = r.u64();
-    s.wall_ns = r.u64();
-    snap.spans.push_back(std::move(s));
-  }
-  return snap;
 }
 
 // ---------------------------------------------------------------------------
@@ -490,8 +388,7 @@ std::optional<StudyCheckpoint::LoadedRecord> StudyCheckpoint::load(
     ChainRecord resolved = resolve_chain(journal_, phase, *record);
     LoadedRecord loaded;
     loaded.cursor = std::move(resolved.cursor);
-    loaded.metrics = decode_metrics(resolved.rest);
-    loaded.state = resolved.rest.blob();
+    util::read(resolved.rest, loaded.metrics, loaded.state);
     resolved.rest.expect_done();
     // A resumed in-flight phase encodes its next record against this one,
     // so one chain may span processes.
@@ -529,25 +426,12 @@ void StudyCheckpoint::append_cursor_record(const std::string& phase,
   w.clear();
   w.u8(kind_of(is_phase));
   encode_cursor(w, cursor, chain->second.sections);
-  encode_metrics(w, metrics);
-  w.blob(state);
+  util::write(w, metrics, state);
   journal_.append(is_phase ? phase_key(phase) : partial_key(phase), w.data());
   if (is_phase) chains_.erase(chain);
 }
 
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Platform cursors a partial rewinds to (only those are read from `pre`).
-[[nodiscard]] WorldCursor platforms_of(const WorldCursor& pre) {
-  WorldCursor platforms;
-  platforms.global_platform = pre.global_platform;
-  platforms.cn_platform = pre.cn_platform;
-  return platforms;
-}
-
-}  // namespace
 
 /// A phase's block-boundary hook. The metrics half of its records is the
 /// phase's own delta, never the global registry: load() re-applies it
@@ -560,7 +444,7 @@ class PhaseHookImpl : public exec::CheckpointHook {
                 std::optional<StudyCheckpoint::LoadedRecord> resumed)
       : owner_(owner),
         phase_(std::move(phase)),
-        pre_(platforms_of(pre)),
+        pre_platform_(pre.platform),
         capture_(std::move(capture)),
         resumed_(std::move(resumed)) {}
 
@@ -590,8 +474,7 @@ class PhaseHookImpl : public exec::CheckpointHook {
     // committed so far never re-run, so their cache stores must be part of
     // what the resumed process restores.
     WorldCursor at_save = capture_();
-    at_save.global_platform = pre_.global_platform;
-    at_save.cn_platform = pre_.cn_platform;
+    at_save.platform = pre_platform_;
     obs::Snapshot metrics;
     if (const obs::PhaseTally* tally = obs::current_tally())
       metrics = obs::MetricsRegistry::global().delta_snapshot(*tally);
@@ -601,10 +484,15 @@ class PhaseHookImpl : public exec::CheckpointHook {
     owner_->journal_.commit();
   }
 
+  [[noreturn]] void reject(const util::CodecError& error) override {
+    throw JournalError("checkpoint: corrupt " + partial_key(phase_) +
+                       " state (" + error.what() + ")");
+  }
+
  private:
   StudyCheckpoint* owner_;
   std::string phase_;
-  WorldCursor pre_;
+  proxy::ProxyCursor pre_platform_;
   std::function<WorldCursor()> capture_;
   std::optional<StudyCheckpoint::LoadedRecord> resumed_;
 };
@@ -640,7 +528,7 @@ void StudyCheckpoint::commit_phase_delta(const std::string& phase,
   // a committed delta record also names every metric registered by then.
   util::ByteWriter skeleton;
   skeleton.u8(kKindSkeleton);
-  encode_metrics(skeleton, obs::MetricsRegistry::global().snapshot());
+  util::write(skeleton, obs::MetricsRegistry::global().snapshot());
   std::lock_guard<std::mutex> guard(mutex_);
   append_cursor_record(phase, /*is_phase=*/true, cursor, delta, state);
   journal_.append(kSkeletonKey, skeleton.take());
@@ -655,7 +543,8 @@ std::optional<obs::Snapshot> StudyCheckpoint::load_skeleton() {
     util::ByteReader r(record->body);
     if (r.u8() != kKindSkeleton)
       throw util::CodecError("skeleton record has wrong kind tag");
-    obs::Snapshot snap = decode_metrics(r);
+    obs::Snapshot snap;
+    util::read(r, snap);
     r.expect_done();
     return snap;
   } catch (const util::CodecError& e) {

@@ -1,11 +1,11 @@
 // Study-level checkpointing over the write-ahead journal (DESIGN.md §13).
 //
 // Three record kinds. Two carry a WorldCursor and are keyed by phase name:
-//   phase:<name>    (10) — the phase finished: the proxy platform cursor it
+//   phase:<name>    (12) — the phase finished: the proxy platform cursor it
 //                   owns, the resolver-cache entries it stored, its own
 //                   metrics delta (attributed by its obs::PhaseTally) and
 //                   its serialized results.
-//   partial:<name>  (11) — the phase is mid-flight: its pre-phase platform
+//   partial:<name>  (13) — the phase is mid-flight: its pre-phase platform
 //                   cursor, the cache entries it stored up to the save, its
 //                   delta so far and its own block state. Later partials
 //                   supersede earlier ones.
@@ -16,7 +16,8 @@
 // position-independent, and resume replays their deltas additively in
 // canonical order. Retired kinds fail closed at a journal's first cursor
 // record: 1–4 (whole cache sections), 6–7 (the absolute records of the
-// deleted serial schedule) and 8–9 (cursors that carried a cache tally).
+// deleted serial schedule), 8–9 (cursors that carried a cache tally) and
+// 10–11 (cursors that carried both platforms).
 //
 // A cursor's cache section is relative (DESIGN.md §13): it is encoded
 // against the resolved cache section of the previous record of the same
@@ -55,15 +56,14 @@
 namespace encdns::core {
 
 /// Everything outside a phase's own results that must rewind with it: the
-/// recruitment cursor of the proxy platform it owns (a record leaves the
-/// other one default) and the resolver-cache entries it stored. Cache
+/// recruitment cursor of the proxy platform it owns (default for a phase
+/// that owns none) and the resolver-cache entries it stored. Cache
 /// contents are NOT a behavioral no-op mid-phase: shared lookups (DoH
 /// bootstrap names, repeated diagnostic fetches) hit entries stored by
 /// earlier session blocks, and a hit answers faster than a miss — so a
 /// resumed run must see exactly the cache the killed run had.
 struct WorldCursor {
-  proxy::ProxyCursor global_platform;
-  proxy::ProxyCursor cn_platform;
+  proxy::ProxyCursor platform;
   std::vector<std::vector<cache::ExportedEntry>> caches;  // per backend
 };
 
@@ -131,13 +131,12 @@ void decode_cache_section(util::ByteReader& r, const CacheSection& base,
 [[nodiscard]] std::vector<std::vector<cache::ExportedEntry>> export_section(
     const CacheSection& section);
 
-// Byte codecs shared by checkpoint.cpp, the tests and the checkpoint guard.
 /// A whole cursor, its cache section against an empty base (journal records
-/// encode theirs against the phase's previous record instead).
+/// encode theirs against the phase's previous record instead); shared by
+/// checkpoint.cpp, the tests and the checkpoint guard. A record's metrics
+/// delta is the obs::Snapshot field list (util/fields.hpp).
 void encode_cursor(util::ByteWriter& w, const WorldCursor& cursor);
 [[nodiscard]] WorldCursor decode_cursor(util::ByteReader& r);
-void encode_metrics(util::ByteWriter& w, const obs::Snapshot& snap);
-[[nodiscard]] obs::Snapshot decode_metrics(util::ByteReader& r);
 
 class StudyCheckpoint {
  public:
@@ -192,10 +191,11 @@ class StudyCheckpoint {
   /// killed run's progress in, and returns its state. save() journals and
   /// durably commits a new partial whose delta is the calling thread's
   /// tally snapshot at that moment. A partial's cursor is a hybrid: the
-  /// platform cursors of `pre_cursor` (the phase prologue re-runs
+  /// platform cursor of `pre_cursor` (the phase prologue re-runs
   /// recruitment on resume) but the cache contents `capture` returns at
   /// save time (completed blocks never re-run, so their cache stores must
-  /// ride along).
+  /// ride along). A state the phase fails to decode is rejected as a
+  /// JournalError naming the partial record.
   [[nodiscard]] std::unique_ptr<exec::CheckpointHook> phase_delta_hook(
       const std::string& phase, const WorldCursor& pre_cursor,
       std::function<WorldCursor()> capture,

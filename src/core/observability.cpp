@@ -101,7 +101,12 @@ bool Study::load_phase(const PhaseSpec& spec) {
   }
   auto loaded = checkpoint_->load_phase_delta(spec.name);
   if (!loaded) return false;
-  spec.decode(*this, loaded->state);
+  try {
+    spec.decode(*this, loaded->state);
+  } catch (const util::CodecError& e) {
+    throw JournalError(std::string("checkpoint: corrupt phase:") + spec.name +
+                       " state (" + e.what() + ")");
+  }
   restore_owned_platform(spec.platform, loaded->cursor);
   pending_caches_.push_back(std::move(loaded->caches));
   // Additive replay — records are position-independent, so phases that

@@ -4,13 +4,10 @@
 #include <utility>
 
 #include "core/study.hpp"
-#include "measure/codec.hpp"
 #include "obs/span.hpp"
-#include "scan/codec.hpp"
 #include "tls/verify.hpp"
-#include "traffic/codec.hpp"
-#include "util/bytes.hpp"
 #include "util/env.hpp"
+#include "util/fields.hpp"
 
 namespace encdns::core {
 namespace {
@@ -18,12 +15,11 @@ namespace {
 using Units = std::pair<std::size_t, std::size_t>;  // planned, completed
 
 /// Completes `spec` with the operations bound to its result: `result`
-/// caches it, the codecs journal it, `run` computes it, and `coverage`
-/// counts its units (none: one unit, completed).
+/// caches it, its field list journals it (util/fields.hpp), `run` computes
+/// it, and `coverage` counts its units (none: one unit, completed).
 template <typename R>
 PhaseSpec typed_row(
     PhaseSpec spec, std::optional<R> Study::*result,
-    void (*encode)(util::ByteWriter&, const R&), R (*decode)(util::ByteReader&),
     std::type_identity_t<R (*)(const Study&, const PhaseContext&)> run,
     std::type_identity_t<Units (*)(const StudyConfig&, const R&)> coverage =
         nullptr) {
@@ -33,16 +29,11 @@ PhaseSpec typed_row(
   spec.run = [result, run](Study& study, const PhaseContext& context) {
     study.*result = run(study, context);
   };
-  spec.encode = [result, encode](const Study& study) {
-    util::ByteWriter w;
-    encode(w, *(study.*result));
-    return w.take();
+  spec.encode = [result](const Study& study) {
+    return util::encode(*(study.*result));
   };
-  spec.decode = [result, decode](Study& study,
-                                 std::span<const std::uint8_t> state) {
-    util::ByteReader r(state);
-    study.*result = decode(r);
-    r.expect_done();
+  spec.decode = [result](Study& study, std::span<const std::uint8_t> state) {
+    study.*result = util::decode<R>(state);
   };
   spec.coverage = [result, coverage](const Study& study) {
     const auto [planned, completed] =
@@ -129,7 +120,7 @@ const std::vector<PhaseSpec>& phase_table() {
       typed_row(
           {.id = kScanCampaign, .name = "scan_campaign", .group = "scan",
            .budget = {"ENCDNS_DEADLINE_SCAN"}, .partials = true},
-          &Study::scans_, scan::encode_snapshots, scan::decode_snapshots,
+          &Study::scans_,
           [](const Study& s, Context c) {
             return scan::Scanner(s.world(), in_context(s.config().campaign, c))
                 .run_campaign();
@@ -138,8 +129,7 @@ const std::vector<PhaseSpec>& phase_table() {
             return Units{config.campaign.scan_count, scans.size()};
           }),
       typed_row({.id = kDohDiscovery, .name = "doh_discovery", .group = "scan"},
-                &Study::doh_discovery_, scan::encode_doh_discovery,
-                scan::decode_doh_discovery, [](const Study& s, Context) {
+                &Study::doh_discovery_, [](const Study& s, Context) {
                   const auto& campaign = s.config().campaign;
                   scan::DohProber prober(s.world(),
                                          s.world().make_clean_vantage("US"),
@@ -150,7 +140,7 @@ const std::vector<PhaseSpec>& phase_table() {
       typed_row(
           {.id = kDohScan, .name = "doh_scan", .group = "scan",
            .budget = {"ENCDNS_DEADLINE_DOH_SCAN", "ENCDNS_DEADLINE_SCAN"}},
-          &Study::doh_scan_, scan::encode_doh_scan, scan::decode_doh_scan,
+          &Study::doh_scan_,
           [](const Study& s, Context c) {
             const auto& campaign = s.config().campaign;
             scan::DohScanConfig cfg;
@@ -163,8 +153,7 @@ const std::vector<PhaseSpec>& phase_table() {
           }),
       typed_row(
           {.id = kLocalProbe, .name = "local_probe", .group = "scan"},
-          &Study::local_probe_, measure::encode_local_probe,
-          measure::decode_local_probe,
+          &Study::local_probe_,
           [](const Study& s, Context) {
             return measure::run_local_resolver_probe(s.world(),
                                                      s.config().local_probe);
@@ -177,8 +166,7 @@ const std::vector<PhaseSpec>& phase_table() {
       typed_row({.id = kReachabilityGlobal, .name = "reachability_global",
                  .group = "reachability", .platform = kGlobal,
                  .budget = {"ENCDNS_DEADLINE_REACH"}, .partials = true},
-                &Study::reach_global_, measure::encode_reachability,
-                measure::decode_reachability,
+                &Study::reach_global_,
                 [](const Study& s, Context c) {
                   return run_reachability(s, s.config().reachability_global,
                                           c);
@@ -190,8 +178,7 @@ const std::vector<PhaseSpec>& phase_table() {
                  .group = "reachability", .deps = {kReachabilityGlobal},
                  .platform = kCn, .budget = {"ENCDNS_DEADLINE_REACH"},
                  .partials = true},
-                &Study::reach_cn_, measure::encode_reachability,
-                measure::decode_reachability,
+                &Study::reach_cn_,
                 [](const Study& s, Context c) {
                   return run_reachability(s, s.config().reachability_cn, c);
                 },
@@ -208,8 +195,7 @@ const std::vector<PhaseSpec>& phase_table() {
            .after = {kScanCampaign, kDohDiscovery, kDohScan},
            .platform = kGlobal, .budget = {"ENCDNS_DEADLINE_PERF"},
            .partials = true},
-          &Study::performance_, measure::encode_performance,
-          measure::decode_performance,
+          &Study::performance_,
           [](const Study& s, Context c) {
             return measure::PerformanceTest(
                        s.world(), *c.platform,
@@ -221,7 +207,7 @@ const std::vector<PhaseSpec>& phase_table() {
           }),
       typed_row(
           {.id = kNoReuse, .name = "no_reuse", .group = "performance"},
-          &Study::no_reuse_, measure::encode_no_reuse, measure::decode_no_reuse,
+          &Study::no_reuse_,
           [](const Study& s, Context) {
             return measure::run_no_reuse_test(s.world(), s.config().no_reuse);
           },
@@ -231,8 +217,7 @@ const std::vector<PhaseSpec>& phase_table() {
       typed_row(
           {.id = kNetflow, .name = "netflow", .group = "netflow",
            .budget = {"ENCDNS_DEADLINE_NETFLOW"}, .partials = true},
-          &Study::netflow_, traffic::encode_netflow_results,
-          traffic::decode_netflow_results,
+          &Study::netflow_,
           [](const Study& s, Context c) {
             return traffic::NetflowStudy(in_context(s.config().netflow, c),
                                          traffic::big_resolver_address_list())
@@ -246,8 +231,7 @@ const std::vector<PhaseSpec>& phase_table() {
            .budget = {"ENCDNS_DEADLINE_NETFLOW_TREND",
                       "ENCDNS_DEADLINE_NETFLOW"},
            .partials = true},
-          &Study::netflow_trend_, traffic::encode_trend_results,
-          traffic::decode_trend_results,
+          &Study::netflow_trend_,
           [](const Study& s, Context c) {
             return traffic::TrendStudy(
                        in_context(trend_config(s.config().trend), c))
@@ -258,8 +242,7 @@ const std::vector<PhaseSpec>& phase_table() {
           }),
       typed_row(
           {.id = kPassiveDns, .name = "passive_dns", .group = "passive_dns"},
-          &Study::passive_dns_, traffic::encode_passive_dns,
-          traffic::decode_passive_dns, [](const Study& s, Context) {
+          &Study::passive_dns_, [](const Study& s, Context) {
             return traffic::run_passive_dns_study(s.config().passive_dns);
           }),
   };

@@ -217,22 +217,22 @@ exec::CancelToken* Study::budget_token(const PhaseBudget& budget) {
   return &token->second;
 }
 
-Study::Owned Study::owned(OwnedPlatform platform) const {
+proxy::ProxyNetwork* Study::owned(OwnedPlatform platform) const {
   switch (platform) {
     case OwnedPlatform::kGlobal:
-      return {global_platform_.get(), &WorldCursor::global_platform};
+      return global_platform_.get();
     case OwnedPlatform::kCn:
-      return {cn_platform_.get(), &WorldCursor::cn_platform};
+      return cn_platform_.get();
     case OwnedPlatform::kNone:
       break;
   }
-  return {nullptr, nullptr};
+  return nullptr;
 }
 
 WorldCursor Study::capture_owned_cursor(OwnedPlatform platform) const {
   WorldCursor cursor;
-  if (const auto [network, field] = owned(platform); network != nullptr)
-    cursor.*field = network->cursor();
+  if (const proxy::ProxyNetwork* network = owned(platform))
+    cursor.platform = network->cursor();
   // Only the entries this phase stored (attributed by its PhaseTally — the
   // phase runs under the node's ScopedTally): a full-contents capture under
   // overlap would carry concurrent phases' half-done stores, and replaying
@@ -244,8 +244,8 @@ WorldCursor Study::capture_owned_cursor(OwnedPlatform platform) const {
 
 void Study::restore_owned_platform(OwnedPlatform platform,
                                    const WorldCursor& cursor) {
-  if (const auto [network, field] = owned(platform); network != nullptr)
-    network->restore_cursor(cursor.*field);
+  if (proxy::ProxyNetwork* network = owned(platform))
+    network->restore_cursor(cursor.platform);
 }
 
 void Study::restore_pending_caches() {
@@ -282,15 +282,14 @@ std::unique_ptr<exec::CheckpointHook> Study::checkpoint_hook(
   // The newest partial is decoded once, here: its owned platform rewinds
   // and its cache entries merge before the phase's prologue runs, and the
   // hook's load() hands the phase its state and metrics. Only the platform
-  // cursors of `pre` are kept.
+  // cursor of `pre` is kept.
   WorldCursor pre;
   auto resumed = checkpoint_->load_partial_delta(spec.name);
   if (resumed) {
     restore_owned_platform(spec.platform, resumed->cursor);
     world_->merge_resolver_caches(export_section(resumed->caches));
     carry_resolver_tally(resumed->metrics);
-    pre.global_platform = resumed->cursor.global_platform;
-    pre.cn_platform = resumed->cursor.cn_platform;
+    pre.platform = resumed->cursor.platform;
     resumed->caches = {};
   } else {
     pre = capture_owned_cursor(spec.platform);
@@ -323,7 +322,7 @@ void Study::execute_phase(const PhaseSpec& spec) {
   const bool journaled = checkpoint_ != nullptr && spec.journaled();
   PhaseContext context{.pool = shared_pool_,
                        .cancel = budget_token(spec.budget),
-                       .platform = owned(spec.platform).network};
+                       .platform = owned(spec.platform)};
   std::unique_ptr<exec::CheckpointHook> hook;
   if (journaled && spec.partials) {
     hook = checkpoint_hook(spec);

@@ -181,7 +181,8 @@ class Study {
   void resume_prologue();
   /// Load the phase's committed record, unless the phase already ran or
   /// loaded: results, owned platform and additive metrics; its cache
-  /// section waits in pending_caches_. Whether the phase is now done.
+  /// section waits in pending_caches_. Whether the phase is now done. A
+  /// state that fails to decode throws JournalError naming the record.
   bool load_phase(const PhaseSpec& spec);
   /// Run the phase as a node after every row the graph orders it after
   /// (resume prologue), each as its own node.
@@ -193,13 +194,8 @@ class Study {
   /// Node merge: journal the phase's pending commit. Runs on the driver
   /// thread, in canonical declaration order.
   void commit_phase_node(const PhaseSpec& spec);
-  /// The proxy platform `platform` names and its field of a WorldCursor
-  /// (nulls for kNone).
-  struct Owned {
-    proxy::ProxyNetwork* network;
-    proxy::ProxyCursor WorldCursor::*field;
-  };
-  [[nodiscard]] Owned owned(OwnedPlatform platform) const;
+  /// The proxy platform `platform` names (null for kNone).
+  [[nodiscard]] proxy::ProxyNetwork* owned(OwnedPlatform platform) const;
   /// Cursor capture limited to the platform a phase itself advances and its
   /// own cache entries, and the matching platform restore: under overlap
   /// the other platform belongs to a concurrently running node and must not

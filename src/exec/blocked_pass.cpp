@@ -8,9 +8,13 @@ std::size_t run_blocked_pass(const BlockedPass& pass) {
   std::size_t done = 0;
   if (pass.checkpoint != nullptr) {
     if (const auto state = pass.checkpoint->load()) {
-      util::ByteReader r(*state);
-      done = pass.decode(r);
-      r.expect_done();
+      try {
+        util::ByteReader r(*state);
+        done = pass.decode(r);
+        r.expect_done();
+      } catch (const util::CodecError& e) {
+        pass.checkpoint->reject(e);
+      }
     }
   }
   PoolLease pool(pass.pool, pass.thread_count);

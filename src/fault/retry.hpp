@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -53,6 +54,10 @@ struct LayerTally {
   std::uint64_t recovered = 0;
   std::uint64_t surfaced = 0;
 
+  static void fields(auto& self, auto&& visit) {
+    visit(self.injected, self.recovered, self.surfaced);
+  }
+
   LayerTally& operator+=(const LayerTally& other) noexcept {
     injected += other.injected;
     recovered += other.recovered;
@@ -97,15 +102,11 @@ class CircuitBreaker {
 
   /// Checkpoint export: every (address, strikes) pair in ascending key order,
   /// so the serialized campaign state is canonical.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, int>> export_strikes() const {
-    std::vector<std::pair<std::uint64_t, int>> out(strikes_.begin(),
-                                                   strikes_.end());
-    std::sort(out.begin(), out.end());
-    return out;
+  [[nodiscard]] std::map<std::uint64_t, int> export_strikes() const {
+    return {strikes_.begin(), strikes_.end()};
   }
-  void restore_strikes(const std::vector<std::pair<std::uint64_t, int>>& strikes) {
-    strikes_.clear();
-    for (const auto& [key, count] : strikes) strikes_[key] = count;
+  void restore_strikes(const std::map<std::uint64_t, int>& strikes) {
+    strikes_ = {strikes.begin(), strikes.end()};
   }
 
  private:

@@ -19,6 +19,10 @@ struct LocalProbeResults {
   std::size_t probes = 0;
   std::size_t dot_succeeded = 0;
 
+  static void fields(auto& self, auto&& visit) {
+    visit(self.probes, self.dot_succeeded);
+  }
+
   [[nodiscard]] double success_rate() const noexcept {
     return probes == 0 ? 0.0
                        : static_cast<double>(dot_succeeded) /

@@ -6,9 +6,8 @@
 #include "exec/blocked_pass.hpp"
 #include "http/url.hpp"
 #include "measure/client_set.hpp"
-#include "measure/codec.hpp"
 #include "obs/span.hpp"
-#include "util/bytes.hpp"
+#include "util/fields.hpp"
 #include "util/stats.hpp"
 
 namespace encdns::measure {
@@ -79,7 +78,9 @@ PerformanceTest::PerformanceTest(const world::World& world,
 
 PerformanceResults PerformanceTest::run() {
   OBS_SPAN_VAR(perf_span, "measure.perf");
-  PerformanceResults results;
+  // The accumulators live in the state a checkpoint saves.
+  PerformanceState state;
+  PerformanceResults& results = state.results;
   const auto tmpl = http::UriTemplate::parse(*target_.doh_template);
 
   // Serial batch acquisition fixes the vantage set independently of worker
@@ -251,7 +252,7 @@ PerformanceResults PerformanceTest::run() {
   // Clients run in blocks of 512 on the shared blocked-pass loop
   // (exec/blocked_pass.hpp), so degradation and resume both cut on an exact
   // prefix of the canonical client order.
-  std::uint64_t sim_credit_us = 0;
+  std::uint64_t& sim_credit_us = state.sim_credit_us;
   std::vector<ClientPartial> partials;
   const std::size_t processed = exec::run_blocked_pass({
       .units = sessions.size(), .block = 512,
@@ -293,21 +294,15 @@ PerformanceResults PerformanceTest::run() {
         return block_sim;
       },
       .encode = [&](util::ByteWriter& w, std::size_t done) {
-        w.u64(done);
-        w.u64(sim_credit_us);
-        encode_performance(w, results);
+        state.done = done;
+        util::write(w, state);
       },
       .decode = [&](util::ByteReader& r) {
-        const auto done = static_cast<std::size_t>(r.u64());
-        sim_credit_us = r.u64();
-        results = decode_performance(r);
-        // The killed process died before its phase span was recorded;
-        // carry the sim time it had already accumulated into this run's
-        // span. The credit is kept in integer microseconds because
-        // add_sim rounds per call — only the integer sum replays the
-        // original total exactly.
+        util::read(r, state);
+        // The killed run's span sim time, in integer µs: add_sim rounds
+        // per call, so only the integer sum replays its total exactly.
         perf_span.add_sim_us(sim_credit_us);
-        return done;
+        return static_cast<std::size_t>(state.done);
       },
   });
 
@@ -319,7 +314,7 @@ PerformanceResults PerformanceTest::run() {
       .add(results.client_faults.injected);
   registry.counter("measure.perf.proxy_faults")
       .add(results.proxy_faults.injected);
-  return results;
+  return std::move(state.results);
 }
 
 std::vector<NoReuseRow> run_no_reuse_test(const world::World& world,

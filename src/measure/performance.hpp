@@ -36,6 +36,10 @@ struct ClientLatency {
   double dot_ms = 0.0;
   double doh_ms = 0.0;
 
+  static void fields(auto& self, auto&& visit) {
+    visit(self.country, self.dns_ms, self.dot_ms, self.doh_ms);
+  }
+
   [[nodiscard]] double dot_overhead() const noexcept { return dot_ms - dns_ms; }
   [[nodiscard]] double doh_overhead() const noexcept { return doh_ms - dns_ms; }
 };
@@ -87,11 +91,29 @@ struct PerformanceResults {
   fault::LayerTally client_faults;
   fault::LayerTally proxy_faults;
 
+  static void fields(auto& self, auto&& visit) {
+    visit(self.discarded_clients, self.clients_planned, self.clients_processed,
+          self.client_faults, self.proxy_faults, self.clients);
+  }
+
   /// Global mean/median overhead across clients.
   [[nodiscard]] double overall(bool doh, bool median) const;
 
   /// Figure 9 aggregation; countries ordered by client count.
   [[nodiscard]] std::vector<CountryLatency> by_country(std::size_t min_clients) const;
+};
+
+/// A performance run's saved partial state (DESIGN.md §13): the clients
+/// done, the span's sim time (integer µs) they accounted, and the results
+/// so far.
+struct PerformanceState {
+  std::uint64_t done = 0;
+  std::uint64_t sim_credit_us = 0;
+  PerformanceResults results;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.done, self.sim_credit_us, self.results);
+  }
 };
 
 class PerformanceTest {
@@ -114,6 +136,10 @@ struct NoReuseRow {
   double dns_s = 0.0;  // median seconds, matching the paper's unit
   double dot_s = 0.0;
   double doh_s = 0.0;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.vantage_country, self.dns_s, self.dot_s, self.doh_s);
+  }
 
   [[nodiscard]] double dot_overhead_ms() const noexcept {
     return (dot_s - dns_s) * 1000.0;

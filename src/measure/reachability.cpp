@@ -7,9 +7,8 @@
 #include "exec/blocked_pass.hpp"
 #include "http/url.hpp"
 #include "measure/client_set.hpp"
-#include "measure/codec.hpp"
 #include "obs/span.hpp"
-#include "util/bytes.hpp"
+#include "util/fields.hpp"
 
 namespace encdns::measure {
 
@@ -302,7 +301,9 @@ ReachabilityTest::SessionPartial ReachabilityTest::run_session(
 
 ReachabilityResults ReachabilityTest::run() {
   OBS_SPAN_VAR(reach_span, "measure.reach");
-  ReachabilityResults results;
+  // The accumulators live in the state a checkpoint saves.
+  ReachabilityState state;
+  ReachabilityResults& results = state.results;
   results.platform = platform_->config().name;
 
   // The platform's rng stream is consumed by a serial batch acquisition, so
@@ -319,8 +320,8 @@ ReachabilityResults ReachabilityTest::run() {
   // Sessions run in blocks of 512 on the shared blocked-pass loop
   // (exec/blocked_pass.hpp), so degradation and resume both cut on an exact
   // prefix of the canonical session order.
-  std::uint64_t queries = 0;
-  std::uint64_t sim_credit_us = 0;
+  std::uint64_t& queries = state.queries;
+  std::uint64_t& sim_credit_us = state.sim_credit_us;
   std::vector<SessionPartial> partials;
   const std::size_t processed = exec::run_blocked_pass({
       .units = sessions.size(), .block = 512,
@@ -373,23 +374,15 @@ ReachabilityResults ReachabilityTest::run() {
         return block_sim;
       },
       .encode = [&](util::ByteWriter& w, std::size_t done) {
-        w.u64(done);
-        w.u64(queries);
-        w.u64(sim_credit_us);
-        encode_reachability(w, results);
+        state.done = done;
+        util::write(w, state);
       },
       .decode = [&](util::ByteReader& r) {
-        const auto done = static_cast<std::size_t>(r.u64());
-        queries = r.u64();
-        sim_credit_us = r.u64();
-        results = decode_reachability(r);
-        // The killed process died before its phase span was recorded;
-        // carry the sim time it had already accumulated into this run's
-        // span. The credit is kept in integer microseconds because
-        // add_sim rounds per call — only the integer sum replays the
-        // original total exactly.
+        util::read(r, state);
+        // The killed run's span sim time, in integer µs: add_sim rounds
+        // per call, so only the integer sum replays its total exactly.
         reach_span.add_sim_us(sim_credit_us);
-        return done;
+        return static_cast<std::size_t>(state.done);
       },
   });
 
@@ -405,7 +398,7 @@ ReachabilityResults ReachabilityTest::run() {
       .add(results.client_faults.injected);
   registry.counter("measure.reach.proxy_faults")
       .add(results.proxy_faults.injected);
-  return results;
+  return std::move(state.results);
 }
 
 }  // namespace encdns::measure

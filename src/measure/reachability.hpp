@@ -35,6 +35,10 @@ struct OutcomeCounts {
   std::uint64_t incorrect = 0;
   std::uint64_t failed = 0;
 
+  static void fields(auto& self, auto&& visit) {
+    visit(self.correct, self.incorrect, self.failed);
+  }
+
   [[nodiscard]] std::uint64_t total() const noexcept {
     return correct + incorrect + failed;
   }
@@ -48,6 +52,11 @@ struct ConflictDiagnosis {
   std::uint32_t asn = 0;
   std::vector<std::uint16_t> open_ports;  // on 1.1.1.1, from this client
   std::string webpage_excerpt;            // first bytes of the 1.1.1.1 page
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.client_address, self.country, self.asn, self.open_ports,
+          self.webpage_excerpt);
+  }
 };
 
 /// A client whose TLS sessions were re-signed in path (Table 6 rows).
@@ -60,6 +69,12 @@ struct InterceptionRecord {
   bool port_853 = false;
   bool dot_lookup_succeeded = false;  // opportunistic DoT proceeded
   bool doh_lookup_succeeded = false;  // strict DoH must have failed
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.client_address, self.country, self.asn, self.untrusted_ca_cn,
+          self.port_443, self.port_853, self.dot_lookup_succeeded,
+          self.doh_lookup_succeeded);
+  }
 };
 
 struct ReachabilityConfig {
@@ -105,8 +120,28 @@ struct ReachabilityResults {
   fault::LayerTally client_faults;
   fault::LayerTally proxy_faults;
 
+  static void fields(auto& self, auto&& visit) {
+    visit(self.platform, self.clients, self.clients_planned, self.dataset,
+          self.client_faults, self.proxy_faults, self.cells,
+          self.conflict_diagnoses, self.interceptions);
+  }
+
   [[nodiscard]] const OutcomeCounts& cell(const std::string& resolver,
                                           Protocol protocol) const;
+};
+
+/// A reachability run's saved partial state (DESIGN.md §13): the sessions
+/// done, the queries and the span's sim time (integer µs) they accounted,
+/// and the results so far.
+struct ReachabilityState {
+  std::uint64_t done = 0;
+  std::uint64_t queries = 0;
+  std::uint64_t sim_credit_us = 0;
+  ReachabilityResults results;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.done, self.queries, self.sim_credit_us, self.results);
+  }
 };
 
 class ReachabilityTest {

@@ -13,6 +13,11 @@ namespace encdns::measure {
 
 enum class Protocol { kDo53, kDoT, kDoH };
 
+/// The last Protocol, which bounds its journal byte (util/fields.hpp).
+[[nodiscard]] constexpr Protocol last_enumerator(Protocol) noexcept {
+  return Protocol::kDoH;
+}
+
 [[nodiscard]] std::string to_string(Protocol protocol);
 
 struct ResolverTarget {

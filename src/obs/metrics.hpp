@@ -296,16 +296,26 @@ struct SpanStat {
 // ---------------------------------------------------------------------------
 // Snapshot: an owning, name-sorted copy of every registered metric.
 
+// Checkpoint records carry a phase's metrics delta as a Snapshot, in its
+// field lists' layout (util/fields.hpp).
 struct CounterSample {
   std::string name;
   std::uint64_t value = 0;
   bool diagnostic = false;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.name, self.value, self.diagnostic);
+  }
 };
 
 struct GaugeSample {
   std::string name;
   std::int64_t value = 0;
   bool diagnostic = false;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.name, self.value, self.diagnostic);
+  }
 };
 
 struct HistogramSample {
@@ -317,6 +327,11 @@ struct HistogramSample {
   std::int64_t min_us = 0;
   std::int64_t max_us = 0;
   bool diagnostic = false;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.name, self.bounds_ms, self.buckets, self.count, self.sum_us,
+          self.min_us, self.max_us, self.diagnostic);
+  }
 };
 
 struct SpanSample {
@@ -324,6 +339,10 @@ struct SpanSample {
   std::uint64_t count = 0;
   std::uint64_t sim_us = 0;
   std::uint64_t wall_ns = 0;  // diagnostic: excluded from JSON
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.name, self.count, self.sim_us, self.wall_ns);
+  }
 };
 
 struct Snapshot {
@@ -331,6 +350,10 @@ struct Snapshot {
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
   std::vector<SpanSample> spans;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.counters, self.gauges, self.histograms, self.spans);
+  }
 
   /// Stable JSON (schema "encdns.obs.v1"): integers only, name-sorted,
   /// diagnostic metrics and wall-clock fields excluded unless asked for.

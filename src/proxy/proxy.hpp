@@ -76,6 +76,10 @@ struct DatasetSummary {
   std::size_t distinct_ips = 0;
   std::size_t countries = 0;
   std::size_t ases = 0;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.platform, self.distinct_ips, self.countries, self.ases);
+  }
 };
 
 /// The platform's serializable recruitment position: its rng stream plus the
@@ -85,6 +89,8 @@ struct DatasetSummary {
 struct ProxyCursor {
   util::RngState rng;
   std::uint64_t next_id = 1;
+
+  static void fields(auto& self, auto&& visit) { visit(self.rng, self.next_id); }
 };
 
 class ProxyNetwork {

@@ -23,6 +23,11 @@ struct DohCandidate {
   bool probe_ok = false;  // answered a DoH query correctly
   bool cert_valid = false;
   int http_status = 0;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.url, self.host, self.path, self.probe_ok, self.cert_valid,
+          self.http_status);
+  }
 };
 
 struct DiscoveredDoh {
@@ -31,6 +36,11 @@ struct DiscoveredDoh {
   std::string path;
   bool cert_valid = false;
   bool in_public_list = false;  // filled by the caller against a list
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.uri_template, self.host, self.path, self.cert_valid,
+          self.in_public_list);
+  }
 };
 
 struct DohDiscovery {
@@ -41,6 +51,11 @@ struct DohDiscovery {
   std::vector<DiscoveredDoh> resolvers;  // deduplicated by (host, path)
   /// Retry accounting for the candidate probes (transient failures only).
   fault::LayerTally faults;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.urls_in_dataset, self.path_candidates, self.valid_urls,
+          self.faults, self.candidates, self.resolvers);
+  }
 };
 
 class DohProber {

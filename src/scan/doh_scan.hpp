@@ -43,6 +43,11 @@ struct DohScanEndpoint {
   bool cert_valid = false;
   bool answer_correct = false;
   sim::Millis probe_latency{0.0};
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.address, self.host, self.path, self.uri_template,
+          self.cert_valid, self.answer_correct, self.probe_latency);
+  }
 };
 
 struct DohScanResult {
@@ -60,6 +65,12 @@ struct DohScanResult {
   std::uint64_t rejected_duplicate = 0;
   std::uint64_t rejected_stale = 0;
   std::uint64_t retransmits = 0;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.date, self.addresses_probed, self.port443_open,
+          self.tls_established, self.rejected_forgery, self.rejected_duplicate,
+          self.rejected_stale, self.retransmits, self.faults, self.endpoints);
+  }
 
   /// Endpoint hosts absent from `known` (e.g. the URL-dataset discovery's
   /// host set) — the scan's value-add over URL mining.

@@ -7,10 +7,9 @@
 
 #include "exec/blocked_pass.hpp"
 #include "obs/span.hpp"
-#include "scan/codec.hpp"
 #include "scan/engine.hpp"
 #include "scan/permutation.hpp"
-#include "util/bytes.hpp"
+#include "util/fields.hpp"
 #include "util/stats.hpp"
 
 namespace encdns::scan {
@@ -279,7 +278,8 @@ ScanSnapshot Scanner::scan_once(const util::Date& date) {
 }
 
 std::vector<ScanSnapshot> Scanner::run_campaign() {
-  std::vector<ScanSnapshot> snapshots;
+  CampaignState state;
+  std::vector<ScanSnapshot>& snapshots = state.snapshots;
   snapshots.reserve(static_cast<std::size_t>(config_.scan_count));
 
   // One scan per block of a blocked pass (exec/blocked_pass.hpp): scan
@@ -300,30 +300,18 @@ std::vector<ScanSnapshot> Scanner::run_campaign() {
         return sim::Millis{0.0};
       },
       .encode = [&](util::ByteWriter& w, std::size_t) {
-        w.u64(scan_serial_);
-        const auto strikes = breaker_.export_strikes();
-        w.u32(static_cast<std::uint32_t>(strikes.size()));
-        for (const auto& [key, count] : strikes) {
-          w.u64(key);
-          w.i64(count);
-        }
-        encode_snapshots(w, snapshots);
+        state.scan_serial = scan_serial_;
+        state.strikes = breaker_.export_strikes();
+        util::write(w, state);
       },
       .decode = [&](util::ByteReader& r) {
-        scan_serial_ = r.u64();
-        const std::uint32_t n_strikes = r.count(12);
-        std::vector<std::pair<std::uint64_t, int>> strikes;
-        strikes.reserve(n_strikes);
-        for (std::uint32_t s = 0; s < n_strikes; ++s) {
-          const std::uint64_t key = r.u64();
-          strikes.emplace_back(key, static_cast<int>(r.i64()));
-        }
-        breaker_.restore_strikes(strikes);
-        snapshots = decode_snapshots(r);
+        util::read(r, state);
+        scan_serial_ = state.scan_serial;
+        breaker_.restore_strikes(state.strikes);
         return snapshots.size();
       },
   });
-  return snapshots;
+  return std::move(state.snapshots);
 }
 
 }  // namespace encdns::scan

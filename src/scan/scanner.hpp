@@ -3,6 +3,7 @@
 // every open host with a real DoT query and collect/verify certificates.
 #pragma once
 
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,6 +27,11 @@ struct DiscoveredResolver {
   bool answer_correct = false;
   std::string country;  // via the geolocation oracle
   sim::Millis probe_latency{0.0};
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.address, self.cert_cn, self.provider, self.cert_status,
+          self.answer_correct, self.country, self.probe_latency);
+  }
 };
 
 struct ScanSnapshot {
@@ -50,6 +56,12 @@ struct ScanSnapshot {
   /// SYN retransmissions the engine's receive loop requested.
   std::uint64_t retransmits = 0;
 
+  static void fields(auto& self, auto&& visit) {
+    visit(self.date, self.addresses_probed, self.port_open, self.tls_responsive,
+          self.breaker_skipped, self.rejected_forgery, self.rejected_duplicate,
+          self.rejected_stale, self.retransmits, self.faults, self.resolvers);
+  }
+
   /// Distinct providers (grouping key) seen in this snapshot.
   [[nodiscard]] std::vector<std::string> providers() const;
 
@@ -58,6 +70,19 @@ struct ScanSnapshot {
 
   /// Providers owning at least one resolver with an invalid certificate.
   [[nodiscard]] std::vector<std::string> invalid_cert_providers() const;
+};
+
+/// A campaign's saved partial state (DESIGN.md §13): the scan serial and
+/// the breaker's strikes — all one scan hands the next — and the snapshots
+/// so far.
+struct CampaignState {
+  std::uint64_t scan_serial = 0;
+  std::map<std::uint64_t, int> strikes;
+  std::vector<ScanSnapshot> snapshots;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.scan_serial, self.strikes, self.snapshots);
+  }
 };
 
 /// Phase-1 sweep implementation. kStateless is the masscan-style engine

@@ -15,6 +15,8 @@ struct Millis {
   constexpr Millis() = default;
   constexpr explicit Millis(double ms) noexcept : value(ms) {}
 
+  static void fields(auto& self, auto&& visit) { visit(self.value); }
+
   [[nodiscard]] static constexpr Millis seconds(double s) noexcept {
     return Millis{s * 1000.0};
   }

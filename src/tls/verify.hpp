@@ -22,6 +22,11 @@ enum class CertStatus {
   kHostnameMismatch,
 };
 
+/// The last CertStatus, which bounds its journal byte (util/fields.hpp).
+[[nodiscard]] constexpr CertStatus last_enumerator(CertStatus) noexcept {
+  return CertStatus::kHostnameMismatch;
+}
+
 [[nodiscard]] std::string to_string(CertStatus status);
 
 /// True for any status other than kValid.

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace encdns::traffic {
@@ -84,6 +85,13 @@ class Hll {
   /// Codec restore path: replaces the register file. Throws
   /// std::invalid_argument if the size does not match 2^precision.
   void restore_registers(std::vector<std::uint8_t> registers);
+
+  /// Journal codec (traffic/codec.cpp): precision as a u8, seed and
+  /// registers in a checksummed envelope; decoding also rejects a precision,
+  /// register count or rank that add() cannot produce.
+  static constexpr std::uint8_t kCodecVersion = 1;
+  static void encode(util::ByteWriter& w, const Hll& sketch);
+  static void decode(util::ByteReader& r, Hll& sketch);
 
   /// Bytes of live state (the register file); used by the streaming engine's
   /// deterministic peak-memory accounting.

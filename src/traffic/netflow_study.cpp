@@ -6,8 +6,7 @@
 
 #include "exec/blocked_pass.hpp"
 #include "obs/span.hpp"
-#include "traffic/codec.hpp"
-#include "util/bytes.hpp"
+#include "util/fields.hpp"
 #include "world/providers.hpp"
 
 namespace encdns::traffic {
@@ -17,6 +16,20 @@ namespace {
 // contract (shards bound the per-shard accumulator structure), so it never
 // tracks the thread count.
 constexpr std::size_t kNetflowShards = 16;
+
+/// One client /24 of a saved partial state: its tallies and its active
+/// days as an ascending list of day numbers.
+struct SavedBlock {
+  std::uint32_t addr = 0;
+  std::uint64_t records = 0;
+  std::int64_t first = 0;
+  std::int64_t last = 0;
+  std::vector<std::int64_t> days;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.addr, self.records, self.first, self.last, self.days);
+  }
+};
 }  // namespace
 
 double NetflowStudyResults::top_share(std::size_t k) const {
@@ -143,8 +156,9 @@ NetflowStudyResults NetflowStudy::run() {
         out.emplace(months[m], count);
     return out;
   };
-  const auto restore_series = [&](Label label, util::ByteReader& r) {
-    for (const auto& [month, count] : decode_monthly(r)) {
+  const auto restore_series =
+      [&](Label label, const std::map<util::Date, std::uint64_t>& saved) {
+    for (const auto& [month, count] : saved) {
       const auto it = std::lower_bound(months.begin(), months.end(), month);
       if (it == months.end() || *it != month)
         throw util::CodecError("netflow checkpoint: month " +
@@ -243,87 +257,73 @@ NetflowStudyResults NetflowStudy::run() {
         }
         return sim::Millis{0.0};
       },
-      // The saved state lists each block's active days in ascending order.
+      // The saved state lists the blocks in ascending order, each with its
+      // active days in ascending order.
       .encode = [&](util::ByteWriter& w, std::size_t done) {
-        w.u64(done / kGroupShards);
-        w.u64(results.days_processed);
-        w.u64(flows_observed);
-        w.u64(records_sampled);
-        w.u64(results.excluded_single_syn);
-        w.u64(results.unmatched_853_records);
-        w.u64(results.total_dot_records);
-        encode_monthly(w, series(kCloudflare));
-        encode_monthly(w, series(kQuad9));
-        std::vector<std::uint32_t> sorted_blocks;
-        sorted_blocks.reserve(blocks.size());
-        for (const auto& [addr, acc] : blocks) sorted_blocks.push_back(addr);
-        std::sort(sorted_blocks.begin(), sorted_blocks.end());
-        w.u32(static_cast<std::uint32_t>(sorted_blocks.size()));
-        for (const std::uint32_t addr : sorted_blocks) {
-          const auto& acc = blocks.at(addr);
-          w.u32(addr);
-          w.u64(acc.records);
-          w.i64(acc.first);
-          w.i64(acc.last);
-          std::uint32_t active = 0;
-          for (const std::uint64_t word : acc.days)
-            active += static_cast<std::uint32_t>(std::popcount(word));
-          w.u32(active);
+        std::vector<SavedBlock> saved;
+        saved.reserve(blocks.size());
+        for (const auto& [addr, acc] : blocks) {
+          SavedBlock& block = saved.emplace_back(
+              SavedBlock{addr, acc.records, acc.first, acc.last, {}});
           for (std::size_t i = 0; i < n_words; ++i) {
             for (std::uint64_t word = acc.days[i]; word != 0; word &= word - 1)
-              w.i64(start_day + static_cast<std::int64_t>(
-                                    i * 64 + std::countr_zero(word)));
+              block.days.push_back(start_day + static_cast<std::int64_t>(
+                                                   i * 64 + std::countr_zero(word)));
           }
         }
-        encode_hll(w, block_sketch);
-        encode_detector(w, detector);
+        std::sort(saved.begin(), saved.end(),
+                  [](const SavedBlock& a, const SavedBlock& b) {
+                    return a.addr < b.addr;
+                  });
+        const auto cloudflare = series(kCloudflare);
+        const auto quad9 = series(kQuad9);
+        util::write(w, std::uint64_t{done / kGroupShards},
+                    results.days_processed, flows_observed, records_sampled,
+                    results.excluded_single_syn, results.unmatched_853_records,
+                    results.total_dot_records,
+                    util::via<MonthlySeries>(cloudflare),
+                    util::via<MonthlySeries>(quad9), saved, block_sketch,
+                    detector);
       },
       .decode = [&](util::ByteReader& r) {
-        const std::size_t done = r.u64() * kGroupShards;
-        results.days_processed = static_cast<std::size_t>(r.u64());
-        flows_observed = r.u64();
-        records_sampled = r.u64();
-        results.excluded_single_syn = r.u64();
-        results.unmatched_853_records = r.u64();
-        results.total_dot_records = r.u64();
-        restore_series(kCloudflare, r);
-        restore_series(kQuad9, r);
-        const std::uint32_t n_blocks = r.count(24);
-        std::uint32_t previous = 0;
-        for (std::uint32_t i = 0; i < n_blocks; ++i) {
-          const std::uint32_t addr = r.u32();
-          if (i > 0 && addr <= previous)
-            throw util::CodecError(
-                "netflow checkpoint: blocks not in ascending order");
-          previous = addr;
-          auto& acc = blocks[addr];
-          acc.records = r.u64();
-          acc.first = r.i64();
-          acc.last = r.i64();
-          if (acc.first > acc.last)
-            throw util::CodecError("netflow checkpoint: first seen after last");
-          const std::uint32_t n_active = r.count(8);
-          if (n_active > n_days)
-            throw util::CodecError(
-                "netflow checkpoint: more active days than the window");
+        std::uint64_t groups = 0;
+        std::map<util::Date, std::uint64_t> cloudflare;
+        std::map<util::Date, std::uint64_t> quad9;
+        std::vector<SavedBlock> saved;
+        util::read(r, groups, results.days_processed, flows_observed,
+                   records_sampled, results.excluded_single_syn,
+                   results.unmatched_853_records, results.total_dot_records,
+                   util::via<MonthlySeries>(cloudflare),
+                   util::via<MonthlySeries>(quad9), saved, block_sketch,
+                   detector);
+        restore_series(kCloudflare, cloudflare);
+        restore_series(kQuad9, quad9);
+        const auto check = [](bool holds, const char* what) {
+          if (!holds)
+            throw util::CodecError(std::string("netflow checkpoint: ") + what);
+        };
+        for (std::size_t i = 0; i < saved.size(); ++i) {
+          const SavedBlock& block = saved[i];
+          check(i == 0 || block.addr > saved[i - 1].addr,
+                "blocks not in ascending order");
+          check(block.first <= block.last, "first seen after last");
+          check(block.days.size() <= n_days, "more active days than the window");
+          auto& acc = blocks[block.addr];
+          acc.records = block.records;
+          acc.first = block.first;
+          acc.last = block.last;
           acc.days.assign(n_words, 0);
           std::int64_t prior = start_day - 1;
-          for (std::uint32_t j = 0; j < n_active; ++j) {
-            const std::int64_t day = r.i64();
-            if (day < start_day || day >= start_day + total_days)
-              throw util::CodecError(
-                  "netflow checkpoint: active day outside the window");
-            if (day <= prior)
-              throw util::CodecError(
-                  "netflow checkpoint: active days not strictly ascending");
+          for (const std::int64_t day : block.days) {
+            check(day >= start_day && day < start_day + total_days,
+                  "active day outside the window");
+            check(day > prior, "active days not strictly ascending");
             prior = day;
             const auto d = static_cast<std::size_t>(day - start_day);
             acc.days[d / 64] |= std::uint64_t{1} << (d % 64);
           }
         }
-        block_sketch = decode_hll(r);
-        decode_detector(r, detector);
-        return done;
+        return static_cast<std::size_t>(groups) * kGroupShards;
       },
   });
   auto& registry = obs::MetricsRegistry::global();

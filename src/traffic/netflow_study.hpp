@@ -18,6 +18,7 @@
 #include "traffic/netflow.hpp"
 #include "traffic/scan_detector.hpp"
 #include "util/date.hpp"
+#include "util/fields.hpp"
 
 namespace encdns::traffic {
 
@@ -44,6 +45,20 @@ struct NetblockStat {
   int active_days = 0;  // days with at least one sampled DoT record
   util::Date first_seen;
   util::Date last_seen;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.slash24, self.records, self.active_days, self.first_seen,
+          self.last_seen);
+  }
+};
+
+/// The journal codec of a Figure 11 series (traffic/codec.cpp): the generic
+/// map layout, and decoding also rejects a key that is not a month start.
+struct MonthlySeries {
+  static void encode(util::ByteWriter& w,
+                     const std::map<util::Date, std::uint64_t>& monthly);
+  static void decode(util::ByteReader& r,
+                     std::map<util::Date, std::uint64_t>& monthly);
 };
 
 struct NetflowStudyResults {
@@ -78,6 +93,15 @@ struct NetflowStudyResults {
   /// aggregated; they differ only when a deadline cancelled tail day-shards.
   std::size_t days_planned = 0;
   std::size_t days_processed = 0;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(util::via<MonthlySeries>(self.cloudflare_monthly),
+          util::via<MonthlySeries>(self.quad9_monthly),
+          self.do53_monthly_estimate, self.total_dot_records,
+          self.excluded_single_syn, self.unmatched_853_records,
+          self.distinct_block_estimate, self.flagged_client_blocks,
+          self.days_planned, self.days_processed, self.netblocks);
+  }
 
   [[nodiscard]] double top_share(std::size_t k) const;
   /// Fraction of client netblocks active fewer than `days` days.

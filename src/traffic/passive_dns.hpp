@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/date.hpp"
 #include "util/rng.hpp"
 
@@ -25,6 +26,10 @@ struct PdnsAggregate {
   util::Date first_seen;
   util::Date last_seen;
   std::uint64_t total_count = 0;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.domain, self.first_seen, self.last_seen, self.total_count);
+  }
 };
 
 /// DNSDB-like store: aggregates only.
@@ -107,6 +112,11 @@ struct PassiveDnsStudyResults {
   /// Domains with more than `threshold` total lookups in the aggregate DB.
   [[nodiscard]] std::vector<std::string> popular_domains(
       std::uint64_t threshold) const;
+
+  /// Journal codec (traffic/codec.cpp): the aggregates, then the daily
+  /// counts, each restored through its store.
+  static void encode(util::ByteWriter& w, const PassiveDnsStudyResults& results);
+  static void decode(util::ByteReader& r, PassiveDnsStudyResults& results);
 };
 
 /// Populate both stores from the usage model.

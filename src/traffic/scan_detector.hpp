@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "traffic/netflow.hpp"
+#include "util/fields.hpp"
 #include "util/ipv4.hpp"
 
 namespace encdns::traffic {
@@ -28,6 +29,12 @@ class ScanDetector {
   explicit ScanDetector(ScanDetectorConfig config = {}) : config_(config) {}
 
   enum class State { kBenign, kSuspicious, kScanner };
+  /// A state's journal byte (traffic/codec.cpp): decoding rejects a byte
+  /// above kScanner as an unknown state.
+  struct StateByte {
+    static void encode(util::ByteWriter& w, State state);
+    static void decode(util::ByteReader& r, State& state);
+  };
 
   /// Count one raw flow against its source /24. Inline: the §5.2 pass calls
   /// it for every generated flow, and consecutive flows mostly share a
@@ -58,9 +65,21 @@ class ScanDetector {
     std::uint64_t incomplete = 0;
     State state = State::kBenign;
     std::vector<std::uint32_t> dsts;  // sorted ascending
+
+    static void fields(auto& self, auto&& visit) {
+      visit(self.src, self.flows, self.incomplete,
+            util::via<StateByte>(self.state), self.dsts);
+    }
   };
   [[nodiscard]] std::vector<ExportedSource> export_sources() const;
   void restore_sources(const std::vector<ExportedSource>& sources);
+
+  /// Journal codec (traffic/codec.cpp): the exported sources. Decoding
+  /// rejects sources out of ascending order, more incomplete flows than
+  /// flows, and destination lists that are unsorted, duplicated or over the
+  /// cap.
+  static void encode(util::ByteWriter& w, const ScanDetector& detector);
+  static void decode(util::ByteReader& r, ScanDetector& detector);
 
  private:
   // No /24 ends in 0xFF, so this never names a source.

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "exec/blocked_pass.hpp"
 #include "obs/span.hpp"
-#include "traffic/codec.hpp"
-#include "util/bytes.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 
 namespace encdns::traffic {
@@ -52,6 +52,19 @@ using MonthMap = std::map<std::int64_t, MonthAgg>;
   }
   return bytes;
 }
+
+/// One provider-month of a saved partial state, its client set as an
+/// ascending list; a provider's months are a map keyed by month start.
+struct SavedMonth {
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+  Hll clients{};
+  std::vector<std::uint32_t> exact;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.records, self.bytes, self.clients, self.exact);
+  }
+};
 
 MonthAgg& month_slot(MonthMap& months, std::int64_t key, int precision,
                      std::uint64_t seed) {
@@ -222,7 +235,7 @@ double TrendStudy::daily_rate(const TrendProvider& provider,
 TrendStudyResults TrendStudy::run() {
   OBS_SPAN("traffic.trend");
   TrendStudyResults results;
-  results.hll_precision = config_.hll_precision;
+  results.hll_precision = static_cast<std::uint8_t>(config_.hll_precision);
   results.events = events_;
   // All sketches of a run share (precision, seed), so any pair of them —
   // day into month, shard into shard, month into provider total — merges.
@@ -362,55 +375,43 @@ TrendStudyResults TrendStudy::run() {
         return sim::Millis{0.0};
       },
       .encode = [&](util::ByteWriter& w, std::size_t done) {
-        w.u64(done / kGroupShards);
-        w.u64(results.days_processed);
-        w.u64(total_records);
-        w.u64(total_bytes);
-        w.u64(peak_tracked);
-        w.u32(static_cast<std::uint32_t>(providers_.size()));
-        for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
-          w.u32(static_cast<std::uint32_t>(provider_months[pi].size()));
+        std::vector<std::map<std::int64_t, SavedMonth>> saved(
+            provider_months.size());
+        for (std::size_t pi = 0; pi < saved.size(); ++pi) {
           for (const auto& [key, agg] : provider_months[pi]) {
-            w.i64(key);
-            w.u64(agg.records);
-            w.u64(agg.bytes);
-            encode_hll(w, agg.clients);
-            std::vector<std::uint32_t> exact(agg.exact.begin(),
-                                             agg.exact.end());
+            std::vector<std::uint32_t> exact(agg.exact.begin(), agg.exact.end());
             std::sort(exact.begin(), exact.end());
-            w.u32(static_cast<std::uint32_t>(exact.size()));
-            for (const std::uint32_t addr : exact) w.u32(addr);
+            saved[pi].emplace(key, SavedMonth{agg.records, agg.bytes,
+                                              agg.clients, std::move(exact)});
           }
         }
+        util::write(w, std::uint64_t{done / kGroupShards},
+                    results.days_processed, total_records, total_bytes,
+                    peak_tracked, saved);
       },
       .decode = [&](util::ByteReader& r) {
-        const std::size_t done = r.u64() * kGroupShards;
-        results.days_processed = static_cast<std::size_t>(r.u64());
-        total_records = r.u64();
-        total_bytes = r.u64();
-        peak_tracked = r.u64();
-        const std::uint32_t n_providers = r.count(4);
-        if (n_providers != providers_.size()) {
+        std::uint64_t groups = 0;
+        std::vector<std::map<std::int64_t, SavedMonth>> saved;
+        util::read(r, groups, results.days_processed, total_records,
+                   total_bytes, peak_tracked, saved);
+        if (saved.size() != providers_.size())
           throw util::CodecError("trend checkpoint: provider count mismatch");
-        }
-        for (std::size_t pi = 0; pi < providers_.size(); ++pi) {
-          const std::uint32_t n_months = r.count(24);
-          for (std::uint32_t j = 0; j < n_months; ++j) {
-            const std::int64_t key = r.i64();
-            const std::uint64_t records = r.u64();
-            const std::uint64_t bytes = r.u64();
-            Hll clients = decode_hll(r);
-            MonthAgg agg(clients.precision(), clients.seed());
-            agg.records = records;
-            agg.bytes = bytes;
-            agg.clients = std::move(clients);
-            const std::uint32_t n_exact = r.count(4);
-            for (std::uint32_t e = 0; e < n_exact; ++e)
-              agg.exact.insert(r.u32());
-            provider_months[pi].emplace(key, std::move(agg));
+        for (std::size_t pi = 0; pi < saved.size(); ++pi) {
+          for (auto& [key, month] : saved[pi]) {
+            if (std::adjacent_find(month.exact.begin(), month.exact.end(),
+                                   std::greater_equal<>()) != month.exact.end())
+              throw util::CodecError(
+                  "trend checkpoint: client set not strictly ascending");
+            MonthAgg& agg = month_slot(provider_months[pi], key,
+                                       month.clients.precision(),
+                                       month.clients.seed());
+            agg.records = month.records;
+            agg.bytes = month.bytes;
+            agg.clients = std::move(month.clients);
+            agg.exact.insert(month.exact.begin(), month.exact.end());
           }
         }
-        return done;
+        return static_cast<std::size_t>(groups) * kGroupShards;
       },
   });
 

@@ -35,6 +35,7 @@
 #include "exec/checkpoint_hook.hpp"
 #include "exec/executor.hpp"
 #include "traffic/hll.hpp"
+#include "util/bytes.hpp"
 #include "util/date.hpp"
 #include "util/ipv4.hpp"
 
@@ -54,7 +55,18 @@ struct AdoptionEvent {
   util::Date to{9999, 1, 1};  ///< exclusive; default = open-ended
   double multiplier = 1.0;
   std::string label;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.kind, self.provider, self.from, self.to, self.multiplier,
+          self.label);
+  }
 };
+
+/// The last event kind, which bounds its journal byte (util/fields.hpp).
+[[nodiscard]] constexpr AdoptionEvent::Kind last_enumerator(
+    AdoptionEvent::Kind) noexcept {
+  return AdoptionEvent::Kind::kCensorship;
+}
 
 [[nodiscard]] const char* adoption_event_kind_label(
     AdoptionEvent::Kind kind) noexcept;
@@ -82,6 +94,11 @@ struct TrendMonth {
   std::uint64_t bytes = 0;
   std::uint64_t clients_estimated = 0;  ///< HLL estimate
   std::uint64_t clients_exact = 0;      ///< 0 unless validate_exact
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.month, self.records, self.bytes, self.clients_estimated,
+          self.clients_exact);
+  }
 };
 
 struct TrendProviderSeries {
@@ -91,6 +108,11 @@ struct TrendProviderSeries {
   std::uint64_t total_bytes = 0;
   std::uint64_t clients_estimated = 0;  ///< all-time distinct (merged sketch)
   std::uint64_t clients_exact = 0;      ///< 0 unless validate_exact
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.name, self.total_records, self.total_bytes,
+          self.clients_estimated, self.clients_exact, self.monthly);
+  }
 
   /// The month starting at `month_start`, or null.
   [[nodiscard]] const TrendMonth* month(const util::Date& month_start) const;
@@ -129,7 +151,7 @@ struct TrendStudyResults {
   std::vector<AdoptionEvent> events;           ///< the dynamics applied
   std::uint64_t total_records = 0;
   std::uint64_t total_bytes = 0;
-  int hll_precision = Hll::kDefaultPrecision;
+  std::uint8_t hll_precision = Hll::kDefaultPrecision;
   std::size_t days_planned = 0;
   std::size_t days_processed = 0;
   /// Deterministic upper bound on live aggregation state (the day sketch +
@@ -137,6 +159,17 @@ struct TrendStudyResults {
   /// tier and the netflow bench guard hold fixed ceilings against it to
   /// prove day retirement keeps memory flat.
   std::uint64_t peak_tracked_bytes = 0;
+
+  /// The journal writes this list inside a checksummed envelope
+  /// (traffic/codec.cpp).
+  static constexpr std::uint8_t kCodecVersion = 2;
+  static void fields(auto& self, auto&& visit) {
+    visit(self.total_records, self.total_bytes, self.hll_precision,
+          self.days_planned, self.days_processed, self.peak_tracked_bytes,
+          self.events, self.providers);
+  }
+  static void encode(util::ByteWriter& w, const TrendStudyResults& results);
+  static void decode(util::ByteReader& r, TrendStudyResults& results);
 
   [[nodiscard]] const TrendProviderSeries* provider(
       const std::string& name) const;

@@ -43,6 +43,10 @@ struct RngState {
   std::array<std::uint64_t, 4> words{};
   double cached_normal = 0.0;
   bool has_cached_normal = false;
+
+  static void fields(auto& self, auto&& visit) {
+    visit(self.words, self.cached_normal, self.has_cached_normal);
+  }
 };
 
 /// xoshiro256++ generator. Satisfies UniformRandomBitGenerator.

@@ -24,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "support/fail_closed.hpp"
 #include "util/bytes.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 
 namespace encdns::core {
@@ -202,14 +203,11 @@ TEST(CacheSection, UnchangedExportsCostConstantBytes) {
 
 // --- structured mutations -----------------------------------------------------
 
-/// A cursor's fixed fields (both platform cursors, the cache tally), zeroed.
+/// A cursor's fixed fields (its platform cursor), zeroed.
 void write_cursor_head(util::ByteWriter& w) {
-  for (int platform = 0; platform < 2; ++platform) {
-    for (int word = 0; word < 4; ++word) w.u64(0);
-    w.f64(0.0);
-    w.boolean(false);
-    w.u64(0);
-  }
+  proxy::ProxyCursor zeroed;
+  zeroed.next_id = 0;
+  util::write(w, zeroed);
 }
 
 void write_entry(util::ByteWriter& w, const std::string& key,
@@ -403,7 +401,7 @@ class CacheSectionJournalTest : public ::testing::Test {
 /// go, and the survivors keep their relative order, as in an LRU export.
 [[nodiscard]] WorldCursor cursor_at(int step) {
   WorldCursor cursor;
-  cursor.global_platform.next_id = 11;
+  cursor.platform.next_id = 11;
   cursor.caches.resize(2);
   for (int i = step; i < step + 5; ++i)
     cursor.caches[i % 2].push_back(
@@ -474,11 +472,10 @@ TEST_F(CacheSectionJournalTest, ChainJournalFailsClosedOnEveryPrefixAndByteFlip)
 [[nodiscard]] std::vector<std::uint8_t> partial_delta_body(
     const std::function<void(util::ByteWriter&)>& section) {
   util::ByteWriter w;
-  w.u8(11);  // partial
+  w.u8(13);  // partial
   write_cursor_head(w);
   section(w);
-  encode_metrics(w, obs::Snapshot{});
-  w.blob({1});
+  util::write(w, obs::Snapshot{}, std::vector<std::uint8_t>{1});
   return w.take();
 }
 
@@ -518,8 +515,8 @@ TEST_F(CacheSectionJournalTest, StructuredMutationsFailTheLoadClosed) {
 // Records in a retired layout fail closed at the kind check: the
 // whole-section journal's kinds 1–4 (every cache entry repeated in every
 // record), the serial schedule's absolute kinds 6–7 (a phase record led by
-// an `ordered` flag) and kinds 8–9, whose cursors carried a resolver-cache
-// tally.
+// an `ordered` flag), kinds 8–9, whose cursors carried a resolver-cache
+// tally, and kinds 10–11, whose cursors carried both platforms.
 TEST_F(CacheSectionJournalTest, WholeSectionRecordsFailClosed) {
   const auto whole_section_body = [](std::uint8_t kind, bool ordered_flag) {
     util::ByteWriter w;
@@ -533,8 +530,7 @@ TEST_F(CacheSectionJournalTest, WholeSectionRecordsFailClosed) {
       w.u32(static_cast<std::uint32_t>(backend.size()));
       for (const auto& entry : backend) write_entry(w, entry.key, entry.wire);
     }
-    encode_metrics(w, obs::Snapshot{});
-    w.blob({1});
+    util::write(w, obs::Snapshot{}, std::vector<std::uint8_t>{1});
     return w.take();
   };
   struct Case {
@@ -554,6 +550,7 @@ TEST_F(CacheSectionJournalTest, WholeSectionRecordsFailClosed) {
       {"phase:netflow", 3, false, phase},   {"partial:netflow", 4, false, partial},
       {"phase:netflow", 6, true, phase},    {"partial:netflow", 7, false, partial},
       {"phase:netflow", 8, false, phase},   {"partial:netflow", 9, false, partial},
+      {"phase:netflow", 10, false, phase},  {"partial:netflow", 11, false, partial},
   };
   for (const Case& c : cases) {
     write_journal({{c.key, whole_section_body(c.kind, c.ordered_flag)}});

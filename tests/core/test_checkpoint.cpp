@@ -442,12 +442,10 @@ TEST_F(CheckpointTest, KillAfterEnvSigkillsAtTheConfiguredCommit) {
 
 WorldCursor sample_cursor() {
   WorldCursor cursor;
-  cursor.global_platform.rng.words = {1, 2, 3, 4};
-  cursor.global_platform.rng.cached_normal = 0.25;
-  cursor.global_platform.rng.has_cached_normal = true;
-  cursor.global_platform.next_id = 42;
-  cursor.cn_platform.rng.words = {5, 6, 7, 8};
-  cursor.cn_platform.next_id = 7;
+  cursor.platform.rng.words = {1, 2, 3, 4};
+  cursor.platform.rng.cached_normal = 0.25;
+  cursor.platform.rng.has_cached_normal = true;
+  cursor.platform.next_id = 42;
   cache::ExportedEntry entry;
   entry.key = "example.com|A|853";
   entry.expiry_s = 1234567;
@@ -465,8 +463,8 @@ TEST_F(CheckpointTest, CursorCodecRoundTripsByteIdentically) {
   util::ByteReader r(w.data());
   const WorldCursor decoded = decode_cursor(r);
   r.expect_done();
-  EXPECT_EQ(decoded.global_platform.next_id, 42u);
-  EXPECT_EQ(decoded.cn_platform.rng.words[3], 8u);
+  EXPECT_EQ(decoded.platform.next_id, 42u);
+  EXPECT_EQ(decoded.platform.rng.words[3], 4u);
   ASSERT_EQ(decoded.caches.size(), 2u);
   ASSERT_EQ(decoded.caches[0].size(), 1u);
   EXPECT_EQ(decoded.caches[0][0].key, "example.com|A|853");
@@ -590,7 +588,7 @@ TEST_F(CheckpointTest, PhaseCommitRoundTripsStateAndCursor) {
   const auto loaded = checkpoint.load_phase_delta("scan_campaign");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->state, state);
-  EXPECT_EQ(loaded->cursor.global_platform.next_id, 42u);
+  EXPECT_EQ(loaded->cursor.platform.next_id, 42u);
   const auto caches = export_section(loaded->caches);
   ASSERT_EQ(caches.size(), 2u);
   ASSERT_EQ(caches[0].size(), 1u);
@@ -643,10 +641,10 @@ TEST_F(CheckpointTest, PartialPreCursorKeepsThePrePhasePlatformPosition) {
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
     WorldCursor pre = sample_cursor();
-    pre.global_platform.next_id = 100;
+    pre.platform.next_id = 100;
     auto hook = checkpoint.phase_delta_hook("netflow", pre, [&] {
       WorldCursor advanced = sample_cursor();
-      advanced.global_platform.next_id = 999;  // platform moved mid-phase
+      advanced.platform.next_id = 999;  // platform moved mid-phase
       advanced.caches[0][0].expiry_s = 77;     // cache state moved too
       return advanced;
     });
@@ -655,7 +653,7 @@ TEST_F(CheckpointTest, PartialPreCursorKeepsThePrePhasePlatformPosition) {
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
   const auto rewound = checkpoint.load_partial_delta("netflow");
   ASSERT_TRUE(rewound.has_value());
-  EXPECT_EQ(rewound->cursor.global_platform.next_id, 100u);  // pre-phase, not 999
+  EXPECT_EQ(rewound->cursor.platform.next_id, 100u);  // pre-phase, not 999
   EXPECT_EQ(export_section(rewound->caches)[0][0].expiry_s, 77);  // at-save
 }
 

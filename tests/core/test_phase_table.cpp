@@ -17,9 +17,8 @@
 
 #include "core/checkpoint/journal.hpp"
 #include "core/study.hpp"
-#include "measure/codec.hpp"
 #include "obs/metrics.hpp"
-#include "util/bytes.hpp"
+#include "util/fields.hpp"
 
 namespace encdns::core {
 namespace {
@@ -88,20 +87,6 @@ TEST(PhaseTable, LonePerformanceRunsBothReachabilityPhasesAndNoScan) {
   EXPECT_EQ(lone["scan.engine.tx"], 0u);
 }
 
-std::vector<std::uint8_t> reachability_bytes(
-    const measure::ReachabilityResults& results) {
-  util::ByteWriter w;
-  measure::encode_reachability(w, results);
-  return w.take();
-}
-
-std::vector<std::uint8_t> performance_bytes(
-    const measure::PerformanceResults& results) {
-  util::ByteWriter w;
-  measure::encode_performance(w, results);
-  return w.take();
-}
-
 // A lone accessor runs its phase's table dependencies first: performance and
 // reachability_cn read the platform and cache state reachability_global
 // leaves behind, so forcing either on a fresh Study used to measure against
@@ -110,13 +95,13 @@ std::vector<std::uint8_t> performance_bytes(
 TEST(PhaseTable, AccessorResultsDoNotDependOnCallOrder) {
   Study canonical(StudyConfig::quick());
   (void)canonical.reachability_global();
-  const auto cn = reachability_bytes(canonical.reachability_cn());
-  const auto perf = performance_bytes(canonical.performance());
+  const auto cn = util::encode(canonical.reachability_cn());
+  const auto perf = util::encode(canonical.performance());
 
   Study cn_first(StudyConfig::quick());
-  EXPECT_EQ(reachability_bytes(cn_first.reachability_cn()), cn);
+  EXPECT_EQ(util::encode(cn_first.reachability_cn()), cn);
   Study perf_first(StudyConfig::quick());
-  EXPECT_EQ(performance_bytes(perf_first.performance()), perf);
+  EXPECT_EQ(util::encode(perf_first.performance()), perf);
 }
 
 // A study deadline set after a shared budget token exists must still reach

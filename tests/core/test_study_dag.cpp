@@ -11,8 +11,10 @@
 #include <map>
 #include <string>
 
+#include "core/checkpoint/checkpoint.hpp"
 #include "core/checkpoint/journal.hpp"
 #include "core/study.hpp"
+#include "util/fields.hpp"
 
 namespace encdns::core {
 namespace {
@@ -186,7 +188,7 @@ TEST_F(StudyDagTest, CorruptPartialFailsResumeClosed) {
   Study study(StudyConfig::quick());
   {
     Journal journal(dir_, study.config_fingerprint(), /*resume=*/false);
-    journal.append("partial:scan_campaign", {11, 0xEE});  // partial, no cursor
+    journal.append("partial:scan_campaign", {13, 0xEE});  // partial, no cursor
     journal.commit();
   }
   study.enable_checkpoint(dir_, /*resume=*/true);
@@ -198,6 +200,62 @@ TEST_F(StudyDagTest, CorruptPartialFailsResumeClosed) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// Resumes `study` from its journal and returns the JournalError it fails
+/// with ("resumed" if it does not fail).
+std::string resume_error(Study& study, const std::string& dir) {
+  study.enable_checkpoint(dir, /*resume=*/true);
+  try {
+    (void)study.observability_report();
+  } catch (const JournalError& e) {
+    return e.what();
+  }
+  return "resumed";
+}
+
+// A phase record whose cursor decodes but whose state is one byte short
+// fails the resume as a JournalError naming the record and the decoder's
+// error, like any other corrupt record.
+TEST_F(StudyDagTest, TruncatedPhaseStateFailsAsJournalError) {
+  Study study(StudyConfig::quick());
+  {
+    StudyCheckpoint checkpoint(dir_, study.config_fingerprint(),
+                               /*resume=*/false);
+    auto state = util::encode(measure::LocalProbeResults{3, 2});
+    state.pop_back();
+    checkpoint.commit_phase_delta("local_probe", state, WorldCursor{},
+                                  obs::Snapshot{});
+  }
+  const std::string error = resume_error(study, dir_);
+  EXPECT_NE(error.find("corrupt phase:local_probe state (bytes: truncated"),
+            std::string::npos)
+      << error;
+}
+
+// The same for a partial record: its state is decoded inside the phase,
+// and the error still surfaces as a JournalError naming the record.
+TEST_F(StudyDagTest, TruncatedPartialStateFailsAsJournalError) {
+  Study study(StudyConfig::quick());
+  {
+    StudyCheckpoint checkpoint(dir_, study.config_fingerprint(),
+                               /*resume=*/false);
+    // A cursor with one empty cache per resolver backend.
+    WorldCursor cursor;
+    cursor.caches = study.world().export_resolver_caches(&cursor);
+    auto hook = checkpoint.phase_delta_hook("scan_campaign", cursor,
+                                            [&] { return cursor; });
+    scan::CampaignState campaign;
+    campaign.scan_serial = 1;
+    auto state = util::encode(campaign);
+    state.pop_back();
+    hook->save(state);
+  }
+  const std::string error = resume_error(study, dir_);
+  EXPECT_NE(
+      error.find("corrupt partial:scan_campaign state (bytes: truncated"),
+      std::string::npos)
+      << error;
 }
 
 // Commit 10 falls in reachability_global: the campaign's three partials and

@@ -24,7 +24,6 @@
 
 #include "exec/executor.hpp"
 #include "traffic/backbone.hpp"
-#include "traffic/codec.hpp"
 #include "traffic/hll.hpp"
 #include "traffic/netflow.hpp"
 #include "traffic/netflow_study.hpp"
@@ -433,7 +432,7 @@ struct NetflowState {
   }
 };
 
-/// The detector in its checkpoint layout (encode_detector's).
+/// The detector in its checkpoint layout (ScanDetector::encode's).
 inline void write_detector(util::ByteWriter& w, const ScanDetector& detector) {
   const auto sources = detector.export_sources();
   w.u32(static_cast<std::uint32_t>(sources.size()));
@@ -566,7 +565,7 @@ inline NetflowRun run_netflow(
     std::sort(state.blocks.begin(), state.blocks.end(),
               [](const auto& a, const auto& b) { return a.addr < b.addr; });
     util::ByteWriter tail;
-    encode_hll(tail, total.block_sketch.hll());
+    Hll::encode(tail, total.block_sketch.hll());
     write_detector(tail, total.detector);
     state.sketch_and_detector = tail.take();
     run.states.push_back(state.encode());
@@ -745,7 +744,7 @@ inline TrendRun run_trend(const TrendStudyConfig& config) {
         w.i64(key);
         w.u64(agg.records);
         w.u64(agg.bytes);
-        encode_hll(w, agg.clients.hll());
+        Hll::encode(w, agg.clients.hll());
         w.u32(0);  // no exact client set
       }
     }

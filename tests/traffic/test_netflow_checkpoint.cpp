@@ -12,9 +12,9 @@
 
 #include "exec/checkpoint_hook.hpp"
 #include "support/traffic_reference.hpp"
-#include "traffic/codec.hpp"
 #include "traffic/netflow_study.hpp"
 #include "util/bytes.hpp"
+#include "util/fields.hpp"
 
 namespace encdns::traffic {
 namespace {
@@ -42,9 +42,7 @@ NetflowStudyConfig short_config() {
 }
 
 std::vector<std::uint8_t> result_bytes(const NetflowStudyResults& results) {
-  util::ByteWriter w;
-  encode_netflow_results(w, results);
-  return w.take();
+  return util::encode(results);
 }
 
 NetflowStudyResults run(NetflowStudyConfig config, MemoryHook* hook) {

@@ -14,11 +14,12 @@
 #include <vector>
 
 #include "support/fail_closed.hpp"
-#include "traffic/codec.hpp"
 #include "traffic/hll.hpp"
+#include "traffic/netflow_study.hpp"
 #include "traffic/scan_detector.hpp"
 #include "traffic/trend_study.hpp"
 #include "util/bytes.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 
 namespace encdns::traffic {
@@ -45,12 +46,10 @@ TrendStudyResults sample_trend_results() {
   return TrendStudy(config).run();
 }
 
-template <typename T>
-std::vector<std::uint8_t> encode_bytes(void (*encode)(ByteWriter&, const T&),
-                                       const T& value) {
-  ByteWriter w;
-  encode(w, value);
-  return w.take();
+Hll decode_hll(ByteReader& r) {
+  Hll sketch;
+  Hll::decode(r, sketch);
+  return sketch;
 }
 
 // Assert that every strict prefix and every single-byte corruption of
@@ -75,7 +74,7 @@ void expect_fail_closed(const std::vector<std::uint8_t>& bytes,
 
 TEST(TrafficCodec, HllRoundTripsExactly) {
   const Hll sketch = sample_hll();
-  const auto bytes = encode_bytes<Hll>(&encode_hll, sketch);
+  const auto bytes = util::encode(sketch);
   ByteReader r(bytes);
   const Hll decoded = decode_hll(r);
   EXPECT_TRUE(r.done());
@@ -85,13 +84,13 @@ TEST(TrafficCodec, HllRoundTripsExactly) {
 
 TEST(TrafficCodec, EmptyHllRoundTrips) {
   const Hll sketch;
-  const auto bytes = encode_bytes<Hll>(&encode_hll, sketch);
+  const auto bytes = util::encode(sketch);
   ByteReader r(bytes);
   EXPECT_EQ(decode_hll(r), sketch);
 }
 
 TEST(TrafficCodec, HllFailsClosedOnAnyCorruption) {
-  expect_fail_closed(encode_bytes<Hll>(&encode_hll, sample_hll()),
+  expect_fail_closed(util::encode(sample_hll()),
                      [](ByteReader& r) { return decode_hll(r); });
 }
 
@@ -100,11 +99,8 @@ TEST(TrafficCodec, TrendResultsRoundTripExactly) {
   ASSERT_GT(results.total_records, 0u);
   ASSERT_FALSE(results.providers.empty());
 
-  const auto bytes =
-      encode_bytes<TrendStudyResults>(&encode_trend_results, results);
-  ByteReader r(bytes);
-  const TrendStudyResults decoded = decode_trend_results(r);
-  EXPECT_TRUE(r.done());
+  const auto bytes = util::encode(results);
+  const auto decoded = util::decode<TrendStudyResults>(bytes);
 
   // Field-level spot checks, then the decisive identity: re-encoding the
   // decoded value must reproduce the original bytes exactly.
@@ -124,8 +120,7 @@ TEST(TrafficCodec, TrendResultsRoundTripExactly) {
               results.providers[i].clients_exact);
   }
   ASSERT_EQ(decoded.events.size(), results.events.size());
-  EXPECT_EQ(encode_bytes<TrendStudyResults>(&encode_trend_results, decoded),
-            bytes);
+  EXPECT_EQ(util::encode(decoded), bytes);
 }
 
 TEST(TrafficCodec, TrendResultsFailClosedOnAnyCorruption) {
@@ -137,9 +132,11 @@ TEST(TrafficCodec, TrendResultsFailClosedOnAnyCorruption) {
   config.seed = 5;
   config.scale = 0.005;
   const TrendStudyResults results = TrendStudy(config).run();
-  expect_fail_closed(
-      encode_bytes<TrendStudyResults>(&encode_trend_results, results),
-      [](ByteReader& r) { return decode_trend_results(r); });
+  expect_fail_closed(util::encode(results), [](ByteReader& r) {
+    TrendStudyResults decoded;
+    util::read(r, decoded);
+    return decoded;
+  });
 }
 
 TEST(TrafficCodec, HllDecodeRejectsImpossibleRegisterRank) {
@@ -154,7 +151,7 @@ TEST(TrafficCodec, HllDecodeRejectsImpossibleRegisterRank) {
   payload.u64(9);
   payload.blob(registers);
   ByteWriter w;
-  w.u8(kHllCodecVersion);
+  w.u8(Hll::kCodecVersion);
   w.u64(util::fnv1a_bytes(payload.data().data(), payload.size()));
   w.blob(payload.data());
   const auto bytes = w.take();
@@ -180,8 +177,8 @@ void expect_rejected(const std::vector<std::uint8_t>& bytes, Decode decode,
 
 using Source = ScanDetector::ExportedSource;
 
-// Written field by field in encode_detector's layout, so a test can write
-// what encode_detector never would.
+// Written field by field in ScanDetector::encode's layout, so a test can
+// write what the encoder never would.
 std::vector<std::uint8_t> detector_bytes(const std::vector<Source>& sources,
                                          std::uint8_t state_override = 0xFF) {
   ByteWriter w;
@@ -216,7 +213,7 @@ std::vector<Source> valid_sources() {
 
 void decode_into_detector(ByteReader& r) {
   ScanDetector detector;
-  decode_detector(r, detector);
+  ScanDetector::decode(r, detector);
   r.expect_done();
 }
 
@@ -224,14 +221,14 @@ TEST(TrafficCodec, DetectorAtTheCapRoundTrips) {
   const auto bytes = detector_bytes(valid_sources());
   ByteReader r(bytes);
   ScanDetector detector;
-  decode_detector(r, detector);
+  ScanDetector::decode(r, detector);
   EXPECT_TRUE(r.done());
   const auto exported = detector.export_sources();
   ASSERT_EQ(exported.size(), 2u);
   EXPECT_EQ(exported[1].dsts.size(), ScanDetector::kDstSetCap);
   EXPECT_TRUE(detector.is_scanner(util::Ipv4{162, 142, 125, 0}));
   ByteWriter w;
-  encode_detector(w, detector);
+  ScanDetector::encode(w, detector);
   EXPECT_EQ(w.take(), bytes);
 }
 
@@ -292,7 +289,8 @@ std::vector<std::uint8_t> monthly_bytes(
 }
 
 void decode_monthly_to_end(ByteReader& r) {
-  (void)decode_monthly(r);
+  std::map<util::Date, std::uint64_t> monthly;
+  MonthlySeries::decode(r, monthly);
   r.expect_done();
 }
 
@@ -300,10 +298,12 @@ TEST(TrafficCodec, MonthlyRoundTrips) {
   const std::map<util::Date, std::uint64_t> monthly = {
       {util::Date{2018, 7, 1}, 12}, {util::Date{2018, 8, 1}, 40}};
   ByteWriter w;
-  encode_monthly(w, monthly);
+  MonthlySeries::encode(w, monthly);
   const auto bytes = w.take();
   ByteReader r(bytes);
-  EXPECT_EQ(decode_monthly(r), monthly);
+  std::map<util::Date, std::uint64_t> decoded;
+  MonthlySeries::decode(r, decoded);
+  EXPECT_EQ(decoded, monthly);
   EXPECT_TRUE(r.done());
 }
 

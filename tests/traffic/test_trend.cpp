@@ -14,17 +14,15 @@
 
 #include "exec/cancel.hpp"
 #include "exec/checkpoint_hook.hpp"
-#include "traffic/codec.hpp"
 #include "traffic/trend_study.hpp"
 #include "util/bytes.hpp"
+#include "util/fields.hpp"
 
 namespace encdns::traffic {
 namespace {
 
 std::vector<std::uint8_t> result_bytes(const TrendStudyResults& results) {
-  util::ByteWriter w;
-  encode_trend_results(w, results);
-  return w.take();
+  return util::encode(results);
 }
 
 TrendStudyConfig quick_config() {
